@@ -24,7 +24,8 @@ class EnumeratedSemigroup:
 
     elements[i] are the element values in discovery (shortlex) order;
     right_cayley[i][g] is the index of elements[i] * gen g; factorization[i]
-    is the shortest generator word for elements[i] (ties lexicographic).
+    is the shortest generator word for elements[i] (ties lexicographic);
+    multiply is the value product the closure ran with.
     """
 
     def __init__(self, elements, index, gen_indices, right_cayley, factorizations, multiply):
@@ -33,7 +34,7 @@ class EnumeratedSemigroup:
         self.gen_indices = gen_indices  # element index of each input generator
         self.right_cayley = right_cayley
         self.factorizations = factorizations
-        self._multiply = multiply
+        self.multiply = multiply
         self._left_cayley = None
 
     def __len__(self):
@@ -51,24 +52,15 @@ class EnumeratedSemigroup:
             cur = self.right_cayley[cur][g]
         return cur
 
-    def multiply(self, x, y):
-        return self.elements[self.product(self.index[x], self.index[y])]
-
     @property
     def left_cayley(self):
         if self._left_cayley is None:
             gens = self.gen_indices
             self._left_cayley = [
-                [self.index[self._multiply(self.elements[g], x)] for g in gens]
+                [self.index[self.multiply(self.elements[g], x)] for g in gens]
                 for x in self.elements
             ]
         return self._left_cayley
-
-    def factor_word(self, x) -> tuple[int, ...]:
-        return self.factorizations[self.index[x]]
-
-    def is_idempotent_index(self, i: int) -> bool:
-        return self.product(i, i) == i
 
 
 def close(generators, multiply, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
@@ -120,7 +112,7 @@ def generates(gens, target: EnumeratedSemigroup) -> bool:
             raise ForeignElementError(f"{g!r} is not an element of the target")
     if not gens:
         return len(target) == 0
-    sub = close(list(gens), target._multiply, limit=len(target))
+    sub = close(list(gens), target.multiply, limit=len(target))
     return len(sub) == len(target)
 
 
@@ -169,10 +161,6 @@ def tournament_check(n: int, edges) -> tuple[bool, bool, bool]:
     return (sc and complete, sc, complete)
 
 
-def _is_idempotent_value(x, multiply) -> bool:
-    return multiply(x, x) == x
-
-
 def brute_rank(
     target: EnumeratedSemigroup,
     pool,
@@ -199,7 +187,7 @@ def brute_rank(
             seen.add(i)
             dedup.append(x)
     if idempotents_only:
-        dedup = [x for x in dedup if _is_idempotent_value(x, target._multiply)]
+        dedup = [x for x in dedup if target.multiply(x, x) == x]
     if k_max is None:
         k_max = len(dedup)
     searched = 0
@@ -209,7 +197,7 @@ def brute_rank(
             searched += 1
             if searched > budget:
                 raise CapacityError("subset search budget exceeded", count=searched - 1)
-            sub = close(list(subset), target._multiply, limit=want)
+            sub = close(list(subset), target.multiply, limit=want)
             if len(sub) == want:
                 return k, subset
     return None

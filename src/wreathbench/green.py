@@ -28,9 +28,6 @@ class GreenData:
     def rel_L(self, a: int, b: int) -> bool:
         return self.leq_L[a][b] and self.leq_L[b][a]
 
-    def rel_R(self, a: int, b: int) -> bool:
-        return self.leq_R[a][b] and self.leq_R[b][a]
-
 
 def _find_identity(S) -> int | None:
     n = S.size

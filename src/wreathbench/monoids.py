@@ -53,9 +53,6 @@ class FiniteMonoid:
         """M*i; contains i since M has an identity."""
         return frozenset(self.table[m][i] for m in range(self.order))
 
-    def label_of(self, i: int) -> str:
-        return self.labels[i]
-
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
 

@@ -5,20 +5,24 @@ so an emitted presentation is self-describing: the canonical evaluation map
 is reconstructed from the letter parameters alone.  Chained equations
 u = v = w from a family are normalized into the pairs (u, v), (v, w), which
 generate the same congruence.
+
+``Rn`` is the general semidirect-product presentation over ``R``, with M^n
+acted on by coordinate shuffles, relabelled onto the full-tuple alphabet.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain, l_chain_element_order
 from .monoids import FiniteMonoid, inverse_of, is_group, submonoid, units, units_submonoid
 from .transformations import compose, epsilon, index_pairs
-from .wreath import WreathContext, eps_a, eps_ab, eps_elem, validate_action
+from .wreath import WreathContext, eps_a, eps_ab, eps_elem
+from .wreath import power_with_shuffle, semidirect_multiply, validate_letter_action
 
 ALPHABET_LIMIT = 4096
 
@@ -32,8 +36,7 @@ class Letter:
         return dict(self.params)[key]
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     lhs: tuple[int, ...]
     rhs: tuple[int, ...]
     tag: str
@@ -57,9 +60,6 @@ class Presentation:
                 for l in side:
                     if not 0 <= l < na:
                         raise ValueError(f"relation {rel.tag} references missing letter {l}")
-
-    def letter_index(self) -> dict:
-        return {lt.params: i for i, lt in enumerate(self.letters)}
 
     def family_counts(self) -> dict[str, int]:
         return dict(Counter(r.tag for r in self.relations))
@@ -160,17 +160,6 @@ def _x2_letters(M, n):
     return letters, index
 
 
-def _xn_letters(M, n):
-    letters = []
-    index = {}
-    for i, j in index_pairs(n):
-        for tup in itertools.product(range(M.order), repeat=n):
-            index[(i, j, tup)] = len(letters)
-            name = ",".join(M.labels[a] for a in tup)
-            letters.append(Letter(f"e({i},{j};[{name}])", (("i", i), ("j", j), ("tup", tup))))
-    return letters, index
-
-
 # ---------------------------------------------------------------------------
 # the presentation of the singular part itself
 
@@ -217,93 +206,35 @@ def emit_R(n: int) -> Presentation:
 # full-tuple generators
 
 def emit_Rn(M: FiniteMonoid, n: int, alphabet_limit: int = ALPHABET_LIMIT) -> Presentation:
-    """The semidirect-product presentation specialized to the wreath product:
-    each base relation decorated with an arbitrary tuple on its first letter,
-    plus the tuple-collapse family that rewrites a product of two decorated
-    letters into a single decorated letter."""
-    from .errors import CapacityError
-
+    """The semidirect-product presentation over ``R``, with M^n acted on by
+    coordinate shuffles: each base relation decorated with an arbitrary tuple
+    on its first letter (``Rk_n``), plus the tuple-collapse family that
+    rewrites a product of two decorated letters into a single decorated
+    letter (``R7_n``)."""
     if n < 2:
         raise ValueError("n must be at least 2")
     size = len(index_pairs(n)) * M.order**n
     if size > alphabet_limit:
         raise CapacityError("tuple alphabet too large", count=size)
-    letters, L = _xn_letters(M, n)
-    one = M.identity
-    ones = (one,) * n
+    base = emit_R(n)
+    Mn, action = power_with_shuffle(M, n, standard_map(base).images)
+    p = emit_semidirect(base, Mn, action)
+    # each letter is named from its own parameters: base letter e(i,j) and
+    # M^n index a, whose tuple is the a-th in M^n's odometer order
     tuples = list(itertools.product(range(M.order), repeat=n))
-    rels = []
-    add = rels.append
-    for i, j in index_pairs(n):
-        for a in tuples:
-            add(Relation((L[(i, j, a)], L[(i, j, ones)]), (L[(i, j, a)],), "R1_n"))
-            add(Relation((L[(i, j, a)],), (L[(j, i, a)], L[(i, j, ones)]), "R1_n"))
-    for i, j, k, l in _ordered_tuples(n, 4):
-        for a in tuples:
-            add(
-                Relation(
-                    (L[(i, j, a)], L[(k, l, ones)]), (L[(k, l, a)], L[(i, j, ones)]), "R2_n"
-                )
-            )
-    for i, j, k in _ordered_tuples(n, 3):
-        for a in tuples:
-            add(Relation((L[(i, k, a)], L[(j, k, ones)]), (L[(i, k, a)],), "R3_n"))
-    for i, j, k in _ordered_tuples(n, 3):
-        for a in tuples:
-            add(
-                Relation(
-                    (L[(i, j, a)], L[(i, k, ones)]), (L[(i, k, a)], L[(i, j, ones)]), "R4_n"
-                )
-            )
-            add(
-                Relation(
-                    (L[(i, k, a)], L[(i, j, ones)]), (L[(j, k, a)], L[(i, j, ones)]), "R4_n"
-                )
-            )
-    for i, j, k in _ordered_tuples(n, 3):
-        for a in tuples:
-            add(
-                Relation(
-                    (L[(k, i, a)], L[(i, j, ones)], L[(j, k, ones)]),
-                    (L[(i, k, a)], L[(k, j, ones)], L[(j, i, ones)], L[(i, k, ones)]),
-                    "R5_n",
-                )
-            )
-    for i, j, k, l in _ordered_tuples(n, 4):
-        for a in tuples:
-            add(
-                Relation(
-                    (L[(k, i, a)], L[(i, j, ones)], L[(j, k, ones)], L[(k, l, ones)]),
-                    (
-                        L[(i, k, a)],
-                        L[(k, l, ones)],
-                        L[(l, i, ones)],
-                        L[(i, j, ones)],
-                        L[(j, l, ones)],
-                    ),
-                    "R6_n",
-                )
-            )
-    # collapse: e_{ij;a} e_{kl;b} = e_{ij;c} e_{kl} with c = a . (eps_ij . b),
-    # i.e. c_j = a_j b_i and c_m = a_m b_m elsewhere; i,j,k,l need not be
-    # distinct beyond i != j, k != l
-    mul = M.mul
-    for i, j in index_pairs(n):
-        for a in tuples:
-            for k, l in index_pairs(n):
-                for b in tuples:
-                    c = tuple(
-                        mul(a[m], b[i - 1]) if m == j - 1 else mul(a[m], b[m])
-                        for m in range(n)
-                    )
-                    add(
-                        Relation(
-                            (L[(i, j, a)], L[(k, l, b)]), (L[(i, j, c)], L[(k, l, ones)]), "R7_n"
-                        )
-                    )
-    return Presentation(
-        "semigroup", tuple(letters), tuple(rels), {"family": "Rn", "monoid": M.name, "n": n}
-    )
+    letters = []
+    for lt in p.letters:
+        i, j, tup = lt.param("i"), lt.param("j"), tuples[lt.param("a")]
+        name = ",".join(M.labels[a] for a in tup)
+        letters.append(Letter(f"e({i},{j};[{name}])", (("i", i), ("j", j), ("tup", tup))))
+    tags = {f"RM1:{t}": f"{t}_n" for t in base.family_counts()}
+    tags["RM2"] = "R7_n"
+    # relabelled in place: the letter count and every relation word stay as
+    # emit_semidirect checked them
+    p.letters = tuple(letters)
+    p.relations = tuple(Relation(r.lhs, r.rhs, tags[r.tag]) for r in p.relations)
+    p.provenance = {"family": "Rn", "monoid": M.name, "n": n}
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -615,14 +546,15 @@ def word_E_X1(M: FiniteMonoid, n: int, i: int, j: int, a: int, b: int, omega, xw
 # ---------------------------------------------------------------------------
 # general semidirect products
 
-def emit_semidirect(base: Presentation, S, base_images, M: FiniteMonoid, action) -> Presentation:
-    """Presentation of M x| S from a presentation of S: every letter gets one
-    decorated copy per monoid element; base relations are decorated on their
-    first letter, and a product of two decorated letters folds the action
-    into the first one."""
+def emit_semidirect(base: Presentation, M: FiniteMonoid, action) -> Presentation:
+    """Presentation of M x| S from a presentation ``base`` of S, where
+    ``action(x, a)`` is the action of base letter x on M: every letter gets
+    one decorated copy per monoid element; base relations are decorated on
+    their first letter, and a product of two decorated letters folds the
+    action into the first one."""
     if base.kind != "semigroup":
         raise ValueError("semidirect construction starts from a semigroup presentation")
-    validate_action(M, S, action)
+    validate_letter_action(M, base, action)
     one = M.identity
     letters = []
     index = {}
@@ -641,11 +573,10 @@ def emit_semidirect(base: Presentation, S, base_images, M: FiniteMonoid, action)
         for a in range(M.order):
             rels.append(Relation(decorate(rel.lhs, a), decorate(rel.rhs, a), f"RM1:{rel.tag}"))
     for x in range(len(base.letters)):
-        sx = base_images[x]
         for y in range(len(base.letters)):
             for a in range(M.order):
                 for b in range(M.order):
-                    c = M.mul(a, action(sx, b))
+                    c = M.mul(a, action(x, b))
                     rels.append(
                         Relation(
                             (index[(x, a)], index[(y, b)]),
@@ -662,17 +593,8 @@ def emit_semidirect(base: Presentation, S, base_images, M: FiniteMonoid, action)
 
 
 def semidirect_map(p: Presentation, M: FiniteMonoid, S, action, base_images) -> EvaluationMap:
-    images = []
-    for lt in p.letters:
-        d = dict(lt.params)
-        images.append((d["a"], base_images[d["x"]]))
-
-    def mult(u, v):
-        from .wreath import semidirect_multiply
-
-        return semidirect_multiply(M, S, action, u, v)
-
-    return EvaluationMap(tuple(images), mult)
+    images = tuple((lt.param("a"), base_images[lt.param("x")]) for lt in p.letters)
+    return EvaluationMap(images, lambda u, v: semidirect_multiply(M, S, action, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +795,7 @@ def emit_E_wreath_monoid(
 
 
 # ---------------------------------------------------------------------------
-# canonical evaluation maps and serialization
+# canonical evaluation maps
 
 def _letter_wreath_image(lt: Letter, ctx: WreathContext):
     d = dict(lt.params)
@@ -919,43 +841,3 @@ def standard_map(p: Presentation, M: FiniteMonoid | None = None) -> EvaluationMa
         images = tuple(lt.param("m") for lt in p.letters)
         return EvaluationMap(images, M.mul, identity=M.identity)
     raise ValueError(f"no canonical map for family {family!r}")
-
-
-def _params_to_json(params):
-    out = {}
-    for k, v in params:
-        out[k] = list(v) if isinstance(v, tuple) else v
-    return out
-
-
-def presentation_to_dict(p: Presentation) -> dict:
-    return {
-        "kind": p.kind,
-        "letters": [{"name": lt.name, "params": _params_to_json(lt.params)} for lt in p.letters],
-        "relations": [
-            {"lhs": list(r.lhs), "rhs": list(r.rhs), "tag": r.tag} for r in p.relations
-        ],
-        "provenance": p.provenance,
-    }
-
-
-def presentation_from_dict(data: dict) -> Presentation:
-    letters = tuple(
-        Letter(
-            d["name"],
-            tuple(
-                (k, tuple(v) if isinstance(v, list) else v)
-                for k, v in sorted(d.get("params", {}).items())
-            ),
-        )
-        for d in data["letters"]
-    )
-    rels = tuple(
-        Relation(tuple(r["lhs"]), tuple(r["rhs"]), r.get("tag", "")) for r in data["relations"]
-    )
-    return Presentation(data["kind"], letters, rels, data.get("provenance", {}))
-
-
-def save_presentation(p: Presentation, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(presentation_to_dict(p), f, indent=1, sort_keys=True)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
-from .errors import CapacityError, DegreeMismatch, PreconditionError
+from .errors import ActionError, CapacityError, DegreeMismatch, PreconditionError
 from .green import green_cached, has_unit_complement_E
 from .monoids import FiniteMonoid, units
 from .transformations import Transformation, compose, enumerate_Tn, epsilon, identity, index_pairs
@@ -208,7 +208,14 @@ def group_idempotent_count(g_order: int, n: int) -> int:
 def _count_brute(ctx: WreathContext) -> int:
     M = ctx.base
     n = ctx.degree
-    total = M.order**n * len(ctx.transformations())
+    # size the full and singular parts before enumerating any of T_n
+    if ctx.part == "full":
+        n_trans = n**n
+    elif ctx.part == "singular":
+        n_trans = n**n - factorial(n)
+    else:
+        n_trans = len(ctx.transformations())
+    total = M.order**n * n_trans
     if total > BRUTE_ELEMENT_BOUND:
         raise CapacityError("brute idempotent count too large", count=total)
     return sum(1 for x in ctx.elements() if is_wr_idempotent(ctx, x))
@@ -253,24 +260,44 @@ def decompose_E(ctx: WreathContext, x: WreathElement) -> tuple[WreathElement, Wr
 def validate_action(M: FiniteMonoid, S, action) -> None:
     """Check that ``action(s, a)`` is a left action of S on M by monoid
     endomorphisms: s.1 = 1, s.(ab) = (s.a)(s.b), (st).a = s.(t.a)."""
-    from .errors import ActionError
-
     ns = len(S.elements)
     m = M.order
-    one = M.identity
-    for s in range(ns):
-        if action(s, one) != one:
-            raise ActionError("s.1 = 1", (s, one))
-        for a in range(m):
-            for b in range(m):
-                if action(s, M.table[a][b]) != M.table[action(s, a)][action(s, b)]:
-                    raise ActionError("s.(ab) = (s.a)(s.b)", (s, a, b))
+    _check_endomorphisms(M, ns, action)
     for s in range(ns):
         for t in range(ns):
             st = S.product(s, t)
             for a in range(m):
                 if action(st, a) != action(s, action(t, a)):
                     raise ActionError("(st).a = s.(t.a)", (s, t, a))
+
+
+def validate_letter_action(M: FiniteMonoid, base, action) -> None:
+    """Check that ``action(x, a)``, given on the letters x of the semigroup
+    presentation ``base``, extends to a left action by monoid endomorphisms
+    of the semigroup it presents: every letter acts by an endomorphism and
+    both sides of every relation act alike.  The semigroup is not enumerated."""
+    _check_endomorphisms(M, len(base.letters), action)
+    for rel in base.relations:
+        for a in range(M.order):
+            u = v = a
+            for x in reversed(rel.lhs):
+                u = action(x, u)
+            for x in reversed(rel.rhs):
+                v = action(x, v)
+            if u != v:
+                raise ActionError("u.a = v.a", (rel.lhs, rel.rhs, a))
+
+
+def _check_endomorphisms(M: FiniteMonoid, count: int, action) -> None:
+    """Check s.1 = 1 and s.(ab) = (s.a)(s.b) for s in range(count)."""
+    one = M.identity
+    for s in range(count):
+        if action(s, one) != one:
+            raise ActionError("s.1 = 1", (s, one))
+        for a in range(M.order):
+            for b in range(M.order):
+                if action(s, M.table[a][b]) != M.table[action(s, a)][action(s, b)]:
+                    raise ActionError("s.(ab) = (s.a)(s.b)", (s, a, b))
 
 
 def semidirect_multiply(M: FiniteMonoid, S, action, x, y):
@@ -292,10 +319,13 @@ def power_with_shuffle(M: FiniteMonoid, n: int, transformations):
     Mn = power_monoid(M, n)
     tuples = list(itertools.product(range(M.order), repeat=n))
     pos = {t: i for i, t in enumerate(tuples)}
+    # tabulated, since emission and its checks query each pair (s, a) many times
+    table = [
+        [pos[tuple(tup[v - 1] for v in alpha.images)] for tup in tuples]
+        for alpha in transformations
+    ]
 
     def action(s_idx, a_idx):
-        alpha = transformations[s_idx]
-        tup = tuples[a_idx]
-        return pos[tuple(tup[alpha.images[k] - 1] for k in range(n))]
+        return table[s_idx][a_idx]
 
     return Mn, action

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from math import factorial
 
 import pytest
 
@@ -14,23 +16,23 @@ from wreathbench import (
     eps_ab,
     eps_elem,
     evaluate,
+    fixture,
     omega_witnesses,
     soundness,
     standard_map,
     table_presentation,
+    validate_monoid,
+    verify,
     word_E_X1,
     word_E_X2,
+    wreath_sing_target,
 )
 from wreathbench.errors import PreconditionError
 from wreathbench.monoids import submonoid
 from wreathbench.green import e_part_indices
-from wreathbench.presentations import (
-    Letter,
-    Presentation,
-    Relation,
-    presentation_from_dict,
-    presentation_to_dict,
-)
+from wreathbench.presentations import Letter, Presentation, Relation
+
+from conftest import monoid_census
 
 
 def name_index(p):
@@ -115,6 +117,44 @@ class TestEmitRn:
     def test_mutation_detected(self, Z2):
         p = emit_Rn(Z2, 2)
         corrupt_and_detect(p, standard_map(p, Z2))
+
+    # (fixture, n, letter digest, relation-multiset digest, relation count),
+    # recorded from the hand-written emitter the semidirect wrapper replaced
+    RECORDED = (
+        ("@Z2", 2, "5301234b3ff5e744", "7a22a0a7b18553a1", 80),
+        ("@Z3", 2, "d8f6d311d2a542f3", "b1866e0426c60e45", 360),
+        ("@T2", 2, "a0c96215028377f3", "999e263a9fdcc2ca", 1088),
+        ("@Z2", 3, "ce0356812787d956", "f4004c712412d3e1", 2592),
+        ("@B01", 3, "cc08abd52a9cbd86", "c55c1868aff13b96", 2592),
+    )
+
+    @pytest.mark.parametrize("name,n,letters,relations,count", RECORDED)
+    def test_matches_recorded_emission(self, name, n, letters, relations, count):
+        def digest(obj):
+            return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+        p = emit_Rn(fixture(name), n)
+        assert digest(tuple((lt.name, lt.params) for lt in p.letters)) == letters
+        assert digest(sorted((r.lhs, r.rhs, r.tag) for r in p.relations)) == relations
+        assert len(p.relations) == count
+
+    # emission visits only the letters of R, never Sing_n itself: at n = 8,
+    # Sing_n has 8^8 - 8! elements, past the closure limit
+    @pytest.mark.parametrize("name,n,count", (("@T1", 6, 2160), ("@T1", 8, 7952), ("@Z2", 5, 426240)))
+    def test_large_degree_does_not_enumerate_sing(self, name, n, count):
+        p = emit_Rn(fixture(name), n)
+        assert len(p.letters) == n * (n - 1) * fixture(name).order**n
+        assert len(p.relations) == count
+
+    def test_certifies_every_census_monoid(self):
+        n = 2
+        for table in monoid_census(4):
+            m = len(table)
+            M = validate_monoid([f"m{i}" for i in range(m)], 0, [list(r) for r in table])
+            p = emit_Rn(M, n)
+            v = verify(p, standard_map(p, M), wreath_sing_target(M, n))
+            assert v.status == "certified", table
+            assert v.class_count == m**n * (n**n - factorial(n)), table
 
 
 class TestEmitR2:
@@ -421,17 +461,3 @@ class TestEmitEMonoid:
     def test_mutation_detected(self, T2):
         p = self._auto(T2, 2)
         corrupt_and_detect(p, standard_map(p, T2))
-
-
-class TestSerialization:
-    def test_round_trip(self, Z2):
-        for p in (emit_R(3), emit_R2(Z2, 2), emit_R1p(Z2, 2)):
-            data = presentation_to_dict(p)
-            q = presentation_from_dict(data)
-            assert presentation_to_dict(q) == data
-            assert [r.tag for r in q.relations] == [r.tag for r in p.relations]
-
-    def test_letters_carry_parameters(self, Z2):
-        p = emit_R2(Z2, 2)
-        data = presentation_to_dict(p)
-        assert data["letters"][0]["params"] == {"i": 1, "j": 2, "a": 0, "b": 0}

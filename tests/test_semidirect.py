@@ -87,36 +87,36 @@ class TestAction:
 
 
 class TestEmitSemidirect:
-    def _sing2_setup(self):
-        gens = rank_one_less_idempotents(2)
-        S = close(gens, compose)
-        base = emit_R(2)
-        base_images = [S.index[g] for g in gens]
-        return S, base, base_images
-
     def test_trivial_base_monoid_recovers_base(self, T1):
-        S, base, base_images = self._sing2_setup()
+        base = emit_R(2)
         action = lambda s, a: a
-        p = emit_semidirect(base, S, base_images, T1, action)
+        p = emit_semidirect(base, T1, action)
         assert len(p.letters) == len(base.letters)
         decorated = {(r.lhs, r.rhs) for r in p.relations if r.tag.startswith("RM1")}
         assert {(r.lhs, r.rhs) for r in base.relations} <= decorated
 
     def test_alphabet_is_cartesian(self, Z2):
-        S, base, base_images = self._sing2_setup()
+        base = emit_R(2)
         action = lambda s, a: a
-        p = emit_semidirect(base, S, base_images, Z2, action)
+        p = emit_semidirect(base, Z2, action)
         assert len(p.letters) == len(base.letters) * Z2.order
+
+    def test_letter_action_must_respect_base_relations(self, Z2):
+        # e(1,2) fixes Z2 and e(2,1) collapses it: each is an endomorphism,
+        # but e(1,2) = e(2,1) e(1,2) acts differently on its two sides
+        base = emit_R(2)
+        e12 = next(x for x, lt in enumerate(base.letters) if lt.name == "e(1,2)")
+        action = lambda x, a: a if x == e12 else Z2.identity
+        with pytest.raises(ActionError) as exc:
+            emit_semidirect(base, Z2, action)
+        assert exc.value.axiom == "u.a = v.a"
 
     def test_shuffle_example_relation_present(self, Z2):
         # with M = Z2 x Z2 shuffled by Sing_2, the fold of (e12)_{(g,1)} with
         # (e21)_{(1,g)} decorates the head with (g,1) again
-        gens = rank_one_less_idempotents(2)
-        S = close(gens, compose)
         base = emit_R(2)
-        base_images = [S.index[g] for g in gens]
-        M2, action = power_with_shuffle(Z2, 2, list(S.elements))
-        p = emit_semidirect(base, S, base_images, M2, action)
+        M2, action = power_with_shuffle(Z2, 2, rank_one_less_idempotents(2))
+        p = emit_semidirect(base, M2, action)
         L = {lt.name: i for i, lt in enumerate(p.letters)}
         lhs = (L["e(1,2)[(g,1)]"], L["e(2,1)[(1,g)]"])
         rhs = (L["e(1,2)[(g,1)]"], L["e(2,1)[(1,1)]"])
@@ -132,7 +132,7 @@ class TestEmitSemidirect:
         base = emit_R(2)
         base_images = [S.index[g] for g in gens]
         M2, action = power_with_shuffle(Z2, 2, list(S.elements))
-        p = emit_semidirect(base, S, base_images, M2, action)
+        p = emit_semidirect(base, M2, lambda x, a: action(base_images[x], a))
         emap = semidirect_map(p, M2, S, action, base_images)
         rep = soundness(p, emap)
         assert rep.ok

@@ -129,6 +129,19 @@ class TestIdempotents:
         with pytest.raises(CapacityError):
             count_idempotents(ctx, "brute")
 
+    def test_brute_capacity_checked_before_enumeration(self, T2, monkeypatch):
+        from wreathbench import wreath
+        from wreathbench.errors import CapacityError
+
+        def refuse(*args):
+            raise AssertionError("T_n enumerated before the budget check")
+
+        monkeypatch.setattr(wreath, "enumerate_Tn", refuse)
+        for part, n_trans in (("full", 7**7), ("singular", 7**7 - 5040)):
+            with pytest.raises(CapacityError) as exc:
+                count_idempotents(WreathContext(T2, 7, part), "brute")
+            assert exc.value.count == 4**7 * n_trans
+
     def test_formula_equals_brute_all_monoids_up_to_order4(self):
         # exhaustive oracle over one representative per isomorphism class
         for table in monoid_census(4):
