@@ -2,7 +2,7 @@
 counting, generating-set tests, rank search, and machine-certified
 presentations."""
 
-from .certify import Carrier, Verdict, e_wreath_target, sing_target, verify, wreath_sing_target
+from .certify import Verdict, e_wreath_target, sing_target, verify, wreath_sing_target
 from .enumeration import (
     EnumeratedSemigroup,
     RankReport,

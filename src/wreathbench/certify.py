@@ -11,26 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .enumeration import close
+from .enumeration import CLOSURE_LIMIT, EnumeratedSemigroup, close
+from .errors import CapacityError
 from .presentations import EvaluationMap, Presentation, soundness
 from .todd_coxeter import TCResult, todd_coxeter
-
-
-@dataclass
-class Carrier:
-    """A fully enumerated finite semigroup: element values plus a value-level
-    product."""
-
-    elements: list
-    multiply: object
-    index: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.index:
-            self.index = {x: i for i, x in enumerate(self.elements)}
-
-    def __len__(self):
-        return len(self.elements)
+from .transformations import compose, enumerate_Tn, part_size
+from .wreath import WreathContext, is_wr_idempotent
 
 
 @dataclass
@@ -92,26 +78,32 @@ def verify(p: Presentation, emap: EvaluationMap, target, node_limit: int = 10**6
 # ---------------------------------------------------------------------------
 # standard verification targets
 
-def sing_target(n: int) -> Carrier:
-    """The singular part of T_n, enumerated directly."""
-    from .transformations import compose, enumerate_Tn
+def sing_target(n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
+    """The singular part of T_n, enumerated directly; refused with a
+    CapacityError when its closed-form size exceeds ``limit``."""
+    if n < 2:
+        raise ValueError("the singular part is empty below degree 2")
+    _check_size(part_size(n, "singular"), limit)
+    return EnumeratedSemigroup(enumerate_Tn(n, "singular"), compose)
 
-    return Carrier(enumerate_Tn(n, "singular"), compose)
 
-
-def wreath_sing_target(M, n: int) -> Carrier:
-    """All of M wr Sing_n, enumerated directly (not via any generating set)."""
-    from .wreath import WreathContext
-
+def wreath_sing_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
+    """All of M wr Sing_n, enumerated directly (not via any generating set);
+    refused with a CapacityError when its closed-form size exceeds ``limit``."""
     ctx = WreathContext(M, n, "singular")
-    return Carrier(ctx.elements(), ctx.multiply)
+    _check_size(M.order**n * part_size(n, "singular"), limit)
+    return EnumeratedSemigroup(ctx.elements(), ctx.multiply)
 
 
-def e_wreath_target(M, n: int, limit: int = 10**6):
+def _check_size(size: int, limit: int) -> None:
+    # the same refusal close() gives when handed the whole element list
+    if size > limit:
+        raise CapacityError("closure limit exceeded", count=size)
+
+
+def e_wreath_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
     """The idempotent-generated part of M wr T_n: the closure of the full
     idempotent set, which contains the identity."""
-    from .wreath import WreathContext, is_wr_idempotent
-
     ctx = WreathContext(M, n, "full")
     idem = [x for x in ctx.elements() if is_wr_idempotent(ctx, x)]
     return close(idem, ctx.multiply, limit=limit)

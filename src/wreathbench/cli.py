@@ -16,7 +16,7 @@ import sys
 import time
 
 from .certify import e_wreath_target, sing_target, verify, wreath_sing_target
-from .enumeration import brute_rank, close, generates, rank_formulas, tournament_check
+from .enumeration import brute_rank, generates, rank_formulas, tournament_check
 from .errors import CapacityError, MonoidValidationError, PreconditionError
 from .monoids import FIXTURES, resolve_monoid
 from .presentations import (
@@ -29,7 +29,7 @@ from .presentations import (
     standard_map,
     table_presentation,
 )
-from .transformations import Transformation, compose, enumerate_Tn, epsilon
+from .transformations import Transformation, epsilon
 from .wreath import WreathContext, count_idempotents
 
 OK, NEGATIVE, INVALID, INTERNAL = 0, 1, 2, 70
@@ -151,11 +151,11 @@ def cmd_verify(args) -> int:
     p, pm = _family_presentation(args.family, M, n, args)
     emap = standard_map(p, pm)
     if args.family == "R":
-        target = sing_target(n)
+        target = sing_target(n, limit=args.limit_elements)
     elif args.family == "Emonoid":
         target = e_wreath_target(M, n, limit=args.limit_elements)
     else:
-        target = wreath_sing_target(M, n)
+        target = wreath_sing_target(M, n, limit=args.limit_elements)
     v = verify(p, emap, target, node_limit=args.limit_nodes)
     result = {
         "family": args.family,
@@ -197,7 +197,7 @@ def cmd_rank(args) -> int:
             status = "bounds"
     if args.mode in ("brute", "both"):
         ctx = WreathContext(M, n, "singular")
-        target = close(ctx.elements(), ctx.multiply, limit=args.limit_elements)
+        target = wreath_sing_target(M, n, limit=args.limit_elements)
         found = brute_rank(target, list(target.elements), budget=args.limit_subsets)
         brute = {"rank": None, "idrank": None, "rank_witness": None}
         if found:
@@ -256,7 +256,7 @@ def cmd_gens(args) -> int:
         }
         answer = gen
         if args.confirm:
-            target = close(enumerate_Tn(n, "singular"), compose, limit=args.limit_elements)
+            target = sing_target(n, limit=args.limit_elements)
             gens = [epsilon(n, i, j) for i, j in edges]
             closure_answer = generates(gens, target) if gens else False
             result["closure"] = {"generates": closure_answer}
@@ -267,7 +267,7 @@ def cmd_gens(args) -> int:
     elif args.elements is not None:
         data = json.loads(args.elements)
         gens = [Transformation(tuple(images)) for images in data]
-        target = close(enumerate_Tn(n, "singular"), compose, limit=args.limit_elements)
+        target = sing_target(n, limit=args.limit_elements)
         answer = generates(gens, target) if gens else False
         result["closure"] = {"generates": answer}
     else:

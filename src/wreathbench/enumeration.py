@@ -20,21 +20,22 @@ SUBSET_BUDGET = 10**7
 
 
 class EnumeratedSemigroup:
-    """A finite semigroup realized as the closure of a generating set.
+    """A finite semigroup as the list of its element values, the value
+    product ``multiply`` and ``index``, each value's position in the list.
 
-    elements[i] are the element values in discovery (shortlex) order;
-    right_cayley[i][g] is the index of elements[i] * gen g; factorization[i]
-    is the shortest generator word for elements[i] (ties lexicographic);
-    multiply is the value product the closure ran with.
+    Built either directly from a complete element list, deriving ``index``,
+    or by ``close`` from a generating set.  Only ``close`` fills the closure
+    data, which is None otherwise: gen_indices[g] is the element index of
+    input generator g, right_cayley[i][g] that of elements[i] * generator g,
+    and factorizations[i] is a shortest generator word for elements[i] (ties
+    lexicographic), the list being in shortlex discovery order.
     """
 
-    def __init__(self, elements, index, gen_indices, right_cayley, factorizations, multiply):
+    def __init__(self, elements, multiply, index=None):
         self.elements = elements
-        self.index = index
-        self.gen_indices = gen_indices  # element index of each input generator
-        self.right_cayley = right_cayley
-        self.factorizations = factorizations
         self.multiply = multiply
+        self.index = {x: i for i, x in enumerate(elements)} if index is None else index
+        self.gen_indices = self.right_cayley = self.factorizations = None
         self._left_cayley = None
 
     def __len__(self):
@@ -45,15 +46,11 @@ class EnumeratedSemigroup:
         return len(self.elements)
 
     def product(self, i: int, j: int) -> int:
-        """Index product, by walking the right Cayley graph along a shortest
-        word for element j."""
-        cur = i
-        for g in self.factorizations[j]:
-            cur = self.right_cayley[cur][g]
-        return cur
+        return self.index[self.multiply(self.elements[i], self.elements[j])]
 
     @property
     def left_cayley(self):
+        """[i][g] is the index of generator g * elements[i] (closure-only)."""
         if self._left_cayley is None:
             gens = self.gen_indices
             self._left_cayley = [
@@ -102,7 +99,9 @@ def close(generators, multiply, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigro
             row.append(j)
         cayley.append(row)
         i += 1
-    return EnumeratedSemigroup(elements, index, gen_indices, cayley, facts, multiply)
+    S = EnumeratedSemigroup(elements, multiply, index)
+    S.gen_indices, S.right_cayley, S.factorizations = gen_indices, cayley, facts
+    return S
 
 
 def generates(gens, target: EnumeratedSemigroup) -> bool:

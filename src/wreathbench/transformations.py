@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator, NamedTuple
 
 from .errors import CapacityError, DegreeMismatch
@@ -126,6 +127,13 @@ def rank_one_less_idempotents(n: int) -> list[Transformation]:
 def iter_Tn(n: int) -> Iterator[Transformation]:
     for images in itertools.product(range(1, n + 1), repeat=n):
         yield Transformation(images)
+
+
+def part_size(n: int, part: str = "full") -> int:
+    """Size of the "full" (n^n) or "singular" (n^n - n!) part of T_n."""
+    if part not in ("full", "singular"):
+        raise ValueError(f"unknown part {part!r}")
+    return n**n - (factorial(n) if part == "singular" else 0)
 
 
 def enumerate_Tn(n: int, part: str = "full") -> list[Transformation]:

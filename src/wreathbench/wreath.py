@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 from .errors import ActionError, CapacityError, DegreeMismatch, PreconditionError
 from .green import green_cached, has_unit_complement_E
 from .monoids import FiniteMonoid, units
-from .transformations import Transformation, compose, enumerate_Tn, epsilon, identity, index_pairs
+from .transformations import (
+    Transformation, compose, enumerate_Tn, epsilon, identity, index_pairs, part_size,
+)
 
 BRUTE_ELEMENT_BOUND = 10**6
 
@@ -209,10 +211,8 @@ def _count_brute(ctx: WreathContext) -> int:
     M = ctx.base
     n = ctx.degree
     # size the full and singular parts before enumerating any of T_n
-    if ctx.part == "full":
-        n_trans = n**n
-    elif ctx.part == "singular":
-        n_trans = n**n - factorial(n)
+    if ctx.part in ("full", "singular"):
+        n_trans = part_size(n, ctx.part)
     else:
         n_trans = len(ctx.transformations())
     total = M.order**n * n_trans

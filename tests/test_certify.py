@@ -1,15 +1,25 @@
+import pytest
+
 from wreathbench import (
+    WreathContext,
+    close,
     compose,
     emit_R,
     emit_R1p,
     emit_R2,
     epsilon,
+    fixture,
+    gen_family,
     sing_target,
     standard_map,
     verify,
     wreath_sing_target,
 )
+from wreathbench import certify, wreath
+from wreathbench.errors import CapacityError
+from wreathbench.monoids import FIXTURES
 from wreathbench.presentations import EvaluationMap, Letter, Presentation, Relation
+from wreathbench.transformations import rank_one_less_idempotents
 
 
 class TestVerify:
@@ -137,3 +147,58 @@ class TestRedundantPairExperiment:
         assert len(pruned.relations) == len(p.relations) - 192
         v = verify(pruned, standard_map(pruned, Z2), wreath_sing_target(Z2, 3))
         assert v.status == "certified" and v.class_count == 168
+
+
+class TestTargets:
+    """The standard targets are enumerated directly; an independent route,
+    the closure of a known generating family, must reach the same set."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sing_target_is_closure_of_idempotents(self, n):
+        closed = close(rank_one_less_idempotents(n), compose)
+        assert set(sing_target(n).elements) == set(closed.elements)
+
+    @pytest.mark.parametrize(
+        "name, n", [(f"@{k}", 2) for k in sorted(FIXTURES)] + [("@Z2", 3)]
+    )
+    def test_wreath_sing_target_is_closure_of_xn(self, name, n):
+        M = fixture(name)
+        ctx = WreathContext(M, n, "singular")
+        closed = close(gen_family(ctx, "Xn"), ctx.multiply)
+        assert set(wreath_sing_target(M, n).elements) == set(closed.elements)
+
+    def test_targets_do_no_products(self, Z2, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args):
+                calls.append(fn)
+                return fn(*args)
+            return wrapper
+
+        for module, name in ((certify, "compose"), (wreath, "compose"), (wreath, "wr_multiply")):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        s = sing_target(4)
+        w = wreath_sing_target(Z2, 3)
+        assert calls == []
+        # the counter does see the products the targets are later asked for
+        s.product(0, 1)
+        w.product(0, 1)
+        assert len(calls) == 3  # wr_multiply also composes the transformations
+
+    def test_size_checked_before_enumerating(self, T2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(certify, "enumerate_Tn", refuse)
+        monkeypatch.setattr(WreathContext, "elements", refuse)
+        with pytest.raises(CapacityError) as exc:
+            sing_target(5, limit=3004)
+        assert exc.value.count == 3005
+        with pytest.raises(CapacityError) as exc:
+            wreath_sing_target(T2, 5)
+        assert exc.value.count == 3_077_120
+
+    def test_limit_is_inclusive(self, Z2):
+        assert len(sing_target(3, limit=21)) == 21
+        assert len(wreath_sing_target(Z2, 2, limit=8)) == 8

@@ -42,6 +42,23 @@ class TestVerifyCommand:
         assert code == 0
         assert report["result"]["verdict"]["class_count"] == 41
 
+    def test_limit_elements_bounds_wreath_target(self, capsys):
+        code, report = run_json(
+            capsys,
+            "verify", "--family", "R2", "--monoid", "@Z2", "-n", "3", "--limit-elements", "100",
+        )
+        assert code == 2
+        assert report["error"] == "CapacityError"
+        assert report["message"] == "closure limit exceeded (reached 168)"
+
+    def test_limit_elements_bounds_sing_target(self, capsys):
+        code, report = run_json(
+            capsys, "verify", "--family", "R", "-n", "4", "--limit-elements", "10"
+        )
+        assert code == 2
+        assert report["error"] == "CapacityError"
+        assert report["message"] == "closure limit exceeded (reached 232)"
+
     def test_budget_exhaustion_is_negative(self, capsys):
         code, report = run_json(
             capsys, "verify", "--family", "R", "-n", "3", "--limit-nodes", "10"
@@ -111,6 +128,20 @@ class TestRankCommand:
         assert code == 0
         assert report["result"]["brute"]["rank"] == 2
 
+    def test_brute_refused_before_enumerating(self, capsys, monkeypatch):
+        # |T2 wr Sing_5| = 4^5 * (5^5 - 5!) is over the default limit; the
+        # closed-form size refuses it without building any element
+        from wreathbench.wreath import WreathContext
+
+        def refuse(self):
+            raise AssertionError("target enumerated")
+
+        monkeypatch.setattr(WreathContext, "elements", refuse)
+        code, report = run_json(capsys, "rank", "--monoid", "@T2", "-n", "5", "--mode", "brute")
+        assert code == 2
+        assert report["error"] == "CapacityError"
+        assert report["message"] == "closure limit exceeded (reached 3077120)"
+
     def test_non_chain_formula_bounds_status(self, capsys):
         code, report = run_json(capsys, "rank", "--monoid", "@RZ1", "-n", "2", "--mode", "formula")
         assert code == 0
@@ -144,6 +175,20 @@ class TestGensCommand:
     def test_small_degree_rejected(self, capsys):
         code, report = run_json(capsys, "gens", "-n", "2", "--edges", "1:2,2:1")
         assert code == 2
+
+    def test_degree_one_rejected(self, capsys):
+        code, report = run_json(capsys, "gens", "-n", "1", "--elements", "[]")
+        assert code == 2
+        assert report["error"] == "ValueError"
+
+    def test_degree5_confirmed(self, capsys):
+        # a strongly connected orientation of K5: the cycle 1..5 and the
+        # pentagram 1,3,5,2,4; the closure check runs inside all of Sing_5
+        edges = "1:2,2:3,3:4,4:5,5:1,1:3,3:5,5:2,2:4,4:1"
+        code, report = run_json(capsys, "gens", "-n", "5", "--edges", edges, "--confirm")
+        assert code == 0
+        assert report["result"]["criterion"]["generates"]
+        assert report["result"]["closure"]["generates"]
 
     def test_disagreement_is_internal_error(self, capsys, monkeypatch):
         # the criterion and the closure can only disagree through a bug;

@@ -124,8 +124,9 @@ class TestEmitSemidirect:
 
     def test_sound_and_certifies(self, Z2):
         # the semidirect presentation for Z2^2 x| Sing_2 is the tuple-alphabet
-        # presentation of the wreath product; certify it against the carrier
-        from wreathbench.certify import Carrier, verify
+        # presentation of the wreath product; certify it against the enumerated
+        # semidirect product
+        from wreathbench import EnumeratedSemigroup, verify
 
         gens = rank_one_less_idempotents(2)
         S = close(gens, compose)
@@ -137,6 +138,6 @@ class TestEmitSemidirect:
         rep = soundness(p, emap)
         assert rep.ok
         elems = [(a, s) for a in range(M2.order) for s in range(len(S))]
-        target = Carrier(elems, lambda x, y: semidirect_multiply(M2, S, action, x, y))
+        target = EnumeratedSemigroup(elems, lambda x, y: semidirect_multiply(M2, S, action, x, y))
         v = verify(p, emap, target)
         assert v.status == "certified" and v.class_count == 8
