@@ -103,7 +103,10 @@ def _check_size(size: int, limit: int) -> None:
 
 def e_wreath_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
     """The idempotent-generated part of M wr T_n: the closure of the full
-    idempotent set, which contains the identity."""
+    idempotent set, which contains the identity.  Refused with a
+    CapacityError when all of M wr T_n, which is enumerated to find the
+    idempotents, exceeds ``limit``."""
     ctx = WreathContext(M, n, "full")
+    _check_size(M.order**n * part_size(n, "full"), limit)
     idem = [x for x in ctx.elements() if is_wr_idempotent(ctx, x)]
     return close(idem, ctx.multiply, limit=limit)

@@ -1,8 +1,8 @@
 """Breadth-first closure of generator sets, generation tests and rank search.
 
 The closure enumerates elements in shortlex order of their defining words
-(word length first, then generator index), which makes element order, Cayley
-graphs and the recorded shortest factorizations deterministic.
+(word length first, then generator index), which makes element order and the
+recorded shortest factorizations deterministic.
 """
 
 from __future__ import annotations
@@ -26,16 +26,16 @@ class EnumeratedSemigroup:
     Built either directly from a complete element list, deriving ``index``,
     or by ``close`` from a generating set.  Only ``close`` fills the closure
     data, which is None otherwise: gen_indices[g] is the element index of
-    input generator g, right_cayley[i][g] that of elements[i] * generator g,
-    and factorizations[i] is a shortest generator word for elements[i] (ties
-    lexicographic), the list being in shortlex discovery order.
+    input generator g, and factorizations[i] is a shortest generator word for
+    elements[i] (ties lexicographic), the list being in shortlex discovery
+    order.
     """
 
     def __init__(self, elements, multiply, index=None):
         self.elements = elements
         self.multiply = multiply
         self.index = {x: i for i, x in enumerate(elements)} if index is None else index
-        self.gen_indices = self.right_cayley = self.factorizations = None
+        self.gen_indices = self.factorizations = None
         self._left_cayley = None
 
     def __len__(self):
@@ -81,26 +81,20 @@ def close(generators, multiply, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigro
         gen_indices.append(index[val])
     if len(elements) > limit:
         raise CapacityError("closure limit exceeded", count=len(elements))
-    cayley = []
     i = 0
     while i < len(elements):
-        row = []
         x = elements[i]
         for g, gval in enumerate(generators):
             y = multiply(x, gval)
-            j = index.get(y)
-            if j is None:
-                j = len(elements)
-                index[y] = j
+            if y not in index:
+                index[y] = len(elements)
                 elements.append(y)
                 facts.append(facts[i] + (g,))
                 if len(elements) > limit:
                     raise CapacityError("closure limit exceeded", count=len(elements))
-            row.append(j)
-        cayley.append(row)
         i += 1
     S = EnumeratedSemigroup(elements, multiply, index)
-    S.gen_indices, S.right_cayley, S.factorizations = gen_indices, cayley, facts
+    S.gen_indices, S.factorizations = gen_indices, facts
     return S
 
 

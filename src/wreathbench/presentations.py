@@ -17,12 +17,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .enumeration import close
 from .errors import CapacityError, PreconditionError
 from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain, l_chain_element_order
 from .monoids import FiniteMonoid, inverse_of, is_group, submonoid, units, units_submonoid
 from .transformations import compose, epsilon, index_pairs
 from .wreath import WreathContext, eps_a, eps_ab, eps_elem
-from .wreath import power_with_shuffle, semidirect_multiply, validate_letter_action
+from .wreath import power_with_shuffle, validate_letter_action
 
 ALPHABET_LIMIT = 4096
 
@@ -119,45 +120,73 @@ def soundness(p: Presentation, emap: EvaluationMap) -> SoundnessReport:
 
 
 # ---------------------------------------------------------------------------
-# alphabets
+# alphabets and the relation families shared between emitters
 
 def _ordered_tuples(n, k):
     return [t for t in itertools.permutations(range(1, n + 1), k)]
 
 
-def _x_letters(n):
+def _alphabet(n, M=None, entries=0):
+    """The letters e(i,j) over the ordered pairs, each carrying ``entries``
+    monoid elements (none, a, or a and b; odometer order), with the index of
+    each key (i, j, *entries)."""
+    decorations = [
+        (ent, ";" + ",".join(M.labels[a] for a in ent) if ent else "", tuple(zip("ab", ent)))
+        for ent in itertools.product(range(M.order) if entries else (), repeat=entries)
+    ]
     letters = []
     index = {}
     for i, j in index_pairs(n):
-        index[(i, j)] = len(letters)
-        letters.append(Letter(f"e({i},{j})", (("i", i), ("j", j))))
+        for ent, labels, params in decorations:
+            index[(i, j) + ent] = len(letters)
+            letters.append(Letter(f"e({i},{j}{labels})", (("i", i), ("j", j)) + params))
     return letters, index
 
 
-def _x1_letters(M, n):
-    letters = []
-    index = {}
-    for i, j in index_pairs(n):
-        for a in range(M.order):
-            index[(i, j, a)] = len(letters)
-            letters.append(Letter(f"e({i},{j};{M.labels[a]})", (("i", i), ("j", j), ("a", a))))
-    return letters, index
+def _chain(tag, u, v, w):
+    return Relation(u, v, tag), Relation(v, w, tag)
 
 
-def _x2_letters(M, n):
-    letters = []
-    index = {}
-    for i, j in index_pairs(n):
-        for a in range(M.order):
-            for b in range(M.order):
-                index[(i, j, a, b)] = len(letters)
-                letters.append(
-                    Letter(
-                        f"e({i},{j};{M.labels[a]},{M.labels[b]})",
-                        (("i", i), ("j", j), ("a", a), ("b", b)),
-                    )
-                )
-    return letters, index
+def _commuting(n, L, decorations, tag):
+    """Letters on disjoint pairs (i, j), (k, l) commute, for all decorations."""
+    rels = []
+    for i, j, k, l in _ordered_tuples(n, 4):
+        for d, t in itertools.product(decorations, repeat=2):
+            x, y = L[(i, j) + d], L[(k, l) + t]
+            rels.append(Relation((x, y), (y, x), tag))
+    return rels
+
+
+def _absorbing(n, L, heads, tails, tag):
+    """e(i,k) absorbs a following e(j,k): heads decorate the first letter,
+    tails the second."""
+    rels = []
+    for i, j, k in _ordered_tuples(n, 3):
+        for d, t in itertools.product(heads, tails):
+            x = L[(i, k) + d]
+            rels.append(Relation((x, L[(j, k) + t]), (x,), tag))
+    return rels
+
+
+def _braids(n, e, suffix=""):
+    """The three- and four-index braid-like families R5 and R6 over the
+    letters e[i, j]."""
+    rels = []
+    for i, j, k in _ordered_tuples(n, 3):
+        rels.append(
+            Relation(
+                (e[k, i], e[i, j], e[j, k]), (e[i, k], e[k, j], e[j, i], e[i, k]), "R5" + suffix
+            )
+        )
+    for i, j, k, l in _ordered_tuples(n, 4):
+        rels.append(
+            Relation(
+                (e[k, i], e[i, j], e[j, k], e[k, l]),
+                (e[i, k], e[k, l], e[l, i], e[i, j], e[j, l]),
+                "R6" + suffix,
+            )
+        )
+    return rels
 
 
 # ---------------------------------------------------------------------------
@@ -169,36 +198,16 @@ def emit_R(n: int) -> Presentation:
     four-index braid-like identities."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    letters, L = _x_letters(n)
+    letters, L = _alphabet(n)
     rels = []
-    add = rels.append
     for i, j in index_pairs(n):
         e, f = L[(i, j)], L[(j, i)]
-        add(Relation((e, e), (e,), "R1"))
-        add(Relation((e,), (f, e), "R1"))
-    for i, j, k, l in _ordered_tuples(n, 4):
-        add(Relation((L[(i, j)], L[(k, l)]), (L[(k, l)], L[(i, j)]), "R2"))
+        rels += _chain("R1", (e, e), (e,), (f, e))
+    rels += _commuting(n, L, [()], "R2")
+    rels += _absorbing(n, L, [()], [()], "R3")
     for i, j, k in _ordered_tuples(n, 3):
-        add(Relation((L[(i, k)], L[(j, k)]), (L[(i, k)],), "R3"))
-    for i, j, k in _ordered_tuples(n, 3):
-        add(Relation((L[(i, j)], L[(i, k)]), (L[(i, k)], L[(i, j)]), "R4"))
-        add(Relation((L[(i, k)], L[(i, j)]), (L[(j, k)], L[(i, j)]), "R4"))
-    for i, j, k in _ordered_tuples(n, 3):
-        add(
-            Relation(
-                (L[(k, i)], L[(i, j)], L[(j, k)]),
-                (L[(i, k)], L[(k, j)], L[(j, i)], L[(i, k)]),
-                "R5",
-            )
-        )
-    for i, j, k, l in _ordered_tuples(n, 4):
-        add(
-            Relation(
-                (L[(k, i)], L[(i, j)], L[(j, k)], L[(k, l)]),
-                (L[(i, k)], L[(k, l)], L[(l, i)], L[(i, j)], L[(j, l)]),
-                "R6",
-            )
-        )
+        rels += _chain("R4", (L[(i, j)], L[(i, k)]), (L[(i, k)], L[(i, j)]), (L[(j, k)], L[(i, j)]))
+    rels += _braids(n, L)
     return Presentation("semigroup", tuple(letters), tuple(rels), {"family": "R", "n": n})
 
 
@@ -245,29 +254,23 @@ def emit_R2(M: FiniteMonoid, n: int) -> Presentation:
     for every monoid; certifies the wreath product at desk scale."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    letters, L = _x2_letters(M, n)
+    letters, L = _alphabet(n, M, 2)
     mul = M.mul
     one = M.identity
     ms = range(M.order)
+    entries = list(itertools.product(ms, repeat=2))
     rels = []
     add = rels.append
     for i, j in index_pairs(n):
         for a, b, c, d in itertools.product(ms, repeat=4):
-            mid = (L[(i, j, mul(a, c), mul(b, c))],)
-            add(Relation((L[(i, j, a, b)], L[(i, j, c, d)]), mid, "R1_2"))
-            add(Relation(mid, (L[(j, i, b, a)], L[(i, j, d, c)]), "R1_2"))
-    for i, j, k, l in _ordered_tuples(n, 4):
-        for a, b, c, d in itertools.product(ms, repeat=4):
-            add(
-                Relation(
-                    (L[(i, j, a, b)], L[(k, l, c, d)]),
-                    (L[(k, l, c, d)], L[(i, j, a, b)]),
-                    "R2_2",
-                )
+            rels += _chain(
+                "R1_2",
+                (L[(i, j, a, b)], L[(i, j, c, d)]),
+                (L[(i, j, mul(a, c), mul(b, c))],),
+                (L[(j, i, b, a)], L[(i, j, d, c)]),
             )
-    for i, j, k in _ordered_tuples(n, 3):
-        for a, b, c in itertools.product(ms, repeat=3):
-            add(Relation((L[(i, k, a, b)], L[(j, k, one, c)]), (L[(i, k, a, b)],), "R3a_2"))
+    rels += _commuting(n, L, entries, "R2_2")
+    rels += _absorbing(n, L, entries, [(one, c) for c in ms], "R3a_2")
     for i, j, k in _ordered_tuples(n, 3):
         for a, b, c in itertools.product(ms, repeat=3):
             add(
@@ -288,37 +291,21 @@ def emit_R2(M: FiniteMonoid, n: int) -> Presentation:
             )
     for i, j, k in _ordered_tuples(n, 3):
         for a, b, c, d in itertools.product(ms, repeat=4):
-            mid = (L[(i, k, mul(a, c), d)], L[(i, j, one, mul(b, c))])
-            add(Relation((L[(i, j, a, b)], L[(i, k, c, d)]), mid, "R4a_2"))
-            add(Relation(mid, (L[(j, k, mul(b, c), d)], L[(i, j, mul(a, c), one)]), "R4a_2"))
+            rels += _chain(
+                "R4a_2",
+                (L[(i, j, a, b)], L[(i, k, c, d)]),
+                (L[(i, k, mul(a, c), d)], L[(i, j, one, mul(b, c))]),
+                (L[(j, k, mul(b, c), d)], L[(i, j, mul(a, c), one)]),
+            )
     for i, j, k in _ordered_tuples(n, 3):
         for a, b, c, d in itertools.product(ms, repeat=4):
-            mid = (L[(i, k, c, mul(b, d))], L[(i, j, one, mul(a, d))])
-            add(Relation((L[(i, j, c, mul(a, d))], L[(i, k, one, mul(b, d))]), mid, "R4b_2"))
-            add(Relation(mid, (L[(j, k, a, b)], L[(i, j, c, d)]), "R4b_2"))
-    oo = (one, one)
-    for i, j, k in _ordered_tuples(n, 3):
-        add(
-            Relation(
-                (L[(k, i) + oo], L[(i, j) + oo], L[(j, k) + oo]),
-                (L[(i, k) + oo], L[(k, j) + oo], L[(j, i) + oo], L[(i, k) + oo]),
-                "R5_2",
+            rels += _chain(
+                "R4b_2",
+                (L[(i, j, c, mul(a, d))], L[(i, k, one, mul(b, d))]),
+                (L[(i, k, c, mul(b, d))], L[(i, j, one, mul(a, d))]),
+                (L[(j, k, a, b)], L[(i, j, c, d)]),
             )
-        )
-    for i, j, k, l in _ordered_tuples(n, 4):
-        add(
-            Relation(
-                (L[(k, i) + oo], L[(i, j) + oo], L[(j, k) + oo], L[(k, l) + oo]),
-                (
-                    L[(i, k) + oo],
-                    L[(k, l) + oo],
-                    L[(l, i) + oo],
-                    L[(i, j) + oo],
-                    L[(j, l) + oo],
-                ),
-                "R6_2",
-            )
-        )
+    rels += _braids(n, {(i, j): L[(i, j, one, one)] for i, j in index_pairs(n)}, "_2")
     return Presentation(
         "semigroup", tuple(letters), tuple(rels), {"family": "R2", "monoid": M.name, "n": n}
     )
@@ -367,7 +354,7 @@ def emit_R1(M: FiniteMonoid, n: int, force: bool = False) -> Presentation:
         raise ValueError("n must be at least 2")
     if not force and not is_L_chain(M):
         _chain_precondition(M)
-    letters, L = _x1_letters(M, n)
+    letters, L = _alphabet(n, M, 1)
     mul = M.mul
     one = M.identity
     ms = range(M.order)
@@ -376,15 +363,7 @@ def emit_R1(M: FiniteMonoid, n: int, force: bool = False) -> Presentation:
     for i, j in index_pairs(n):
         for a, b in itertools.product(ms, repeat=2):
             add(Relation((L[(i, j, a)], L[(i, j, b)]), (L[(i, j, a)],), "R1a_1"))
-    for i, j in index_pairs(n):
-        for a, b in itertools.product(ms, repeat=2):
-            add(
-                Relation(
-                    (L[(i, j, one)], L[(j, i, a)], L[(i, j, b)]),
-                    (L[(j, i, one)], L[(i, j, mul(a, b))]),
-                    "R1b_1",
-                )
-            )
+    rels += _r1b(M, n, L)
     for i, j in index_pairs(n):
         for a, b, c in itertools.product(ms, repeat=3):
             if mul(a, c) == mul(b, c):
@@ -405,10 +384,25 @@ def emit_R1(M: FiniteMonoid, n: int, force: bool = False) -> Presentation:
                 )
     for i, j in index_pairs(n):
         add(Relation((L[(j, i, one)], L[(i, j, one)]), (L[(i, j, one)],), "R1e_1"))
-    rels.extend(_r1_common(M, n, L))
+    rels += _r1_common(M, n, L)
     return Presentation(
         "semigroup", tuple(letters), tuple(rels), {"family": "R1", "monoid": M.name, "n": n}
     )
+
+
+def _r1b(M: FiniteMonoid, n: int, L) -> list[Relation]:
+    """The product-merging family R1b_1 of both idempotent-generator
+    presentations."""
+    one = M.identity
+    return [
+        Relation(
+            (L[(i, j, one)], L[(j, i, a)], L[(i, j, b)]),
+            (L[(j, i, one)], L[(i, j, M.mul(a, b))]),
+            "R1b_1",
+        )
+        for i, j in index_pairs(n)
+        for a, b in itertools.product(range(M.order), repeat=2)
+    ]
 
 
 def _r1_common(M: FiniteMonoid, n: int, L) -> list[Relation]:
@@ -417,14 +411,10 @@ def _r1_common(M: FiniteMonoid, n: int, L) -> list[Relation]:
     mul = M.mul
     one = M.identity
     ms = range(M.order)
-    rels = []
+    entries = [(a,) for a in ms]
+    rels = _commuting(n, L, entries, "R2_1")
+    rels += _absorbing(n, L, entries, entries, "R3a_1")
     add = rels.append
-    for i, j, k, l in _ordered_tuples(n, 4):
-        for a, b in itertools.product(ms, repeat=2):
-            add(Relation((L[(i, j, a)], L[(k, l, b)]), (L[(k, l, b)], L[(i, j, a)]), "R2_1"))
-    for i, j, k in _ordered_tuples(n, 3):
-        for a, b in itertools.product(ms, repeat=2):
-            add(Relation((L[(i, k, a)], L[(j, k, b)]), (L[(i, k, a)],), "R3a_1"))
     for i, j, k in _ordered_tuples(n, 3):
         for a in ms:
             add(
@@ -446,31 +436,13 @@ def _r1_common(M: FiniteMonoid, n: int, L) -> list[Relation]:
     for i, j, k in _ordered_tuples(n, 3):
         for a, b in itertools.product(ms, repeat=2):
             ab = mul(a, b)
-            mid = (L[(i, k, ab)], L[(i, j, b)])
-            add(Relation((L[(i, j, b)], L[(i, k, ab)]), mid, "R4_1"))
-            add(Relation(mid, (L[(j, k, a)], L[(i, j, b)]), "R4_1"))
-    for i, j, k in _ordered_tuples(n, 3):
-        add(
-            Relation(
-                (L[(k, i, one)], L[(i, j, one)], L[(j, k, one)]),
-                (L[(i, k, one)], L[(k, j, one)], L[(j, i, one)], L[(i, k, one)]),
-                "R5_1",
+            rels += _chain(
+                "R4_1",
+                (L[(i, j, b)], L[(i, k, ab)]),
+                (L[(i, k, ab)], L[(i, j, b)]),
+                (L[(j, k, a)], L[(i, j, b)]),
             )
-        )
-    for i, j, k, l in _ordered_tuples(n, 4):
-        add(
-            Relation(
-                (L[(k, i, one)], L[(i, j, one)], L[(j, k, one)], L[(k, l, one)]),
-                (
-                    L[(i, k, one)],
-                    L[(k, l, one)],
-                    L[(l, i, one)],
-                    L[(i, j, one)],
-                    L[(j, l, one)],
-                ),
-                "R6_1",
-            )
-        )
+    rels += _braids(n, {(i, j): L[(i, j, one)] for i, j in index_pairs(n)}, "_1")
     return rels
 
 
@@ -482,32 +454,21 @@ def emit_R1p(M: FiniteMonoid, n: int) -> Presentation:
         raise ValueError("n must be at least 2")
     if not is_group(M):
         raise PreconditionError(f"base monoid {M.name or M.labels} is not a group")
-    letters, L = _x1_letters(M, n)
-    mul = M.mul
-    one = M.identity
+    letters, L = _alphabet(n, M, 1)
     ms = range(M.order)
     rels = []
     add = rels.append
     for i, j in index_pairs(n):
         for a, b in itertools.product(ms, repeat=2):
-            mid = (L[(i, j, a)],)
-            add(Relation((L[(i, j, a)], L[(i, j, b)]), mid, "R1a'_1"))
+            add(Relation((L[(i, j, a)], L[(i, j, b)]), (L[(i, j, a)],), "R1a'_1"))
         for a in ms:
             add(
                 Relation(
                     (L[(i, j, a)],), (L[(j, i, inverse_of(M, a))], L[(i, j, a)]), "R1a'_1"
                 )
             )
-    for i, j in index_pairs(n):
-        for a, b in itertools.product(ms, repeat=2):
-            add(
-                Relation(
-                    (L[(i, j, one)], L[(j, i, a)], L[(i, j, b)]),
-                    (L[(j, i, one)], L[(i, j, mul(a, b))]),
-                    "R1b_1",
-                )
-            )
-    rels.extend(_r1_common(M, n, L))
+    rels += _r1b(M, n, L)
+    rels += _r1_common(M, n, L)
     return Presentation(
         "semigroup", tuple(letters), tuple(rels), {"family": "R1p", "monoid": M.name, "n": n}
     )
@@ -522,7 +483,7 @@ def word_E_X2(M: FiniteMonoid, n: int, i: int, j: int, tup) -> tuple[int, ...]:
     (i, j) entries and one trailing letter per remaining position.  When all
     off-pair entries are the identity the word degenerates to one letter."""
     tup = tuple(tup)
-    _, L = _x2_letters(M, n)
+    _, L = _alphabet(n, M, 2)
     one = M.identity
     rest = [k for k in range(1, n + 1) if k not in (i, j)]
     if all(tup[k - 1] == one for k in rest):
@@ -536,7 +497,7 @@ def word_E_X2(M: FiniteMonoid, n: int, i: int, j: int, tup) -> tuple[int, ...]:
 def word_E_X1(M: FiniteMonoid, n: int, i: int, j: int, a: int, b: int, omega, xwit) -> tuple[int, ...]:
     """A word over the idempotent alphabet evaluating to the two-entry
     element (a at i, b at j), using the chain witnesses."""
-    _, L = _x1_letters(M, n)
+    _, L = _alphabet(n, M, 1)
     one = M.identity
     if (a, b) in omega:
         return (L[(j, i, xwit[(a, b)])], L[(i, j, b)])
@@ -590,11 +551,6 @@ def emit_semidirect(base: Presentation, M: FiniteMonoid, action) -> Presentation
         tuple(rels),
         {"family": "semidirect", "monoid": M.name, "base": base.provenance},
     )
-
-
-def semidirect_map(p: Presentation, M: FiniteMonoid, S, action, base_images) -> EvaluationMap:
-    images = tuple((lt.param("a"), base_images[lt.param("x")]) for lt in p.letters)
-    return EvaluationMap(images, lambda u, v: semidirect_multiply(M, S, action, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -672,18 +628,12 @@ def emit_E_wreath_monoid(
             f"(got {tc.status}/{tc.class_count}, want {E_mon.order})"
         )
 
-    # shortest factorizations h_a over the base letters, ties lexicographic
+    # shortest factorizations h_a over the base letters, ties lexicographic:
+    # the closure's own words, since no product of non-units is the identity
     h_word = {E_mon.identity: ()}
-    frontier = [E_mon.identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for y, m in enumerate(base_images):
-                f = E_mon.mul(e, pos_in_E[m])
-                if f not in h_word:
-                    h_word[f] = h_word[e] + (y,)
-                    nxt.append(f)
-        frontier = nxt
+    if base_images:
+        S = close([pos_in_E[m] for m in base_images], E_mon.mul)
+        h_word.update(zip(S.elements, S.factorizations))
     assert len(h_word) == E_mon.order
 
     G_mon, g_carrier = units_submonoid(M)

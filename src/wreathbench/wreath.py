@@ -46,16 +46,13 @@ class WreathElement:
 class WreathContext:
     base: FiniteMonoid
     degree: int
-    part: str = "singular"  # "full" | "singular" | custom tuple of Transformations
+    part: str = "singular"  # "full" | "singular"
 
     def __post_init__(self):
+        if self.part not in ("full", "singular"):
+            raise ValueError(f"unknown part {self.part!r}; expected 'full' or 'singular'")
         if self.part == "singular" and self.degree < 2:
             raise ValueError("the singular part is empty below degree 2")
-        if not isinstance(self.part, str):
-            object.__setattr__(self, "part", tuple(self.part))
-            for t in self.part:
-                if t.degree != self.degree:
-                    raise DegreeMismatch(t.degree, self.degree)
 
     def element(self, tup, trans) -> WreathElement:
         tup = tuple(tup)
@@ -72,12 +69,7 @@ class WreathContext:
         return WreathElement((one,) * self.degree, identity(self.degree))
 
     def transformations(self) -> list[Transformation]:
-        if self.part in ("full", "singular"):
-            return enumerate_Tn(self.degree, self.part)
-        from .enumeration import close
-
-        sub = close(list(self.part), compose)
-        return list(sub.elements)
+        return enumerate_Tn(self.degree, self.part)
 
     def elements(self) -> list[WreathElement]:
         """Every element of M wr S: transformation-major, tuple odometer minor."""
@@ -185,8 +177,6 @@ def _count_formula(ctx: WreathContext) -> int:
     """Sum over image sizes k of C(n,k) * sum over idempotent tuples
     (e_1..e_k) of (|Me_1| + ... + |Me_k|)^(n-k); the singular count subtracts
     the k = n term |E(M)|^n."""
-    if ctx.part not in ("full", "singular"):
-        raise PreconditionError("idempotent-count formula needs part full or singular")
     M = ctx.base
     n = ctx.degree
     idem = M.idempotents()
@@ -210,12 +200,8 @@ def group_idempotent_count(g_order: int, n: int) -> int:
 def _count_brute(ctx: WreathContext) -> int:
     M = ctx.base
     n = ctx.degree
-    # size the full and singular parts before enumerating any of T_n
-    if ctx.part in ("full", "singular"):
-        n_trans = part_size(n, ctx.part)
-    else:
-        n_trans = len(ctx.transformations())
-    total = M.order**n * n_trans
+    # size the part before enumerating any of T_n
+    total = M.order**n * part_size(n, ctx.part)
     if total > BRUTE_ELEMENT_BOUND:
         raise CapacityError("brute idempotent count too large", count=total)
     return sum(1 for x in ctx.elements() if is_wr_idempotent(ctx, x))

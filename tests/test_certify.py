@@ -4,6 +4,7 @@ from wreathbench import (
     WreathContext,
     close,
     compose,
+    e_wreath_target,
     emit_R,
     emit_R1p,
     emit_R2,
@@ -198,7 +199,16 @@ class TestTargets:
         with pytest.raises(CapacityError) as exc:
             wreath_sing_target(T2, 5)
         assert exc.value.count == 3_077_120
+        # the Emonoid target filters its idempotents from all of T2 wr T_5
+        with pytest.raises(CapacityError) as exc:
+            e_wreath_target(T2, 5)
+        assert exc.value.count == 3_200_000
 
     def test_limit_is_inclusive(self, Z2):
         assert len(sing_target(3, limit=21)) == 21
         assert len(wreath_sing_target(Z2, 2, limit=8)) == 8
+        # the identity and Z2 wr Sing_2, closed inside the 16 elements of Z2 wr T_2
+        assert len(e_wreath_target(Z2, 2, limit=16)) == 9
+        with pytest.raises(CapacityError) as exc:
+            e_wreath_target(Z2, 2, limit=15)
+        assert exc.value.count == 16

@@ -59,6 +59,22 @@ class TestVerifyCommand:
         assert report["error"] == "CapacityError"
         assert report["message"] == "closure limit exceeded (reached 232)"
 
+    def test_emonoid_target_refused_before_enumerating(self, capsys, monkeypatch):
+        # the Emonoid target filters the idempotents from all of T2 wr T_5,
+        # 4^5 * 5^5 elements: over the default limit, refused by its size
+        from wreathbench.wreath import WreathContext
+
+        def refuse(self):
+            raise AssertionError("target enumerated")
+
+        monkeypatch.setattr(WreathContext, "elements", refuse)
+        code, report = run_json(
+            capsys, "verify", "--family", "Emonoid", "--monoid", "@T2", "-n", "5"
+        )
+        assert code == 2
+        assert report["error"] == "CapacityError"
+        assert report["message"] == "closure limit exceeded (reached 3200000)"
+
     def test_budget_exhaustion_is_negative(self, capsys):
         code, report = run_json(
             capsys, "verify", "--family", "R", "-n", "3", "--limit-nodes", "10"

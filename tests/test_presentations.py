@@ -28,9 +28,10 @@ from wreathbench import (
     wreath_sing_target,
 )
 from wreathbench.errors import PreconditionError
-from wreathbench.monoids import submonoid
+from wreathbench.monoids import full_transformation_monoid, submonoid
 from wreathbench.green import e_part_indices
 from wreathbench.presentations import Letter, Presentation, Relation
+from wreathbench.transformations import epsilon
 
 from conftest import monoid_census
 
@@ -461,3 +462,131 @@ class TestEmitEMonoid:
     def test_mutation_detected(self, T2):
         p = self._auto(T2, 2)
         corrupt_and_detect(p, standard_map(p, T2))
+
+
+# ---------------------------------------------------------------------------
+# ordered emissions
+
+def _emonoid_over_table(M, n):
+    E_mon, carrier = submonoid(M, sorted(e_part_indices(M)), name="E")
+    base, base_gens = table_presentation(E_mon)
+    return emit_E_wreath_monoid(M, n, base, [carrier[m] for m in base_gens])
+
+
+def _emonoid_t3_over_R(n):
+    # <E(T3)> = {1} u Sing_3 presented as a monoid by R(3): the shortest
+    # factorizations h_a are words of length up to three, not single letters
+    T3 = full_transformation_monoid(3)
+    R3 = emit_R(3)
+    base = Presentation("monoid", R3.letters, R3.relations, {"family": "R", "n": 3})
+    images = []
+    for lt in R3.letters:
+        e = epsilon(3, lt.param("i"), lt.param("j"))
+        images.append(T3.index_of("".join(map(str, e.images))))
+    return emit_E_wreath_monoid(T3, n, base, images)
+
+
+def _emit(family, name, n):
+    if family == "R":
+        return emit_R(n)
+    if name == "T3/R":
+        return _emonoid_t3_over_R(n)
+    M = fixture(name)
+    if family == "Rn":
+        return emit_Rn(M, n)
+    if family == "R2":
+        return emit_R2(M, n)
+    if family == "R1":
+        return emit_R1(M, n, force=True)
+    if family == "R1p":
+        return emit_R1p(M, n)
+    return _emonoid_over_table(M, n)
+
+
+# (family, monoid, n, letter digest, ordered-relation digest, relation count),
+# recorded before the relation families shared by R, R2, R1 and R1p were
+# factored into one helper each.  The relation order fixes Todd-Coxeter's
+# node and coincidence counts, so relations are compared in emission order.
+# R1 is emitted with force=True, R1p on the groups, Emonoid over the table
+# presentation of <E(M)> wherever <E(M)> = {1} u (M \ G), and for T3 over R(3).
+ORDERED_EMISSIONS = (
+    ("R", None, 3, "1ed27ff2cf7c556c", "5ae25653916f6c35", 36),
+    ("R", None, 4, "de9faf41908c9f15", "c3715d32401d419d", 168),
+    ("R", None, 5, "3acb2737f5ef0c47", "99d66317e6ab6620", 520),
+    ("Rn", "@T1", 2, "076c00fb1bb51f9c", "85fa45b857f9cbdf", 8),
+    ("Rn", "@T1", 3, "a7394730dcb86712", "1e50bbd59bb30f90", 72),
+    ("Rn", "@Z2", 2, "5301234b3ff5e744", "9372da3e2ce7d797", 80),
+    ("Rn", "@Z2", 3, "ce0356812787d956", "752cb99afd09e393", 2592),
+    ("Rn", "@Z3", 2, "d8f6d311d2a542f3", "8d2d3e634c57f179", 360),
+    ("Rn", "@Z3", 3, "f09959665eb83dc3", "e0dfa5a66f2e3f23", 27216),
+    ("Rn", "@B01", 2, "c1c79006295b08ca", "71921499af878123", 80),
+    ("Rn", "@B01", 3, "cc08abd52a9cbd86", "db53e7566adeaac7", 2592),
+    ("Rn", "@RZ1", 2, "35427bf23e17655d", "18b900b9e21b2b17", 360),
+    ("Rn", "@RZ1", 3, "b33d7b700132b170", "55f6924b0e17a804", 27216),
+    ("Rn", "@T2", 2, "a0c96215028377f3", "151ac54b7c051362", 1088),
+    ("Rn", "@T2", 3, "9d0cde1a588f70ae", "aa47471ce6dbe2f6", 149760),
+    ("Rn", "@N3", 2, "2ece31c20eb998f4", "95843bb9f948cf3a", 360),
+    ("Rn", "@N3", 3, "1dab2f67570c7419", "1cf55cd2b2ae0ce2", 27216),
+    ("R2", "@T1", 2, "481a58eec45b0129", "89c37951dd6c23de", 4),
+    ("R2", "@T1", 3, "2fba329aae62e7b5", "5f8f574445f9cb6e", 60),
+    ("R2", "@Z2", 2, "f914c18eff0c47ec", "1e0dad40cf653441", 64),
+    ("R2", "@Z2", 3, "2440f1190b0f25b8", "b9b38633d8d069be", 702),
+    ("R2", "@Z3", 2, "b70504d6329869db", "b26f8023a2f5a079", 324),
+    ("R2", "@Z3", 3, "1c6ecabc3d2030bf", "f3da162732dd0485", 3300),
+    ("R2", "@B01", 2, "c53acec1911f073c", "48b2fbfdc6be6ee2", 64),
+    ("R2", "@B01", 3, "41687fc0a5ddf3ba", "09e224c591ea924d", 702),
+    ("R2", "@RZ1", 2, "33354a1dc9a68df8", "76176d3c10c53f9b", 324),
+    ("R2", "@RZ1", 3, "174eba2741c6c7dc", "7955db9931139a97", 3300),
+    ("R2", "@T2", 2, "0d9167f5f697d6da", "96d52187450da94d", 1024),
+    ("R2", "@T2", 3, "f6197ee946af9e4d", "ba478dcdbdfb0965", 10086),
+    ("R2", "@N3", 2, "648ab43f80a217bc", "b4db28a1f3c618d0", 324),
+    ("R2", "@N3", 3, "d03026ef67ac1949", "db81d5e5ba8e7bc8", 3300),
+    ("R1", "@T1", 2, "1fb4090e355161cf", "bf2aaf95c62a7e87", 10),
+    ("R1", "@T1", 3, "898d0c72e6dd5012", "f1f56380a282d099", 66),
+    ("R1", "@Z2", 2, "1219bfe461bb7a7d", "0a07ec4f8f0f6737", 34),
+    ("R1", "@Z2", 3, "ec9dcbb7b58d9073", "3e917e393e568b0e", 216),
+    ("R1", "@Z3", 2, "c4ddbf1740222e44", "d16e9a63dc472b13", 74),
+    ("R1", "@Z3", 3, "11d0761a87a3234d", "388769320b7c0fb8", 462),
+    ("R1", "@B01", 2, "2a6fdeb0a2cb9ad8", "5bd583b75cb3aaf6", 40),
+    ("R1", "@B01", 3, "c19beb00029b0fc6", "29c2ed390aeb0982", 234),
+    ("R1", "@RZ1", 2, "92f95e4d742bfa4e", "a4602cb9bd1f268e", 118),
+    ("R1", "@RZ1", 3, "85cbef8ad5684f27", "3766899d1344a64e", 594),
+    ("R1", "@T2", 2, "0d03ac2af71459b8", "96d632dd729a9d77", 218),
+    ("R1", "@T2", 3, "50fe8af89135d88b", "4a4f5c9546ec0117", 1068),
+    ("R1", "@N3", 2, "f7d635170fd147a4", "12549573560ab046", 94),
+    ("R1", "@N3", 3, "f2bcd9e949001751", "d54a6f183f839c83", 522),
+    ("R1p", "@T1", 2, "1fb4090e355161cf", "ee0f1d5a59331e94", 6),
+    ("R1p", "@T1", 3, "898d0c72e6dd5012", "41b611bd6c34b5ed", 54),
+    ("R1p", "@Z2", 2, "1219bfe461bb7a7d", "a3e1a994df7b7505", 20),
+    ("R1p", "@Z2", 3, "ec9dcbb7b58d9073", "13d2f410066cbdfa", 174),
+    ("R1p", "@Z3", 2, "c4ddbf1740222e44", "d0cb799e581215ac", 42),
+    ("R1p", "@Z3", 3, "11d0761a87a3234d", "d1db257af297485f", 366),
+    ("Emonoid", "@T1", 2, "1fb4090e355161cf", "ee0f1d5a59331e94", 6),
+    ("Emonoid", "@T1", 3, "898d0c72e6dd5012", "41b611bd6c34b5ed", 54),
+    ("Emonoid", "@Z2", 2, "1219bfe461bb7a7d", "a3e1a994df7b7505", 20),
+    ("Emonoid", "@Z2", 3, "ec9dcbb7b58d9073", "13d2f410066cbdfa", 174),
+    ("Emonoid", "@Z3", 2, "c4ddbf1740222e44", "d0cb799e581215ac", 42),
+    ("Emonoid", "@Z3", 3, "11d0761a87a3234d", "d1db257af297485f", 366),
+    ("Emonoid", "@B01", 2, "b06a21419ae8051a", "deb1c551b724b86d", 18),
+    ("Emonoid", "@B01", 3, "ae5d63a5dbbe7eda", "b0a9265e8f31a672", 93),
+    ("Emonoid", "@RZ1", 2, "53758fa243b4265b", "2743b19a089ba0cc", 38),
+    ("Emonoid", "@RZ1", 3, "9bcddf3a0983a7a7", "45cfe2511bfc29ec", 150),
+    ("Emonoid", "@T2", 2, "aae89e1214927d08", "7152de6c16301f92", 76),
+    ("Emonoid", "@T2", 3, "7f1d4dc2302b7e25", "fd2435c52792836c", 354),
+    ("Emonoid", "T3/R", 2, "20efa8c8b61c54ea", "9b4646bdfebbc139", 948),
+    ("Emonoid", "T3/R", 3, "fbdf87749062894f", "ed0e92d09edf721c", 3858),
+)
+
+
+@pytest.mark.parametrize(
+    "family,name,n,letters,relations,count",
+    [pytest.param(*row, id=f"{row[0]}-{row[1] or 'Sing'}-{row[2]}") for row in ORDERED_EMISSIONS],
+)
+def test_matches_recorded_ordered_emission(family, name, n, letters, relations, count):
+    def digest(obj):
+        return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+    p = _emit(family, name, n)
+    assert digest(tuple((lt.name, lt.params) for lt in p.letters)) == letters
+    assert digest(tuple((r.lhs, r.rhs, r.tag) for r in p.relations)) == relations
+    assert len(p.relations) == count

@@ -16,7 +16,7 @@ from wreathbench import (
     wr_multiply,
 )
 from wreathbench.errors import ActionError
-from wreathbench.presentations import semidirect_map, soundness
+from wreathbench.presentations import EvaluationMap, soundness
 from wreathbench.transformations import rank_one_less_idempotents
 from wreathbench.wreath import power_with_shuffle
 
@@ -134,7 +134,8 @@ class TestEmitSemidirect:
         base_images = [S.index[g] for g in gens]
         M2, action = power_with_shuffle(Z2, 2, list(S.elements))
         p = emit_semidirect(base, M2, lambda x, a: action(base_images[x], a))
-        emap = semidirect_map(p, M2, S, action, base_images)
+        images = tuple((lt.param("a"), base_images[lt.param("x")]) for lt in p.letters)
+        emap = EvaluationMap(images, lambda u, v: semidirect_multiply(M2, S, action, u, v))
         rep = soundness(p, emap)
         assert rep.ok
         elems = [(a, s) for a in range(M2.order) for s in range(len(S))]

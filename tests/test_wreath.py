@@ -77,6 +77,17 @@ class TestMultiply:
                 ctx, a, wr_multiply(ctx, b, c)
             )
 
+    @pytest.mark.parametrize("part", ["foo", "Full", None])
+    def test_unknown_part_rejected_on_construction(self, Z2, part):
+        with pytest.raises(ValueError, match="unknown part"):
+            WreathContext(Z2, 2, part)
+
+    def test_transformation_tuple_part_rejected(self, Z2):
+        # only the full and singular parts exist; a generating tuple of
+        # transformations is not a part
+        with pytest.raises(ValueError, match="unknown part"):
+            WreathContext(Z2, 2, (epsilon(2, 1, 2), epsilon(2, 2, 1)))
+
     def test_serialization_round_trip(self, Z2):
         ctx = WreathContext(Z2, 2, "singular")
         x = eps_ab(ctx, 1, 2, Z2.index_of("g"), 0)
