@@ -4,7 +4,6 @@ presentations."""
 
 from .certify import Verdict, e_wreath_target, sing_target, verify, wreath_sing_target
 from .enumeration import (
-    EnumeratedSemigroup,
     RankReport,
     brute_rank,
     close,
@@ -15,7 +14,8 @@ from .enumeration import (
 )
 from .green import GreenData, green, idempotent_generated_part, is_L_chain
 from .monoids import (
-    FiniteMonoid,
+    EnumeratedSemigroup,
+    cayley_monoid,
     fixture,
     full_transformation_monoid,
     load_monoid,

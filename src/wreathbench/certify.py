@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .enumeration import CLOSURE_LIMIT, EnumeratedSemigroup, close
+from .enumeration import CLOSURE_LIMIT, close
 from .errors import CapacityError
+from .monoids import EnumeratedSemigroup
 from .presentations import EvaluationMap, Presentation, soundness
 from .todd_coxeter import TCResult, todd_coxeter
 from .transformations import compose, enumerate_Tn, part_size

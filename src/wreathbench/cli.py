@@ -30,7 +30,7 @@ from .presentations import (
     table_presentation,
 )
 from .transformations import Transformation, epsilon
-from .wreath import WreathContext, count_idempotents
+from .wreath import WreathContext, count_idempotents, idempotent_elements
 
 OK, NEGATIVE, INVALID, INTERNAL = 0, 1, 2, 70
 
@@ -97,11 +97,7 @@ def cmd_idempotents(args) -> int:
             row["match"] = row["formula"] == row["brute"]
             verdict = verdict and row["match"]
         if args.list:
-            from .wreath import is_wr_idempotent
-
-            row["elements"] = [
-                ctx.serialize(x) for x in ctx.elements() if is_wr_idempotent(ctx, x)
-            ]
+            row["elements"] = [ctx.serialize(x) for x in idempotent_elements(ctx)]
         rows.append(row)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as f:

@@ -13,51 +13,10 @@ from math import comb
 
 from .errors import CapacityError, ForeignElementError, PreconditionError
 from .green import is_L_chain
-from .monoids import FiniteMonoid, units
+from .monoids import EnumeratedSemigroup, units
 
 CLOSURE_LIMIT = 10**6
 SUBSET_BUDGET = 10**7
-
-
-class EnumeratedSemigroup:
-    """A finite semigroup as the list of its element values, the value
-    product ``multiply`` and ``index``, each value's position in the list.
-
-    Built either directly from a complete element list, deriving ``index``,
-    or by ``close`` from a generating set.  Only ``close`` fills the closure
-    data, which is None otherwise: gen_indices[g] is the element index of
-    input generator g, and factorizations[i] is a shortest generator word for
-    elements[i] (ties lexicographic), the list being in shortlex discovery
-    order.
-    """
-
-    def __init__(self, elements, multiply, index=None):
-        self.elements = elements
-        self.multiply = multiply
-        self.index = {x: i for i, x in enumerate(elements)} if index is None else index
-        self.gen_indices = self.factorizations = None
-        self._left_cayley = None
-
-    def __len__(self):
-        return len(self.elements)
-
-    @property
-    def size(self):
-        return len(self.elements)
-
-    def product(self, i: int, j: int) -> int:
-        return self.index[self.multiply(self.elements[i], self.elements[j])]
-
-    @property
-    def left_cayley(self):
-        """[i][g] is the index of generator g * elements[i] (closure-only)."""
-        if self._left_cayley is None:
-            gens = self.gen_indices
-            self._left_cayley = [
-                [self.index[self.multiply(self.elements[g], x)] for g in gens]
-                for x in self.elements
-            ]
-        return self._left_cayley
 
 
 def close(generators, multiply, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
@@ -214,7 +173,7 @@ class RankReport:
         }
 
 
-def rank_formulas(M: FiniteMonoid, n: int) -> RankReport:
+def rank_formulas(M: EnumeratedSemigroup, n: int) -> RankReport:
     """Bounds for the minimal generating set of the singular wreath product,
     plus exact rank/idrank whenever M/L is a chain (groups included)."""
     if n < 2:
@@ -231,7 +190,7 @@ def rank_formulas(M: FiniteMonoid, n: int) -> RankReport:
     return report
 
 
-def diagonal_action_generated(M: FiniteMonoid, omega) -> bool:
+def diagonal_action_generated(M: EnumeratedSemigroup, omega) -> bool:
     """Whether Omega * M = M x M under the right action (a,b).c = (ac, bc)."""
     orbit = {(M.table[a][c], M.table[b][c]) for (a, b) in omega for c in range(M.order)}
     return len(orbit) == M.order * M.order

@@ -1,17 +1,17 @@
-"""Green's preorders and relations on a finite carrier.
+"""Green's preorders and relations on a finite semigroup.
 
-Works on anything exposing ``size`` and ``product(i, j)`` over indices
-``0..size-1`` (Cayley-table monoids, enumerated semigroups).  Preorders are
-computed from principal ideals over S^1, where an identity is adjoined only
-when the carrier has no two-sided identity element.
+Works on any ``EnumeratedSemigroup``, through its Cayley table of positions
+and its identity.  Preorders are computed from principal ideals over S^1,
+where an identity is adjoined only when the semigroup has no two-sided
+identity element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from weakref import WeakKeyDictionary
 
-from .monoids import FiniteMonoid, units
+from .monoids import EnumeratedSemigroup, units
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,6 @@ class GreenData:
 
     def rel_L(self, a: int, b: int) -> bool:
         return self.leq_L[a][b] and self.leq_L[b][a]
-
-
-def _find_identity(S) -> int | None:
-    n = S.size
-    for e in range(n):
-        if all(S.product(e, x) == x and S.product(x, e) == x for x in range(n)):
-            return e
-    return None
 
 
 def _classes_from(n, related) -> tuple[tuple[int, ...], ...]:
@@ -53,9 +45,9 @@ def _classes_from(n, related) -> tuple[tuple[int, ...], ...]:
 def green(S) -> GreenData:
     """Preorders via principal-ideal membership; D as the composite of R and L
     (which equals their join)."""
-    n = S.size
-    prod = [[S.product(a, b) for b in range(n)] for a in range(n)]
-    has_one = _find_identity(S) is not None
+    prod = S.table
+    n = len(prod)
+    has_one = S.identity is not None
 
     # principal ideals; S^1 adjoins the element itself when S lacks an identity
     right = []
@@ -98,22 +90,26 @@ def green(S) -> GreenData:
     )
 
 
-@lru_cache(maxsize=None)
-def green_cached(M: FiniteMonoid) -> GreenData:
-    return green(M)
+_GREEN = WeakKeyDictionary()
 
 
-def is_L_chain(M: FiniteMonoid) -> bool:
+def green_cached(M: EnumeratedSemigroup) -> GreenData:
+    """green(M), computed once per semigroup object: the cache is keyed by
+    object identity, so no element list is hashed, and an entry goes with
+    its semigroup."""
+    g = _GREEN.get(M)
+    if g is None:
+        g = _GREEN[M] = green(M)
+    return g
+
+
+def is_L_chain(M: EnumeratedSemigroup) -> bool:
     """True iff the L-classes are totally ordered under <=_L, i.e. the
     principal left ideals form a chain under inclusion."""
-    g = green_cached(M)
-    reps = [cls[0] for cls in g.classes_L]
-    return all(
-        g.leq_L[a][b] or g.leq_L[b][a] for idx, a in enumerate(reps) for b in reps[idx + 1 :]
-    )
+    return incomparable_L_witness(M) is None
 
 
-def incomparable_L_witness(M: FiniteMonoid) -> tuple[int, int] | None:
+def incomparable_L_witness(M: EnumeratedSemigroup) -> tuple[int, int] | None:
     g = green_cached(M)
     reps = [cls[0] for cls in g.classes_L]
     for idx, a in enumerate(reps):
@@ -123,7 +119,7 @@ def incomparable_L_witness(M: FiniteMonoid) -> tuple[int, int] | None:
     return None
 
 
-def l_chain_element_order(M: FiniteMonoid) -> list[int]:
+def l_chain_element_order(M: EnumeratedSemigroup) -> list[int]:
     """All element indices sorted bottom-up along the L-chain, ties within an
     L-class broken by index.  Requires M/L to be a chain (the sort key is only
     a linear order in that case)."""
@@ -136,19 +132,19 @@ def l_chain_element_order(M: FiniteMonoid) -> list[int]:
     return out
 
 
-def idempotent_generated_part(M: FiniteMonoid):
+def idempotent_generated_part(M: EnumeratedSemigroup):
     """The subsemigroup generated by all idempotents of M (always contains 1)."""
     from .enumeration import close
 
     gens = M.idempotents()
-    return close(gens, M.mul)
+    return close(gens, M.multiply)
 
 
-def e_part_indices(M: FiniteMonoid) -> frozenset[int]:
+def e_part_indices(M: EnumeratedSemigroup) -> frozenset[int]:
     return frozenset(idempotent_generated_part(M).elements)
 
 
-def has_unit_complement_E(M: FiniteMonoid) -> tuple[bool, int | None]:
+def has_unit_complement_E(M: EnumeratedSemigroup) -> tuple[bool, int | None]:
     """Whether <E(M)> = {1} u (M \\ G); on failure returns a witness index."""
     expected = {M.identity} | (set(range(M.order)) - set(units(M)))
     actual = set(e_part_indices(M))

@@ -1,15 +1,17 @@
-"""Finite monoids given by explicit Cayley tables.
+"""Finite semigroups, and monoids given by explicit Cayley tables.
 
-The table convention is ``table[i][j] = index of element_i * element_j``
-(left factor indexes rows).  The identity must be two-sided; a merely
-right identity is rejected by validation.
+One type, ``EnumeratedSemigroup``, holds every finite semigroup: its element
+values, their product and each value's position.  A Cayley-table monoid is
+the case whose values are the positions themselves.  The table convention is
+``table[i][j] = index of element_i * element_j`` (left factor indexes rows).
+The identity must be two-sided; a merely right identity is rejected by
+validation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import MonoidValidationError
 from .transformations import Transformation, compose, enumerate_Tn
@@ -17,50 +19,84 @@ from .transformations import Transformation, compose, enumerate_Tn
 MONOID_FILE_KEYS = {"name", "elements", "identity", "table"}
 
 
-@dataclass(frozen=True)
-class FiniteMonoid:
-    labels: tuple[str, ...]
-    identity: int
-    table: tuple[tuple[int, ...], ...]
-    name: str = ""
+class EnumeratedSemigroup:
+    """A finite semigroup as the list of its element values, the value
+    product ``multiply`` and ``index``, each value's position in the list.
+
+    Positions are what the rest of the package computes with: ``product(i,
+    j)`` is the position of elements[i] * elements[j], computed on demand;
+    ``table`` is the whole Cayley table of positions and ``identity`` the
+    position of the two-sided identity, or None, both derived once on first
+    use.  ``cayley_monoid`` builds the case whose values are their own
+    positions, with ``multiply`` the table lookup and the table and identity
+    given.
+
+    Built directly from a complete element list, deriving ``index``, or by
+    ``close`` from a generating set.  Only ``close`` fills the closure data,
+    which is None otherwise: gen_indices[g] is the element index of input
+    generator g, and factorizations[i] is a shortest generator word for
+    elements[i] (ties lexicographic), the list being in shortlex discovery
+    order.
+    """
+
+    def __init__(self, elements, multiply, index=None, labels=None, name=""):
+        self.elements = elements
+        self.multiply = multiply
+        self.index = {x: i for i, x in enumerate(elements)} if index is None else index
+        self.labels = labels
+        self.name = name
+        self.gen_indices = self.factorizations = None
+
+    def __len__(self):
+        return len(self.elements)
 
     @property
     def order(self) -> int:
-        return len(self.labels)
+        return len(self.elements)
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    # alias used by the Green's-relation machinery, which accepts any
-    # carrier exposing .size and .product
     def product(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        return self.index[self.multiply(self.elements[i], self.elements[j])]
 
-    def elements(self) -> range:
-        return range(self.order)
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        index, mul, elems = self.index, self.multiply, self.elements
+        return tuple(tuple(index[mul(x, y)] for y in elems) for x in elems)
 
-    def is_idempotent(self, i: int) -> bool:
-        return self.table[i][i] == i
+    @cached_property
+    def identity(self) -> int | None:
+        t = self.table
+        for e, row in enumerate(t):
+            if all(row[x] == x and t[x][e] == x for x in range(len(t))):
+                return e
+        return None
+
+    @cached_property
+    def left_cayley(self):
+        """[i][g] is the index of generator g * elements[i] (closure-only)."""
+        index, mul, elems = self.index, self.multiply, self.elements
+        return [[index[mul(elems[g], x)] for g in self.gen_indices] for x in elems]
 
     def idempotents(self) -> list[int]:
-        return [i for i in range(self.order) if self.table[i][i] == i]
-
-    def left_ideal(self, i: int) -> frozenset[int]:
-        """M*i; contains i since M has an identity."""
-        return frozenset(self.table[m][i] for m in range(self.order))
+        return [i for i in range(len(self)) if self.product(i, i) == i]
 
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
 
     def __repr__(self):
-        return f"FiniteMonoid({self.name or list(self.labels)}, order={self.order})"
+        return f"EnumeratedSemigroup({self.name or self.labels}, order={self.order})"
 
 
-def validate_monoid(labels, identity, table, name="") -> FiniteMonoid:
+def cayley_monoid(labels, identity, table, name="") -> EnumeratedSemigroup:
+    """The monoid on positions 0..m-1 with the given (already checked) Cayley
+    table of position tuples; ``labels`` names the positions."""
+    M = EnumeratedSemigroup(
+        range(len(labels)), lambda a, b: table[a][b], labels=tuple(labels), name=name
+    )
+    M.table, M.identity = table, identity
+    return M
+
+
+def validate_monoid(labels, identity, table, name="") -> EnumeratedSemigroup:
     """Check a raw table and wrap it.  Errors cite the first offending datum:
     the violating triple (i,j,k) for associativity, the violating element for
     the identity law."""
@@ -102,10 +138,10 @@ def validate_monoid(labels, identity, table, name="") -> FiniteMonoid:
                         f"({labels[i]}*{labels[j]})*{labels[k]} != {labels[i]}*({labels[j]}*{labels[k]})",
                         witness=(i, j, k),
                     )
-    return FiniteMonoid(labels, identity, tab, name)
+    return cayley_monoid(labels, identity, tab, name)
 
 
-def monoid_from_dict(data: dict) -> FiniteMonoid:
+def monoid_from_dict(data: dict) -> EnumeratedSemigroup:
     if not isinstance(data, dict):
         raise MonoidValidationError("monoid file must hold a JSON object")
     unknown = set(data) - MONOID_FILE_KEYS
@@ -119,7 +155,7 @@ def monoid_from_dict(data: dict) -> FiniteMonoid:
     )
 
 
-def monoid_to_dict(M: FiniteMonoid) -> dict:
+def monoid_to_dict(M: EnumeratedSemigroup) -> dict:
     return {
         "name": M.name,
         "elements": list(M.labels),
@@ -128,12 +164,12 @@ def monoid_to_dict(M: FiniteMonoid) -> dict:
     }
 
 
-def load_monoid(path) -> FiniteMonoid:
+def load_monoid(path) -> EnumeratedSemigroup:
     with open(path, "r", encoding="utf-8") as f:
         return monoid_from_dict(json.load(f))
 
 
-def units(M: FiniteMonoid) -> tuple[int, ...]:
+def units(M: EnumeratedSemigroup) -> tuple[int, ...]:
     """The group of units, by brute-force invertibility."""
     e = M.identity
     out = []
@@ -143,7 +179,7 @@ def units(M: FiniteMonoid) -> tuple[int, ...]:
     return tuple(out)
 
 
-def inverse_of(M: FiniteMonoid, a: int) -> int:
+def inverse_of(M: EnumeratedSemigroup, a: int) -> int:
     e = M.identity
     for b in range(M.order):
         if M.table[a][b] == e and M.table[b][a] == e:
@@ -151,11 +187,11 @@ def inverse_of(M: FiniteMonoid, a: int) -> int:
     raise ValueError(f"element {M.labels[a]!r} is not invertible")
 
 
-def is_group(M: FiniteMonoid) -> bool:
+def is_group(M: EnumeratedSemigroup) -> bool:
     return len(units(M)) == M.order
 
 
-def submonoid(M: FiniteMonoid, indices, name="") -> tuple[FiniteMonoid, list[int]]:
+def submonoid(M: EnumeratedSemigroup, indices, name="") -> tuple[EnumeratedSemigroup, list[int]]:
     """Relabel a closed, identity-containing subset as a monoid of its own.
 
     Returns (submonoid, carrier) where carrier[i] is the M-index of the
@@ -176,17 +212,17 @@ def submonoid(M: FiniteMonoid, indices, name="") -> tuple[FiniteMonoid, list[int
                 )
             row.append(pos[c])
         table.append(tuple(row))
-    sub = FiniteMonoid(
+    sub = cayley_monoid(
         tuple(M.labels[m] for m in carrier), pos[M.identity], tuple(table), name or M.name
     )
     return sub, carrier
 
 
-def units_submonoid(M: FiniteMonoid) -> tuple[FiniteMonoid, list[int]]:
+def units_submonoid(M: EnumeratedSemigroup) -> tuple[EnumeratedSemigroup, list[int]]:
     return submonoid(M, units(M), name=f"U({M.name})" if M.name else "")
 
 
-def power_monoid(M: FiniteMonoid, n: int) -> FiniteMonoid:
+def power_monoid(M: EnumeratedSemigroup, n: int) -> EnumeratedSemigroup:
     """Direct power M^n with coordinatewise multiplication; elements ordered
     by index-tuple odometer."""
     import itertools
@@ -197,10 +233,10 @@ def power_monoid(M: FiniteMonoid, n: int) -> FiniteMonoid:
     table = tuple(
         tuple(pos[tuple(M.table[a[i]][b[i]] for i in range(n))] for b in tuples) for a in tuples
     )
-    return FiniteMonoid(labels, pos[(M.identity,) * n], table, name=f"{M.name}^{n}")
+    return cayley_monoid(labels, pos[(M.identity,) * n], table, name=f"{M.name}^{n}")
 
 
-def full_transformation_monoid(n: int) -> FiniteMonoid:
+def full_transformation_monoid(n: int) -> EnumeratedSemigroup:
     """T_n as a Cayley table; elements in lexicographic image order, labelled
     by their image strings."""
     elems = enumerate_Tn(n, "full")
@@ -208,29 +244,29 @@ def full_transformation_monoid(n: int) -> FiniteMonoid:
     labels = tuple("".join(str(v) for v in t.images) for t in elems)
     table = tuple(tuple(pos[compose(s, t)] for t in elems) for s in elems)
     ident = pos[Transformation(tuple(range(1, n + 1)))]
-    return FiniteMonoid(labels, ident, table, name=f"T{n}")
+    return cayley_monoid(labels, ident, table, name=f"T{n}")
 
 
-def _cyclic(k: int) -> FiniteMonoid:
+def _cyclic(k: int) -> EnumeratedSemigroup:
     labels = tuple("1" if i == 0 else ("g" if i == 1 else f"g{i}") for i in range(k))
     table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
-    return FiniteMonoid(labels, 0, table, name=f"Z{k}")
+    return cayley_monoid(labels, 0, table, name=f"Z{k}")
 
 
-def _b01() -> FiniteMonoid:
+def _b01() -> EnumeratedSemigroup:
     # {1, 0} with 0 a two-sided zero
-    return FiniteMonoid(("1", "0"), 0, ((0, 1), (1, 1)), name="B01")
+    return cayley_monoid(("1", "0"), 0, ((0, 1), (1, 1)), name="B01")
 
 
-def _rz1() -> FiniteMonoid:
+def _rz1() -> EnumeratedSemigroup:
     # right-zero semigroup {x, y} with an identity adjoined: xy = y, yx = x
-    return FiniteMonoid(("1", "x", "y"), 0, ((0, 1, 2), (1, 1, 2), (2, 1, 2)), name="RZ1")
+    return cayley_monoid(("1", "x", "y"), 0, ((0, 1, 2), (1, 1, 2), (2, 1, 2)), name="RZ1")
 
 
-def _n3() -> FiniteMonoid:
+def _n3() -> EnumeratedSemigroup:
     # monogenic {1, a, a^2} with a^3 = a^2: the non-unit part is not
     # idempotent-generated, so <E(M)> is a proper subset of {1} u (M \ G)
-    return FiniteMonoid(("1", "a", "a2"), 0, ((0, 1, 2), (1, 2, 2), (2, 2, 2)), name="N3")
+    return cayley_monoid(("1", "a", "a2"), 0, ((0, 1, 2), (1, 2, 2), (2, 2, 2)), name="N3")
 
 
 FIXTURES = {
@@ -245,14 +281,14 @@ FIXTURES = {
 
 
 @lru_cache(maxsize=None)
-def fixture(name: str) -> FiniteMonoid:
+def fixture(name: str) -> EnumeratedSemigroup:
     key = name.lstrip("@")
     if key not in FIXTURES:
         raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
     return FIXTURES[key]()
 
 
-def resolve_monoid(spec: str) -> FiniteMonoid:
+def resolve_monoid(spec: str) -> EnumeratedSemigroup:
     """Either a built-in fixture name like '@Z2' or a path to a JSON file."""
     if spec.startswith("@"):
         return fixture(spec)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .enumeration import close
 from .errors import CapacityError, PreconditionError
 from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain, l_chain_element_order
-from .monoids import FiniteMonoid, inverse_of, is_group, submonoid, units, units_submonoid
+from .monoids import EnumeratedSemigroup, inverse_of, is_group, submonoid, units, units_submonoid
 from .transformations import compose, epsilon, index_pairs
 from .wreath import WreathContext, eps_a, eps_ab, eps_elem
 from .wreath import power_with_shuffle, validate_letter_action
@@ -214,7 +214,7 @@ def emit_R(n: int) -> Presentation:
 # ---------------------------------------------------------------------------
 # full-tuple generators
 
-def emit_Rn(M: FiniteMonoid, n: int, alphabet_limit: int = ALPHABET_LIMIT) -> Presentation:
+def emit_Rn(M: EnumeratedSemigroup, n: int, alphabet_limit: int = ALPHABET_LIMIT) -> Presentation:
     """The semidirect-product presentation over ``R``, with M^n acted on by
     coordinate shuffles: each base relation decorated with an arbitrary tuple
     on its first letter (``Rk_n``), plus the tuple-collapse family that
@@ -249,13 +249,13 @@ def emit_Rn(M: FiniteMonoid, n: int, alphabet_limit: int = ALPHABET_LIMIT) -> Pr
 # ---------------------------------------------------------------------------
 # two-entry generators
 
-def emit_R2(M: FiniteMonoid, n: int) -> Presentation:
+def emit_R2(M: EnumeratedSemigroup, n: int) -> Presentation:
     """Presentation over the generators carrying two monoid entries.  Sound
     for every monoid; certifies the wreath product at desk scale."""
     if n < 2:
         raise ValueError("n must be at least 2")
     letters, L = _alphabet(n, M, 2)
-    mul = M.mul
+    mul = M.multiply
     one = M.identity
     ms = range(M.order)
     entries = list(itertools.product(ms, repeat=2))
@@ -314,7 +314,7 @@ def emit_R2(M: FiniteMonoid, n: int) -> Presentation:
 # ---------------------------------------------------------------------------
 # idempotent generators (L-chain case)
 
-def omega_witnesses(M: FiniteMonoid):
+def omega_witnesses(M: EnumeratedSemigroup):
     """A canonical choice of the pair set Omega and factor witnesses for an
     L-chain monoid: order elements bottom-up along the chain (ties by index),
     put (a, b) in Omega when a comes no later than b, and pick the least x
@@ -337,7 +337,7 @@ def omega_witnesses(M: FiniteMonoid):
     return omega, xwit
 
 
-def _chain_precondition(M: FiniteMonoid):
+def _chain_precondition(M: EnumeratedSemigroup):
     wit = incomparable_L_witness(M)
     raise PreconditionError(
         "M/L is not a chain: L-classes of "
@@ -346,7 +346,7 @@ def _chain_precondition(M: FiniteMonoid):
     )
 
 
-def emit_R1(M: FiniteMonoid, n: int, force: bool = False) -> Presentation:
+def emit_R1(M: EnumeratedSemigroup, n: int, force: bool = False) -> Presentation:
     """Presentation over the idempotent generators, valid when M/L is a
     chain.  ``force`` skips the hypothesis check (the emitted relations are
     still sound, but certification is expected to fail off-hypothesis)."""
@@ -355,7 +355,7 @@ def emit_R1(M: FiniteMonoid, n: int, force: bool = False) -> Presentation:
     if not force and not is_L_chain(M):
         _chain_precondition(M)
     letters, L = _alphabet(n, M, 1)
-    mul = M.mul
+    mul = M.multiply
     one = M.identity
     ms = range(M.order)
     rels = []
@@ -390,14 +390,14 @@ def emit_R1(M: FiniteMonoid, n: int, force: bool = False) -> Presentation:
     )
 
 
-def _r1b(M: FiniteMonoid, n: int, L) -> list[Relation]:
+def _r1b(M: EnumeratedSemigroup, n: int, L) -> list[Relation]:
     """The product-merging family R1b_1 of both idempotent-generator
     presentations."""
     one = M.identity
     return [
         Relation(
             (L[(i, j, one)], L[(j, i, a)], L[(i, j, b)]),
-            (L[(j, i, one)], L[(i, j, M.mul(a, b))]),
+            (L[(j, i, one)], L[(i, j, M.multiply(a, b))]),
             "R1b_1",
         )
         for i, j in index_pairs(n)
@@ -405,10 +405,10 @@ def _r1b(M: FiniteMonoid, n: int, L) -> list[Relation]:
     ]
 
 
-def _r1_common(M: FiniteMonoid, n: int, L) -> list[Relation]:
+def _r1_common(M: EnumeratedSemigroup, n: int, L) -> list[Relation]:
     """Families shared by the chain and group presentations over the
     idempotent generators."""
-    mul = M.mul
+    mul = M.multiply
     one = M.identity
     ms = range(M.order)
     entries = [(a,) for a in ms]
@@ -446,7 +446,7 @@ def _r1_common(M: FiniteMonoid, n: int, L) -> list[Relation]:
     return rels
 
 
-def emit_R1p(M: FiniteMonoid, n: int) -> Presentation:
+def emit_R1p(M: EnumeratedSemigroup, n: int) -> Presentation:
     """Group-base variant: the five chain-specific families are replaced by
     the inverse form of the idempotency relation plus the product-merging
     relation."""
@@ -477,7 +477,7 @@ def emit_R1p(M: FiniteMonoid, n: int) -> Presentation:
 # ---------------------------------------------------------------------------
 # substitution words
 
-def word_E_X2(M: FiniteMonoid, n: int, i: int, j: int, tup) -> tuple[int, ...]:
+def word_E_X2(M: EnumeratedSemigroup, n: int, i: int, j: int, tup) -> tuple[int, ...]:
     """A word over the two-entry alphabet evaluating to the element with full
     tuple ``tup`` over transformation (i, j): the head letter carries the
     (i, j) entries and one trailing letter per remaining position.  When all
@@ -494,7 +494,9 @@ def word_E_X2(M: FiniteMonoid, n: int, i: int, j: int, tup) -> tuple[int, ...]:
     return tuple(word)
 
 
-def word_E_X1(M: FiniteMonoid, n: int, i: int, j: int, a: int, b: int, omega, xwit) -> tuple[int, ...]:
+def word_E_X1(
+    M: EnumeratedSemigroup, n: int, i: int, j: int, a: int, b: int, omega, xwit
+) -> tuple[int, ...]:
     """A word over the idempotent alphabet evaluating to the two-entry
     element (a at i, b at j), using the chain witnesses."""
     _, L = _alphabet(n, M, 1)
@@ -507,7 +509,7 @@ def word_E_X1(M: FiniteMonoid, n: int, i: int, j: int, a: int, b: int, omega, xw
 # ---------------------------------------------------------------------------
 # general semidirect products
 
-def emit_semidirect(base: Presentation, M: FiniteMonoid, action) -> Presentation:
+def emit_semidirect(base: Presentation, M: EnumeratedSemigroup, action) -> Presentation:
     """Presentation of M x| S from a presentation ``base`` of S, where
     ``action(x, a)`` is the action of base letter x on M: every letter gets
     one decorated copy per monoid element; base relations are decorated on
@@ -537,7 +539,7 @@ def emit_semidirect(base: Presentation, M: FiniteMonoid, action) -> Presentation
         for y in range(len(base.letters)):
             for a in range(M.order):
                 for b in range(M.order):
-                    c = M.mul(a, action(x, b))
+                    c = M.multiply(a, action(x, b))
                     rels.append(
                         Relation(
                             (index[(x, a)], index[(y, b)]),
@@ -556,7 +558,7 @@ def emit_semidirect(base: Presentation, M: FiniteMonoid, action) -> Presentation
 # ---------------------------------------------------------------------------
 # multiplication-table presentations (used as base input for the monoid build)
 
-def table_presentation(N: FiniteMonoid) -> tuple[Presentation, list[int]]:
+def table_presentation(N: EnumeratedSemigroup) -> tuple[Presentation, list[int]]:
     """Monoid presentation of N on its non-identity elements with all
     two-letter products rewritten; returns the presentation and the letter
     images as element indices of N."""
@@ -566,7 +568,7 @@ def table_presentation(N: FiniteMonoid) -> tuple[Presentation, list[int]]:
     rels = []
     for x in gens:
         for y in gens:
-            p = N.mul(x, y)
+            p = N.multiply(x, y)
             rhs = () if p == N.identity else (pos[p],)
             rels.append(Relation((pos[x], pos[y]), rhs, "table"))
     pres = Presentation(
@@ -579,7 +581,7 @@ def table_presentation(N: FiniteMonoid) -> tuple[Presentation, list[int]]:
 # the idempotent-generated monoid presentation
 
 def emit_E_wreath_monoid(
-    M: FiniteMonoid, n: int, base: Presentation, base_images, node_limit: int = 200_000
+    M: EnumeratedSemigroup, n: int, base: Presentation, base_images, node_limit: int = 200_000
 ) -> Presentation:
     """Monoid presentation for the idempotent-generated part of the full
     wreath product, stitched from a per-coordinate copy of the base
@@ -616,7 +618,7 @@ def emit_E_wreath_monoid(
             raise PreconditionError(f"base letter image {M.labels[m]!r} is a unit")
 
     base_map = EvaluationMap(
-        tuple(pos_in_E[m] for m in base_images), E_mon.mul, identity=E_mon.identity
+        tuple(pos_in_E[m] for m in base_images), E_mon.multiply, identity=E_mon.identity
     )
     rep = soundness(base, base_map)
     if not rep.ok:
@@ -632,7 +634,7 @@ def emit_E_wreath_monoid(
     # the closure's own words, since no product of non-units is the identity
     h_word = {E_mon.identity: ()}
     if base_images:
-        S = close([pos_in_E[m] for m in base_images], E_mon.mul)
+        S = close([pos_in_E[m] for m in base_images], E_mon.multiply)
         h_word.update(zip(S.elements, S.factorizations))
     assert len(h_word) == E_mon.order
 
@@ -697,7 +699,7 @@ def emit_E_wreath_monoid(
                 )
             )
     one = M.identity
-    mul = M.mul
+    mul = M.multiply
     for y in range(nb):
         ybar = base_images[y]
         for i, j in index_pairs(n):
@@ -765,7 +767,7 @@ def _letter_wreath_image(lt: Letter, ctx: WreathContext):
     return eps_a(ctx, i, j, ctx.base.identity)
 
 
-def standard_map(p: Presentation, M: FiniteMonoid | None = None) -> EvaluationMap:
+def standard_map(p: Presentation, M: EnumeratedSemigroup | None = None) -> EvaluationMap:
     """The canonical evaluation map of an emitted presentation, reconstructed
     from letter parameters."""
     family = p.provenance.get("family")
@@ -789,5 +791,5 @@ def standard_map(p: Presentation, M: FiniteMonoid | None = None) -> EvaluationMa
         if M is None:
             raise ValueError("monoid required to build the evaluation map")
         images = tuple(lt.param("m") for lt in p.letters)
-        return EvaluationMap(images, M.mul, identity=M.identity)
+        return EvaluationMap(images, M.multiply, identity=M.identity)
     raise ValueError(f"no canonical map for family {family!r}")

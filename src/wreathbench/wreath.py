@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import ActionError, CapacityError, DegreeMismatch, PreconditionError
 from .green import green_cached, has_unit_complement_E
-from .monoids import FiniteMonoid, units
+from .monoids import EnumeratedSemigroup, units
 from .transformations import (
     Transformation, compose, enumerate_Tn, epsilon, identity, index_pairs, part_size,
 )
@@ -44,7 +44,7 @@ class WreathElement:
 
 @dataclass(frozen=True)
 class WreathContext:
-    base: FiniteMonoid
+    base: EnumeratedSemigroup
     degree: int
     part: str = "singular"  # "full" | "singular"
 
@@ -180,7 +180,7 @@ def _count_formula(ctx: WreathContext) -> int:
     M = ctx.base
     n = ctx.degree
     idem = M.idempotents()
-    ideal_size = {e: len(M.left_ideal(e)) for e in idem}
+    ideal_size = {e: len({row[e] for row in M.table}) for e in idem}
     total = 0
     for k in range(1, n + 1):
         inner = 0
@@ -198,13 +198,18 @@ def group_idempotent_count(g_order: int, n: int) -> int:
 
 
 def _count_brute(ctx: WreathContext) -> int:
-    M = ctx.base
-    n = ctx.degree
+    return len(idempotent_elements(ctx))
+
+
+def idempotent_elements(ctx: WreathContext) -> list[WreathElement]:
+    """The idempotents in element order, filtered from every element; refused
+    with a CapacityError when there are more than BRUTE_ELEMENT_BOUND
+    elements."""
     # size the part before enumerating any of T_n
-    total = M.order**n * part_size(n, ctx.part)
+    total = ctx.base.order**ctx.degree * part_size(ctx.degree, ctx.part)
     if total > BRUTE_ELEMENT_BOUND:
         raise CapacityError("brute idempotent count too large", count=total)
-    return sum(1 for x in ctx.elements() if is_wr_idempotent(ctx, x))
+    return [x for x in ctx.elements() if is_wr_idempotent(ctx, x)]
 
 
 def sigma_membership(ctx: WreathContext, x: WreathElement) -> bool:
@@ -243,21 +248,22 @@ def decompose_E(ctx: WreathContext, x: WreathElement) -> tuple[WreathElement, Wr
     return e_part, g_part
 
 
-def validate_action(M: FiniteMonoid, S, action) -> None:
+def validate_action(M: EnumeratedSemigroup, S, action) -> None:
     """Check that ``action(s, a)`` is a left action of S on M by monoid
-    endomorphisms: s.1 = 1, s.(ab) = (s.a)(s.b), (st).a = s.(t.a)."""
-    ns = len(S.elements)
-    m = M.order
-    _check_endomorphisms(M, ns, action)
-    for s in range(ns):
-        for t in range(ns):
+    endomorphisms: s.1 = 1, s.(ab) = (s.a)(s.b), (st).a = s.(t.a).  The last
+    axiom is checked for s among the generators ``close`` recorded, or every
+    element of an S that was not closed; by induction on the length of s as
+    a generator word, that covers every s."""
+    _check_endomorphisms(M, len(S), action)
+    for s in S.gen_indices or range(len(S)):
+        for t in range(len(S)):
             st = S.product(s, t)
-            for a in range(m):
+            for a in range(M.order):
                 if action(st, a) != action(s, action(t, a)):
                     raise ActionError("(st).a = s.(t.a)", (s, t, a))
 
 
-def validate_letter_action(M: FiniteMonoid, base, action) -> None:
+def validate_letter_action(M: EnumeratedSemigroup, base, action) -> None:
     """Check that ``action(x, a)``, given on the letters x of the semigroup
     presentation ``base``, extends to a left action by monoid endomorphisms
     of the semigroup it presents: every letter acts by an endomorphism and
@@ -274,7 +280,7 @@ def validate_letter_action(M: FiniteMonoid, base, action) -> None:
                 raise ActionError("u.a = v.a", (rel.lhs, rel.rhs, a))
 
 
-def _check_endomorphisms(M: FiniteMonoid, count: int, action) -> None:
+def _check_endomorphisms(M: EnumeratedSemigroup, count: int, action) -> None:
     """Check s.1 = 1 and s.(ab) = (s.a)(s.b) for s in range(count)."""
     one = M.identity
     for s in range(count):
@@ -286,7 +292,7 @@ def _check_endomorphisms(M: FiniteMonoid, count: int, action) -> None:
                     raise ActionError("s.(ab) = (s.a)(s.b)", (s, a, b))
 
 
-def semidirect_multiply(M: FiniteMonoid, S, action, x, y):
+def semidirect_multiply(M: EnumeratedSemigroup, S, action, x, y):
     """Product in the semidirect product M x| S: (a,s)(b,t) = (a(s.b), st).
 
     x and y are pairs (monoid index, S index); the action must have been
@@ -297,7 +303,7 @@ def semidirect_multiply(M: FiniteMonoid, S, action, x, y):
     return (M.table[a][action(s, b)], S.product(s, t))
 
 
-def power_with_shuffle(M: FiniteMonoid, n: int, transformations):
+def power_with_shuffle(M: EnumeratedSemigroup, n: int, transformations):
     """Direct power M^n together with the coordinate-shuffle action of the
     given transformation list: (alpha . a)_k = a_{k alpha}."""
     from .monoids import power_monoid

@@ -117,6 +117,22 @@ class TestIdempotentsCommand:
         assert len(row["elements"]) == row["brute"] == 5
         assert {"tuple", "trans"} == set(row["elements"][0])
 
+    def test_listing_refused_before_enumerating(self, capsys, monkeypatch):
+        # listing filters every element of T2 wr T_9, 4^9 * 9^9 of them:
+        # over the brute bound, refused by its size
+        from wreathbench.wreath import WreathContext
+
+        def refuse(self):
+            raise AssertionError("elements enumerated")
+
+        monkeypatch.setattr(WreathContext, "elements", refuse)
+        code, report = run_json(
+            capsys, "idempotents", "--monoid", "@T2", "-n", "9", "--method", "formula", "--list"
+        )
+        assert code == 2
+        assert report["error"] == "CapacityError"
+        assert report["message"] == f"brute idempotent count too large (reached {4**9 * 9**9})"
+
     def test_csv_export(self, capsys, tmp_path):
         out = tmp_path / "counts.csv"
         code, _ = run_json(

@@ -240,7 +240,7 @@ class TestDiagonalAction:
                 list(itertools.product(range(2), repeat=2)), size
             ):
                 orbit = {
-                    (B01.mul(a, c), B01.mul(b, c))
+                    (B01.multiply(a, c), B01.multiply(b, c))
                     for a, b in omega
                     for c in range(2)
                 }

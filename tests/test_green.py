@@ -68,7 +68,7 @@ class TestChain:
     def test_against_ideal_inclusion_oracle(self, Z2, B01, RZ1, T2, N3):
         # independent oracle: pairwise comparability of principal left ideals
         for M in (Z2, B01, RZ1, T2, N3):
-            ideals = [frozenset(M.mul(x, a) for x in range(M.order)) for a in range(M.order)]
+            ideals = [frozenset(M.multiply(x, a) for x in range(M.order)) for a in range(M.order)]
             chain = all(
                 p <= q or q <= p for p, q in itertools.combinations(ideals, 2)
             )

@@ -10,7 +10,7 @@ from wreathbench.monoids import inverse_of, is_group, load_monoid, monoid_from_d
 class TestValidate:
     def test_z2_accepted(self):
         M = validate_monoid(["1", "g"], 0, [[0, 1], [1, 0]])
-        assert M.order == 2 and M.mul(1, 1) == 0
+        assert M.order == 2 and M.multiply(1, 1) == 0
 
     def test_corrupted_table_rejected(self):
         # {1,0} with the identity row corrupted: 1*0 comes back as 1
@@ -24,7 +24,7 @@ class TestValidate:
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    assert M.mul(M.mul(i, j), k) == M.mul(i, M.mul(j, k))
+                    assert M.multiply(M.multiply(i, j), k) == M.multiply(i, M.multiply(j, k))
 
     def test_associativity_error_names_triple(self):
         # a non-associative unital magma: 3 elements, (1*1)*2 != 1*(1*2)
@@ -88,7 +88,7 @@ class TestUnits:
             for a in G:
                 assert inverse_of(M, a) in G
                 for b in G:
-                    assert M.mul(a, b) in G
+                    assert M.multiply(a, b) in G
 
 
 class TestConstructions:
@@ -109,7 +109,7 @@ class TestConstructions:
         g = Z2.index_of("g")
         i = P.index_of("(g,1)")
         j = P.index_of("(g,g)")
-        assert P.mul(i, j) == P.index_of("(1,g)")
+        assert P.multiply(i, j) == P.index_of("(1,g)")
         validate_monoid(P.labels, P.identity, P.table)
 
     def test_full_transformation_monoid(self):

@@ -17,6 +17,7 @@ from wreathbench import (
     eps_elem,
     evaluate,
     fixture,
+    is_L_chain,
     omega_witnesses,
     soundness,
     standard_map,
@@ -238,7 +239,7 @@ class TestEmitR1:
                     assert ((a, b) in omega) != ((b, a) in omega) or a == b
             for a, b in omega:
                 assert leq[a][b]
-                assert M.mul(xwit[(a, b)], b) == a
+                assert M.multiply(xwit[(a, b)], b) == a
 
     def test_sound(self, B01, T1):
         for M in (B01, T1):
@@ -590,3 +591,21 @@ def test_matches_recorded_ordered_emission(family, name, n, letters, relations, 
     assert digest(tuple((lt.name, lt.params) for lt in p.letters)) == letters
     assert digest(tuple((r.lhs, r.rhs, r.tag) for r in p.relations)) == relations
     assert len(p.relations) == count
+
+
+def test_census_r2_certifies_and_r1_exactly_on_L_chains():
+    # every monoid of order <= 4 up to isomorphism, at n = 2: R2 presents
+    # M wr Sing_2 always, the forced R1 exactly when M/L is a chain
+    n = 2
+    chains = 0
+    for table in monoid_census(4):
+        m = len(table)
+        M = validate_monoid([f"m{i}" for i in range(m)], 0, [list(r) for r in table])
+        target = wreath_sing_target(M, n)
+        p = emit_R2(M, n)
+        assert verify(p, standard_map(p, M), target).status == "certified", table
+        p = emit_R1(M, n, force=True)
+        certified = verify(p, standard_map(p, M), target).status == "certified"
+        assert certified == is_L_chain(M), table
+        chains += certified
+    assert chains == 33

@@ -45,7 +45,7 @@ class TestAction:
         for a in range(2):
             for b in range(2):
                 prod = semidirect_multiply(Z2, S, action, (a, 0), (b, 0))
-                assert prod == (Z2.mul(a, b), 0)
+                assert prod == (Z2.multiply(a, b), 0)
 
     def test_first_coordinate_projection_action(self):
         # the action s.(a,b) = (a,a) of a one-element semigroup turns the
@@ -66,6 +66,17 @@ class TestAction:
         with pytest.raises(ActionError) as exc:
             validate_action(Z2, S, bad)
         assert exc.value.axiom == "s.1 = 1"
+
+    def test_composition_axiom_checked_on_generators(self, Z2):
+        # S = <g> in Z2: g acts as the identity and g^2 = 1 trivially, each an
+        # endomorphism, but (g g).g = 1 while g.(g.g) = g
+        S = close([Z2.index_of("g")], Z2.multiply)
+        assert S.gen_indices == [0]
+        action = lambda s, a: a if s == 0 else Z2.identity
+        with pytest.raises(ActionError) as exc:
+            validate_action(Z2, S, action)
+        assert exc.value.axiom == "(st).a = s.(t.a)"
+        assert exc.value.witness == (0, 0, Z2.index_of("g"))
 
     def test_shuffle_action_reproduces_wreath_product(self, Z2):
         n = 2

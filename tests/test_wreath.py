@@ -53,7 +53,7 @@ class TestMultiply:
             z = wr_multiply(ctx, x, y)
             for k in range(3):
                 target = x.trans.images[k]
-                assert z.tup[k] == T2.mul(x.tup[k], y.tup[target - 1])
+                assert z.tup[k] == T2.multiply(x.tup[k], y.tup[target - 1])
             assert z.trans.images == tuple(
                 y.trans.images[v - 1] for v in x.trans.images
             )
