@@ -18,7 +18,8 @@ import time
 from .certify import e_wreath_target, sing_target, verify, wreath_sing_target
 from .enumeration import brute_rank, generates, rank_formulas, tournament_check
 from .errors import CapacityError, MonoidValidationError, PreconditionError
-from .monoids import FIXTURES, resolve_monoid
+from .green import e_part_indices
+from .monoids import FIXTURES, resolve_monoid, submonoid
 from .presentations import (
     emit_E_wreath_monoid,
     emit_R,
@@ -116,7 +117,7 @@ def cmd_idempotents(args) -> int:
     return OK if verdict else NEGATIVE
 
 
-def _family_presentation(family, M, n, args):
+def _family_presentation(family, M, n):
     if family == "R":
         return emit_R(n), None
     if M is None:
@@ -130,9 +131,6 @@ def _family_presentation(family, M, n, args):
     if family == "R1p":
         return emit_R1p(M, n), M
     if family == "Emonoid":
-        from .green import e_part_indices
-        from .monoids import submonoid
-
         E_mon, carrier = submonoid(M, sorted(e_part_indices(M)), name="E")
         base, base_gens = table_presentation(E_mon)
         base_images = [carrier[m] for m in base_gens]
@@ -144,7 +142,7 @@ def cmd_verify(args) -> int:
     started = time.monotonic()
     M = resolve_monoid(args.monoid) if args.monoid else None
     n = int(args.n)
-    p, pm = _family_presentation(args.family, M, n, args)
+    p, pm = _family_presentation(args.family, M, n)
     emap = standard_map(p, pm)
     if args.family == "R":
         target = sing_target(n, limit=args.limit_elements)
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monoid", required=True)
     p.add_argument("-n", default="2", help="degree, or comma-separated degrees")
     p.add_argument("--part", choices=("full", "singular"), default="full")
-    p.add_argument("--method", choices=("formula", "brute", "both"), default="formula")
+    p.add_argument("--method", choices=("formula", "brute"), default="formula")
     p.add_argument("--check", action="store_true", help="compare formula against brute force")
     p.add_argument("--list", action="store_true", help="include the idempotent elements")
     p.add_argument("--csv", default=None, help="write n,|M|,formula,brute rows to this path")

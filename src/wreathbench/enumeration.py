@@ -117,17 +117,11 @@ def brute_rank(
     target: EnumeratedSemigroup,
     pool,
     idempotents_only: bool = False,
-    k_max: int | None = None,
     budget: int = SUBSET_BUDGET,
-    min_k: int = 1,
 ):
     """Smallest generating subset of ``pool`` by increasing-size search, with
     subsets visited in lexicographic order of pool positions; returns
-    (k, witness_tuple) or None if nothing generates up to k_max.
-
-    ``min_k`` lets callers skip sizes below a proven lower bound; it must not
-    change the answer, only the work.
-    """
+    (k, witness_tuple) or None if no subset of the pool generates."""
     pool = list(pool)
     seen = set()
     dedup = []
@@ -140,11 +134,9 @@ def brute_rank(
             dedup.append(x)
     if idempotents_only:
         dedup = [x for x in dedup if target.multiply(x, x) == x]
-    if k_max is None:
-        k_max = len(dedup)
     searched = 0
     want = len(target)
-    for k in range(max(1, min_k), min(k_max, len(dedup)) + 1):
+    for k in range(1, len(dedup) + 1):
         for subset in itertools.combinations(dedup, k):
             searched += 1
             if searched > budget:

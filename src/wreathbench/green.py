@@ -25,9 +25,6 @@ class GreenData:
     classes_D: tuple[tuple[int, ...], ...]
     classes_J: tuple[tuple[int, ...], ...]
 
-    def rel_L(self, a: int, b: int) -> bool:
-        return self.leq_L[a][b] and self.leq_L[b][a]
-
 
 def _classes_from(n, related) -> tuple[tuple[int, ...], ...]:
     seen = [False] * n

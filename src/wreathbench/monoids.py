@@ -10,6 +10,7 @@ validation.
 
 from __future__ import annotations
 
+import itertools
 import json
 from functools import cached_property, lru_cache
 
@@ -70,17 +71,8 @@ class EnumeratedSemigroup:
                 return e
         return None
 
-    @cached_property
-    def left_cayley(self):
-        """[i][g] is the index of generator g * elements[i] (closure-only)."""
-        index, mul, elems = self.index, self.multiply, self.elements
-        return [[index[mul(elems[g], x)] for g in self.gen_indices] for x in elems]
-
     def idempotents(self) -> list[int]:
         return [i for i in range(len(self)) if self.product(i, i) == i]
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
 
     def __repr__(self):
         return f"EnumeratedSemigroup({self.name or self.labels}, order={self.order})"
@@ -155,15 +147,6 @@ def monoid_from_dict(data: dict) -> EnumeratedSemigroup:
     )
 
 
-def monoid_to_dict(M: EnumeratedSemigroup) -> dict:
-    return {
-        "name": M.name,
-        "elements": list(M.labels),
-        "identity": M.identity,
-        "table": [list(row) for row in M.table],
-    }
-
-
 def load_monoid(path) -> EnumeratedSemigroup:
     with open(path, "r", encoding="utf-8") as f:
         return monoid_from_dict(json.load(f))
@@ -225,8 +208,6 @@ def units_submonoid(M: EnumeratedSemigroup) -> tuple[EnumeratedSemigroup, list[i
 def power_monoid(M: EnumeratedSemigroup, n: int) -> EnumeratedSemigroup:
     """Direct power M^n with coordinatewise multiplication; elements ordered
     by index-tuple odometer."""
-    import itertools
-
     tuples = list(itertools.product(range(M.order), repeat=n))
     pos = {t: i for i, t in enumerate(tuples)}
     labels = tuple("(" + ",".join(M.labels[i] for i in t) + ")" for t in tuples)

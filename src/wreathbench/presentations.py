@@ -21,11 +21,14 @@ from .enumeration import close
 from .errors import CapacityError, PreconditionError
 from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain, l_chain_element_order
 from .monoids import EnumeratedSemigroup, inverse_of, is_group, submonoid, units, units_submonoid
-from .transformations import compose, epsilon, index_pairs
+from .todd_coxeter import todd_coxeter
+from .transformations import compose, epsilon, identity, index_pairs
 from .wreath import WreathContext, eps_a, eps_ab, eps_elem
 from .wreath import power_with_shuffle, validate_letter_action
 
 ALPHABET_LIMIT = 4096
+# node budget for certifying the base presentation of <E(M)>
+BASE_NODE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,7 @@ def emit_R(n: int) -> Presentation:
 # ---------------------------------------------------------------------------
 # full-tuple generators
 
-def emit_Rn(M: EnumeratedSemigroup, n: int, alphabet_limit: int = ALPHABET_LIMIT) -> Presentation:
+def emit_Rn(M: EnumeratedSemigroup, n: int) -> Presentation:
     """The semidirect-product presentation over ``R``, with M^n acted on by
     coordinate shuffles: each base relation decorated with an arbitrary tuple
     on its first letter (``Rk_n``), plus the tuple-collapse family that
@@ -223,7 +226,7 @@ def emit_Rn(M: EnumeratedSemigroup, n: int, alphabet_limit: int = ALPHABET_LIMIT
     if n < 2:
         raise ValueError("n must be at least 2")
     size = len(index_pairs(n)) * M.order**n
-    if size > alphabet_limit:
+    if size > ALPHABET_LIMIT:
         raise CapacityError("tuple alphabet too large", count=size)
     base = emit_R(n)
     Mn, action = power_with_shuffle(M, n, standard_map(base).images)
@@ -581,7 +584,7 @@ def table_presentation(N: EnumeratedSemigroup) -> tuple[Presentation, list[int]]
 # the idempotent-generated monoid presentation
 
 def emit_E_wreath_monoid(
-    M: EnumeratedSemigroup, n: int, base: Presentation, base_images, node_limit: int = 200_000
+    M: EnumeratedSemigroup, n: int, base: Presentation, base_images
 ) -> Presentation:
     """Monoid presentation for the idempotent-generated part of the full
     wreath product, stitched from a per-coordinate copy of the base
@@ -592,8 +595,6 @@ def emit_E_wreath_monoid(
     base must be a certified monoid presentation of <E(M)> with no letter
     mapping to the identity.
     """
-    from .todd_coxeter import todd_coxeter
-
     if n < 2:
         raise ValueError("n must be at least 2")
     ok, wit = has_unit_complement_E(M)
@@ -623,7 +624,7 @@ def emit_E_wreath_monoid(
     rep = soundness(base, base_map)
     if not rep.ok:
         raise PreconditionError(f"base presentation unsound: {rep.failures[0]}")
-    tc = todd_coxeter(base, node_limit=node_limit)
+    tc = todd_coxeter(base, node_limit=BASE_NODE_LIMIT)
     if tc.status != "certified" or tc.class_count != E_mon.order:
         raise PreconditionError(
             f"base presentation not certified for <E(M)> "
@@ -636,7 +637,8 @@ def emit_E_wreath_monoid(
     if base_images:
         S = close([pos_in_E[m] for m in base_images], E_mon.multiply)
         h_word.update(zip(S.elements, S.factorizations))
-    assert len(h_word) == E_mon.order
+    if len(h_word) != E_mon.order:
+        raise PreconditionError("base letter images do not generate <E(M)>")
 
     G_mon, g_carrier = units_submonoid(M)
     unit_list = list(g_carrier)
@@ -754,9 +756,7 @@ def _letter_wreath_image(lt: Letter, ctx: WreathContext):
     if "coord" in d:
         tup = [ctx.base.identity] * ctx.degree
         tup[d["coord"] - 1] = d["m"]
-        from .transformations import identity as id_trans
-
-        return ctx.element(tup, id_trans(ctx.degree))
+        return ctx.element(tup, identity(ctx.degree))
     i, j = d["i"], d["j"]
     if "tup" in d:
         return eps_elem(ctx, i, j, d["tup"])

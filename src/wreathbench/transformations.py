@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import CapacityError, DegreeMismatch
 
@@ -34,12 +34,6 @@ class Transformation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Transformation") -> "Transformation":
-        return compose(self, other)
-
     def image(self) -> frozenset[int]:
         return frozenset(self.images)
 
@@ -53,15 +47,6 @@ class Transformation:
         for i, v in enumerate(self.images, start=1):
             blocks.setdefault(v, []).append(i)
         return tuple(sorted((tuple(b) for b in blocks.values()), key=lambda b: b[0]))
-
-    def kernel_pairs(self) -> frozenset[tuple[int, int]]:
-        n = self.degree
-        return frozenset(
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if self.images[i - 1] == self.images[j - 1]
-        )
 
     def is_idempotent(self) -> bool:
         # idempotent iff every point of the image is fixed
@@ -119,16 +104,6 @@ def index_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
-def rank_one_less_idempotents(n: int) -> list[Transformation]:
-    """The generating family for the singular part: one map per ordered pair."""
-    return [epsilon(n, i, j) for i, j in index_pairs(n)]
-
-
-def iter_Tn(n: int) -> Iterator[Transformation]:
-    for images in itertools.product(range(1, n + 1), repeat=n):
-        yield Transformation(images)
-
-
 def part_size(n: int, part: str = "full") -> int:
     """Size of the "full" (n^n) or "singular" (n^n - n!) part of T_n."""
     if part not in ("full", "singular"):
@@ -137,17 +112,14 @@ def part_size(n: int, part: str = "full") -> int:
 
 
 def enumerate_Tn(n: int, part: str = "full") -> list[Transformation]:
-    """Enumerate a part of T_n in lexicographic order of image sequences.
-
-    part: "full" (n^n maps), "symmetric" (n! permutations) or
-    "singular" (the non-invertible maps; empty for n <= 1).
-    """
+    """Enumerate the "full" part of T_n (n^n maps) or its "singular" part (the
+    non-invertible maps; empty for n <= 1), in lexicographic order of image
+    sequences."""
     if not 1 <= n <= MAX_ENUM_DEGREE:
         raise CapacityError(f"degree {n} outside supported range 1..{MAX_ENUM_DEGREE}")
+    if part not in ("full", "singular"):
+        raise ValueError(f"unknown part {part!r}")
+    maps = (Transformation(images) for images in itertools.product(range(1, n + 1), repeat=n))
     if part == "full":
-        return list(iter_Tn(n))
-    if part == "symmetric":
-        return [t for t in iter_Tn(n) if t.is_permutation()]
-    if part == "singular":
-        return [t for t in iter_Tn(n) if not t.is_permutation()]
-    raise ValueError(f"unknown part {part!r}")
+        return list(maps)
+    return [t for t in maps if not t.is_permutation()]

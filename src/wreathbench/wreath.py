@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import ActionError, CapacityError, DegreeMismatch, PreconditionError
 from .green import green_cached, has_unit_complement_E
-from .monoids import EnumeratedSemigroup, units
+from .monoids import EnumeratedSemigroup, power_monoid, units
 from .transformations import (
     Transformation, compose, enumerate_Tn, epsilon, identity, index_pairs, part_size,
 )
@@ -68,14 +68,11 @@ class WreathContext:
         one = self.base.identity
         return WreathElement((one,) * self.degree, identity(self.degree))
 
-    def transformations(self) -> list[Transformation]:
-        return enumerate_Tn(self.degree, self.part)
-
     def elements(self) -> list[WreathElement]:
         """Every element of M wr S: transformation-major, tuple odometer minor."""
         m = self.base.order
         out = []
-        for t in self.transformations():
+        for t in enumerate_Tn(self.degree, self.part):
             for tup in itertools.product(range(m), repeat=self.degree):
                 out.append(WreathElement(tup, t))
         return out
@@ -85,10 +82,6 @@ class WreathContext:
             "tuple": [self.base.labels[a] for a in x.tup],
             "trans": list(x.trans.images),
         }
-
-    def deserialize(self, data: dict) -> WreathElement:
-        tup = tuple(self.base.index_of(l) for l in data["tuple"])
-        return self.element(tup, Transformation(tuple(data["trans"])))
 
 
 def wr_multiply(ctx: WreathContext, x: WreathElement, y: WreathElement) -> WreathElement:
@@ -190,11 +183,6 @@ def _count_formula(ctx: WreathContext) -> int:
     if ctx.part == "singular":
         total -= len(idem) ** n
     return total
-
-
-def group_idempotent_count(g_order: int, n: int) -> int:
-    """Specialization when the base has a single idempotent (a group)."""
-    return sum(comb(n, k) * k ** (n - k) * g_order ** (n - k) for k in range(1, n + 1))
 
 
 def _count_brute(ctx: WreathContext) -> int:
@@ -306,8 +294,6 @@ def semidirect_multiply(M: EnumeratedSemigroup, S, action, x, y):
 def power_with_shuffle(M: EnumeratedSemigroup, n: int, transformations):
     """Direct power M^n together with the coordinate-shuffle action of the
     given transformation list: (alpha . a)_k = a_{k alpha}."""
-    from .monoids import power_monoid
-
     Mn = power_monoid(M, n)
     tuples = list(itertools.product(range(M.order), repeat=n))
     pos = {t: i for i, t in enumerate(tuples)}

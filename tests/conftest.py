@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from wreathbench import fixture
+from wreathbench import epsilon, fixture
+from wreathbench.transformations import index_pairs
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,11 @@ def T2():
 @pytest.fixture(scope="session")
 def N3():
     return fixture("@N3")
+
+
+def rank_one_less_idempotents(n):
+    """The rank n-1 idempotents of T_n, one per ordered pair (i, j)."""
+    return [epsilon(n, i, j) for i, j in index_pairs(n)]
 
 
 def monoid_tables(m):

@@ -20,6 +20,7 @@ from wreathbench import (
     emit_R1p,
     emit_R2,
     emit_Rn,
+    enumerate_Tn,
     eps_ab,
     eps_elem,
     epsilon,
@@ -46,7 +47,8 @@ from wreathbench import (
 from wreathbench.certify import e_wreath_target
 from wreathbench.green import e_part_indices
 from wreathbench.presentations import Presentation
-from wreathbench.transformations import iter_Tn, rank_one_less_idempotents
+
+from conftest import rank_one_less_idempotents
 
 FIXTURES = ("@T1", "@Z2", "@Z3", "@B01", "@RZ1", "@T2")
 
@@ -110,7 +112,7 @@ def test_criterion_1_idempotent_counts():
                 if f != b:
                     failures.append(f"{name} n={n} {part}: formula {f} != brute {b}")
     for n in range(1, 6):
-        brute = sum(1 for x in iter_Tn(n) if x.is_idempotent())
+        brute = sum(1 for x in enumerate_Tn(n) if x.is_idempotent())
         formula = sum(comb(n, k) * k ** (n - k) for k in range(1, n + 1))
         if brute != formula:
             failures.append(f"E(T_{n}): {brute} != {formula}")
@@ -179,14 +181,15 @@ def test_criterion_4_rank():
     idrk = brute_rank(sing3, rank_one_less_idempotents(3), idempotents_only=True)
     if not (rk and rk[0] == 3 and idrk and idrk[0] == 3):
         failures.append(f"singular part degree 3: rank {rk}, idrank {idrk}")
-    # bracketing for the non-chain fixture
+    # the non-chain fixture: the formulas only bracket the rank, which the
+    # search from k = 1 finds exactly
     RZ1 = fixture("@RZ1")
     ctx = WreathContext(RZ1, 2, "singular")
     target = close(ctx.elements(), ctx.multiply)
     report = rank_formulas(RZ1, 2)
-    rk = brute_rank(target, list(target.elements), min_k=report.lower)
-    if not (rk and report.lower <= rk[0] <= report.upper):
-        failures.append(f"@RZ1: rank {rk} outside [{report.lower}, {report.upper}]")
+    rk = brute_rank(target, list(target.elements))
+    if not (rk and rk[0] == 7 and report.lower <= 7 <= report.upper):
+        failures.append(f"@RZ1: rank {rk} vs 7 in [{report.lower}, {report.upper}]")
     if report.exact_rank is not None:
         failures.append("@RZ1: unexpected exact value off the chain hypothesis")
     _finish(4, "rank and idempotent rank", failures)

@@ -20,7 +20,8 @@ from wreathbench import certify, wreath
 from wreathbench.errors import CapacityError
 from wreathbench.monoids import FIXTURES
 from wreathbench.presentations import EvaluationMap, Letter, Presentation, Relation
-from wreathbench.transformations import rank_one_less_idempotents
+
+from conftest import rank_one_less_idempotents
 
 
 class TestVerify:

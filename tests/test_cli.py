@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from wreathbench.cli import main
-from wreathbench.monoids import monoid_to_dict, fixture
+from wreathbench.monoids import fixture
 
 
 def run(capsys, *argv):
@@ -133,6 +135,12 @@ class TestIdempotentsCommand:
         assert report["error"] == "CapacityError"
         assert report["message"] == f"brute idempotent count too large (reached {4**9 * 9**9})"
 
+    def test_method_both_refused(self, capsys):
+        # --check is the one way to run both counts
+        with pytest.raises(SystemExit) as exc:
+            main(["idempotents", "--monoid", "@Z2", "-n", "2", "--method", "both"])
+        assert exc.value.code == 2
+
     def test_csv_export(self, capsys, tmp_path):
         out = tmp_path / "counts.csv"
         code, _ = run_json(
@@ -259,7 +267,10 @@ class TestReports:
 
     def test_monoid_file_loading(self, capsys, tmp_path):
         path = tmp_path / "z3.json"
-        path.write_text(json.dumps(monoid_to_dict(fixture("@Z3"))))
+        Z3 = fixture("@Z3")
+        data = {"name": Z3.name, "elements": list(Z3.labels), "identity": Z3.identity,
+                "table": [list(row) for row in Z3.table]}
+        path.write_text(json.dumps(data))
         code, report = run_json(
             capsys, "idempotents", "--monoid", str(path), "-n", "2", "--check"
         )

@@ -2,14 +2,20 @@ import itertools
 
 from wreathbench import close, compose, enumerate_Tn, full_transformation_monoid, green, idempotent_generated_part, is_L_chain
 from wreathbench.green import has_unit_complement_E, incomparable_L_witness
-from wreathbench.transformations import rank_one_less_idempotents
+
+from conftest import rank_one_less_idempotents
+
+
+def kernel_pairs(x):
+    """The pairs (i, j) that x maps to the same point."""
+    return {(i, j) for i, a in enumerate(x.images) for j, b in enumerate(x.images) if a == b}
 
 
 class TestPreorders:
     def test_b01_left_order(self, B01):
         # oracle: M.0 = {0}, M.1 = M
         g = green(B01)
-        one, zero = B01.index_of("1"), B01.index_of("0")
+        one, zero = B01.labels.index("1"), B01.labels.index("0")
         assert g.leq_L[zero][one] and not g.leq_L[one][zero]
         assert g.classes_L == ((0,), (1,))
 
@@ -27,16 +33,16 @@ class TestPreorders:
         for a, x in enumerate(elems):
             for b, y in enumerate(elems):
                 assert g.leq_L[a][b] == (x.image() <= y.image())
-                assert g.leq_R[a][b] == (x.kernel_pairs() >= y.kernel_pairs())
+                assert g.leq_R[a][b] == (kernel_pairs(x) >= kernel_pairs(y))
                 assert g.leq_J[a][b] == (x.rank() <= y.rank())
         # eps maps with the same moved point are L-related
         from wreathbench import epsilon
 
         i12 = elems.index(epsilon(3, 1, 2))
         i32 = elems.index(epsilon(3, 3, 2))
-        assert g.rel_L(i12, i32)
+        assert g.leq_L[i12][i32] and g.leq_L[i32][i12]
         i21 = elems.index(epsilon(3, 2, 1))
-        assert not g.rel_L(i12, i21)
+        assert not (g.leq_L[i12][i21] and g.leq_L[i21][i12])
 
     def test_d_equals_j_on_finite_carriers(self, Z2, B01, RZ1, T2):
         from wreathbench import WreathContext, gen_family

@@ -4,7 +4,7 @@ import pytest
 
 from wreathbench import fixture, full_transformation_monoid, power_monoid, submonoid, units, validate_monoid
 from wreathbench.errors import MonoidValidationError
-from wreathbench.monoids import inverse_of, is_group, load_monoid, monoid_from_dict, monoid_to_dict
+from wreathbench.monoids import inverse_of, is_group, load_monoid, monoid_from_dict
 
 
 class TestValidate:
@@ -49,15 +49,21 @@ class TestValidate:
             validate_monoid(["1", "g"], 7, [[0, 1], [1, 0]])
 
 
+def monoid_dict(M):
+    """M in the monoid file format."""
+    return {"name": M.name, "elements": list(M.labels), "identity": M.identity,
+            "table": [list(row) for row in M.table]}
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path, T2):
         path = tmp_path / "t2.json"
-        path.write_text(json.dumps(monoid_to_dict(T2)))
+        path.write_text(json.dumps(monoid_dict(T2)))
         loaded = load_monoid(path)
         assert loaded.table == T2.table and loaded.labels == T2.labels
 
     def test_unknown_keys_rejected(self):
-        data = monoid_to_dict(fixture("@Z2"))
+        data = monoid_dict(fixture("@Z2"))
         data["extra"] = 1
         with pytest.raises(MonoidValidationError) as exc:
             monoid_from_dict(data)
@@ -99,17 +105,17 @@ class TestConstructions:
         assert [T2.labels[c] for c in carrier] == list(sub.labels)
 
     def test_submonoid_rejects_non_closed(self, T2):
-        sigma = T2.index_of("21")
+        sigma = T2.labels.index("21")
         with pytest.raises(MonoidValidationError):
-            submonoid(T2, [T2.identity, T2.index_of("11"), sigma])
+            submonoid(T2, [T2.identity, T2.labels.index("11"), sigma])
 
     def test_power_monoid(self, Z2):
         P = power_monoid(Z2, 2)
         assert P.order == 4
-        g = Z2.index_of("g")
-        i = P.index_of("(g,1)")
-        j = P.index_of("(g,g)")
-        assert P.multiply(i, j) == P.index_of("(1,g)")
+        g = Z2.labels.index("g")
+        i = P.labels.index("(g,1)")
+        j = P.labels.index("(g,g)")
+        assert P.multiply(i, j) == P.labels.index("(1,g)")
         validate_monoid(P.labels, P.identity, P.table)
 
     def test_full_transformation_monoid(self):

@@ -110,11 +110,13 @@ class TestEmitRn:
                 p = emit_Rn(M, n)
                 assert soundness(p, standard_map(p, M)).ok
 
-    def test_capacity(self, T2):
+    def test_capacity(self, Z2):
         from wreathbench.errors import CapacityError
 
-        with pytest.raises(CapacityError):
-            emit_Rn(T2, 3, alphabet_limit=100)
+        # 42 pairs times 2^7 tuples is over the 4,096-letter alphabet limit
+        with pytest.raises(CapacityError) as exc:
+            emit_Rn(Z2, 7)
+        assert exc.value.count == 5376
 
     def test_mutation_detected(self, Z2):
         p = emit_Rn(Z2, 2)
@@ -207,7 +209,7 @@ class TestEmitR1:
         # 1*0 = 0*0, so the two left factors are interchangeable before e(1,2;0)
         p = emit_R1(B01, 2)
         L = name_index(p)
-        zero, one = B01.index_of("0"), B01.index_of("1")
+        zero, one = B01.labels.index("0"), B01.labels.index("1")
         want = Relation(
             (L["e(2,1;1)"], L["e(1,2;0)"]), (L["e(2,1;0)"], L["e(1,2;0)"]), "R1c_1"
         )
@@ -224,7 +226,7 @@ class TestEmitR1:
 
     def test_omega(self, B01):
         omega, xwit = omega_witnesses(B01)
-        one, zero = B01.index_of("1"), B01.index_of("0")
+        one, zero = B01.labels.index("1"), B01.labels.index("0")
         assert omega == {(one, one), (zero, zero), (zero, one)}
         assert xwit[(zero, one)] == zero
 
@@ -290,12 +292,12 @@ class TestEmitR1p:
 
 class TestWords:
     def test_x2_degenerate_single_letter(self, Z2):
-        g = Z2.index_of("g")
+        g = Z2.labels.index("g")
         w = word_E_X2(Z2, 3, 1, 2, (g, g, 0))
         assert len(w) == 1
 
     def test_x2_instance(self, Z2):
-        g = Z2.index_of("g")
+        g = Z2.labels.index("g")
         p = emit_R2(Z2, 3)
         L = name_index(p)
         w = word_E_X2(Z2, 3, 1, 2, (0, g, g))
@@ -316,7 +318,7 @@ class TestWords:
 
     def test_x1_cases(self, B01):
         omega, xwit = omega_witnesses(B01)
-        zero, one = B01.index_of("0"), B01.index_of("1")
+        zero, one = B01.labels.index("0"), B01.labels.index("1")
         p = emit_R1(B01, 2)
         L = name_index(p)
         assert list(word_E_X1(B01, 2, 1, 2, zero, one, omega, xwit)) == [
@@ -428,7 +430,7 @@ class TestEmitEMonoid:
         y1, y2 = 0, 1
         base = Presentation(
             "monoid",
-            (Letter("y1", (("m", T2.index_of("11")),)), Letter("y2", (("m", T2.index_of("22")),))),
+            (Letter("y1", (("m", T2.labels.index("11")),)), Letter("y2", (("m", T2.labels.index("22")),))),
             (
                 Relation((y1, y1), (y1,), "Q"),
                 Relation((y1,), (y2, y1), "Q"),
@@ -437,7 +439,7 @@ class TestEmitEMonoid:
             ),
             {"family": "table", "monoid": "E"},
         )
-        p = emit_E_wreath_monoid(T2, 2, base, [T2.index_of("11"), T2.index_of("22")])
+        p = emit_E_wreath_monoid(T2, 2, base, [T2.labels.index("11"), T2.labels.index("22")])
         assert soundness(p, standard_map(p, T2)).ok
 
     def test_hypothesis_failure(self, N3):
@@ -455,10 +457,22 @@ class TestEmitEMonoid:
     def test_uncertified_base_rejected(self, T2):
         # a free letter on one idempotent never presents the 3-element part
         base = Presentation(
-            "monoid", (Letter("y", (("m", T2.index_of("11")),)),), (), {"family": "table"}
+            "monoid", (Letter("y", (("m", T2.labels.index("11")),)),), (), {"family": "table"}
         )
         with pytest.raises(PreconditionError):
-            emit_E_wreath_monoid(T2, 2, base, [T2.index_of("11")])
+            emit_E_wreath_monoid(T2, 2, base, [T2.labels.index("11")])
+
+    def test_non_generating_base_rejected(self, T2):
+        # x^3 = x^2 presents a 3-element monoid, as many as <E(T2)> has, but
+        # x -> 11 generates only {1, 11}
+        base = Presentation(
+            "monoid",
+            (Letter("x", (("m", T2.labels.index("11")),)),),
+            (Relation((0, 0, 0), (0, 0), "Q"),),
+            {"family": "table"},
+        )
+        with pytest.raises(PreconditionError, match="do not generate"):
+            emit_E_wreath_monoid(T2, 2, base, [T2.labels.index("11")])
 
     def test_mutation_detected(self, T2):
         p = self._auto(T2, 2)
@@ -483,7 +497,7 @@ def _emonoid_t3_over_R(n):
     images = []
     for lt in R3.letters:
         e = epsilon(3, lt.param("i"), lt.param("j"))
-        images.append(T3.index_of("".join(map(str, e.images))))
+        images.append(T3.labels.index("".join(map(str, e.images))))
     return emit_E_wreath_monoid(T3, n, base, images)
 
 

@@ -17,8 +17,9 @@ from wreathbench import (
 )
 from wreathbench.errors import ActionError
 from wreathbench.presentations import EvaluationMap, soundness
-from wreathbench.transformations import rank_one_less_idempotents
 from wreathbench.wreath import power_with_shuffle
+
+from conftest import rank_one_less_idempotents
 
 
 def trivial_semigroup():
@@ -61,7 +62,7 @@ class TestAction:
 
     def test_invalid_action_names_axiom(self, Z2):
         S = trivial_semigroup()
-        g = Z2.index_of("g")
+        g = Z2.labels.index("g")
         bad = lambda s, a: g  # sends the identity to g
         with pytest.raises(ActionError) as exc:
             validate_action(Z2, S, bad)
@@ -70,13 +71,13 @@ class TestAction:
     def test_composition_axiom_checked_on_generators(self, Z2):
         # S = <g> in Z2: g acts as the identity and g^2 = 1 trivially, each an
         # endomorphism, but (g g).g = 1 while g.(g.g) = g
-        S = close([Z2.index_of("g")], Z2.multiply)
+        S = close([Z2.labels.index("g")], Z2.multiply)
         assert S.gen_indices == [0]
         action = lambda s, a: a if s == 0 else Z2.identity
         with pytest.raises(ActionError) as exc:
             validate_action(Z2, S, action)
         assert exc.value.axiom == "(st).a = s.(t.a)"
-        assert exc.value.witness == (0, 0, Z2.index_of("g"))
+        assert exc.value.witness == (0, 0, Z2.labels.index("g"))
 
     def test_shuffle_action_reproduces_wreath_product(self, Z2):
         n = 2
