@@ -15,7 +15,7 @@ from .enumeration import CLOSURE_LIMIT, close
 from .errors import CapacityError
 from .monoids import EnumeratedSemigroup
 from .presentations import EvaluationMap, Presentation, soundness
-from .todd_coxeter import TCResult, todd_coxeter
+from .todd_coxeter import NODE_LIMIT, TCResult, todd_coxeter
 from .transformations import compose, enumerate_Tn, part_size
 from .wreath import WreathContext, is_wr_idempotent
 
@@ -47,7 +47,7 @@ class Verdict:
         return out
 
 
-def verify(p: Presentation, emap: EvaluationMap, target, node_limit: int = 10**6) -> Verdict:
+def verify(p: Presentation, emap: EvaluationMap, target, node_limit: int = NODE_LIMIT) -> Verdict:
     if p.kind == "monoid" and emap.identity is None:
         raise ValueError("monoid presentation needs an evaluation map with an identity")
     want = len(target.elements)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Every run prints exactly one report (JSON by default).  Exit codes: 0 when
-the mathematical verdict is positive (certified / true / match), 1 when it
-is negative, 2 for validation, precondition and capacity problems, 70 for
+Every run prints exactly one report (JSON by default), or one JSON error
+envelope ``{"error", "message"}`` when it is refused.  Exit codes: 0 when the
+mathematical verdict is positive (certified / true / match), 1 when it is
+negative, 2 for usage, validation, precondition and capacity problems, 70 for
 internal invariant violations.  Re-running a command with identical inputs
 produces a byte-identical report except for the wall-time field.
 """
@@ -16,8 +17,15 @@ import sys
 import time
 
 from .certify import e_wreath_target, sing_target, verify, wreath_sing_target
-from .enumeration import brute_rank, generates, rank_formulas, tournament_check
-from .errors import CapacityError, MonoidValidationError, PreconditionError
+from .enumeration import (
+    CLOSURE_LIMIT,
+    SUBSET_BUDGET,
+    brute_rank,
+    generates,
+    rank_formulas,
+    tournament_check,
+)
+from .errors import CapacityError, PreconditionError
 from .green import e_part_indices
 from .monoids import FIXTURES, resolve_monoid, submonoid
 from .presentations import (
@@ -30,34 +38,41 @@ from .presentations import (
     standard_map,
     table_presentation,
 )
+from .todd_coxeter import NODE_LIMIT
 from .transformations import Transformation, epsilon
 from .wreath import WreathContext, count_idempotents, idempotent_elements
 
 OK, NEGATIVE, INVALID, INTERNAL = 0, 1, 2, 70
 
-FAMILIES = ("R", "Rn", "R2", "R1", "R1p", "Emonoid")
+
+class UsageError(ValueError):
+    """A command line that argparse refuses."""
 
 
-def _emit_report(args, command, parameters, result, counters=None, started=None):
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # refuse in the error envelope, not with the usage text
+        raise UsageError(message)
+
+
+def _emit_report(args, parameters, result, counters, started):
     report = {
-        "command": command,
+        "command": args.command,
         "parameters": parameters,
         "result": result,
-        "counters": counters or {},
-        "wall_time_s": round(time.monotonic() - started, 6) if started is not None else None,
+        "counters": counters,
+        "wall_time_s": round(time.monotonic() - started, 6),
     }
-    if getattr(args, "format", "json") == "table":
+    if args.format == "table":
         text = _as_table(report)
     else:
         text = json.dumps(report, indent=1, sort_keys=True)
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
     print(text)
 
 
-def _as_table(report, prefix=""):
+def _as_table(report):
     lines = []
 
     def walk(obj, key):
@@ -69,7 +84,7 @@ def _as_table(report, prefix=""):
         else:
             lines.append(f"{key}: {obj}")
 
-    walk(report, prefix)
+    walk(report, "")
     return "\n".join(lines)
 
 
@@ -80,8 +95,7 @@ def _parse_n_list(text):
     return values
 
 
-def cmd_idempotents(args) -> int:
-    started = time.monotonic()
+def cmd_idempotents(args):
     M = resolve_monoid(args.monoid)
     ns = _parse_n_list(args.n)
     method = "both" if args.check else args.method
@@ -106,51 +120,41 @@ def cmd_idempotents(args) -> int:
             w.writerow(["n", "|M|", "formula", "brute"])
             for row in rows:
                 w.writerow([row["n"], row["order"], row.get("formula", ""), row.get("brute", "")])
+    parameters = {"monoid": args.monoid, "n": ns, "part": args.part, "method": method}
     result = {"monoid": M.name, "rows": rows, "verdict": "match" if verdict else "mismatch"}
-    _emit_report(
-        args,
-        "idempotents",
-        {"monoid": args.monoid, "n": ns, "part": args.part, "method": method},
-        result,
-        started=started,
-    )
-    return OK if verdict else NEGATIVE
+    return (OK if verdict else NEGATIVE), parameters, result, {}
 
 
-def _family_presentation(family, M, n):
-    if family == "R":
-        return emit_R(n), None
-    if M is None:
-        raise PreconditionError(f"family {family} needs a monoid")
-    if family == "Rn":
-        return emit_Rn(M, n), M
-    if family == "R2":
-        return emit_R2(M, n), M
-    if family == "R1":
-        return emit_R1(M, n), M
-    if family == "R1p":
-        return emit_R1p(M, n), M
-    if family == "Emonoid":
-        E_mon, carrier = submonoid(M, sorted(e_part_indices(M)), name="E")
-        base, base_gens = table_presentation(E_mon)
-        base_images = [carrier[m] for m in base_gens]
-        return emit_E_wreath_monoid(M, n, base, base_images), M
-    raise ValueError(f"unknown family {family!r}")
+def _emonoid(M, n):
+    """The Emonoid presentation over the table presentation of E(M)'s submonoid."""
+    E_mon, carrier = submonoid(M, sorted(e_part_indices(M)), name="E")
+    base, base_gens = table_presentation(E_mon)
+    return emit_E_wreath_monoid(M, n, base, [carrier[m] for m in base_gens])
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
+# family -> (presentation of M and n, target of M, n and the element limit);
+# only R takes no monoid.  Each entry looks its functions up by module name
+# when called, so that a rebound module attribute (a tracer's wrapper) runs.
+FAMILIES = {
+    "R": (lambda M, n: emit_R(n), lambda M, n, limit: sing_target(n, limit)),
+    "Rn": (lambda M, n: emit_Rn(M, n), lambda M, n, limit: wreath_sing_target(M, n, limit)),
+    "R2": (lambda M, n: emit_R2(M, n), lambda M, n, limit: wreath_sing_target(M, n, limit)),
+    "R1": (lambda M, n: emit_R1(M, n), lambda M, n, limit: wreath_sing_target(M, n, limit)),
+    "R1p": (lambda M, n: emit_R1p(M, n), lambda M, n, limit: wreath_sing_target(M, n, limit)),
+    "Emonoid": (_emonoid, lambda M, n, limit: e_wreath_target(M, n, limit)),
+}
+
+
+def cmd_verify(args):
     M = resolve_monoid(args.monoid) if args.monoid else None
     n = int(args.n)
-    p, pm = _family_presentation(args.family, M, n)
-    emap = standard_map(p, pm)
-    if args.family == "R":
-        target = sing_target(n, limit=args.limit_elements)
-    elif args.family == "Emonoid":
-        target = e_wreath_target(M, n, limit=args.limit_elements)
-    else:
-        target = wreath_sing_target(M, n, limit=args.limit_elements)
-    v = verify(p, emap, target, node_limit=args.limit_nodes)
+    if M is None and args.family != "R":
+        raise PreconditionError(f"family {args.family} needs a monoid")
+    presentation, target = FAMILIES[args.family]
+    p = presentation(M, n)
+    emap = standard_map(p, M)
+    v = verify(p, emap, target(M, n, args.limit_elements), node_limit=args.limit_nodes)
+    verdict = v.to_dict()
     result = {
         "family": args.family,
         "n": n,
@@ -158,27 +162,17 @@ def cmd_verify(args) -> int:
         "alphabet": len(p.letters),
         "relations": len(p.relations),
         "relation_families": p.family_counts(),
-        "verdict": v.to_dict(),
+        "verdict": verdict,
     }
-    counters = {}
-    if v.tc is not None:
-        counters = {
-            "nodes_allocated": v.tc.nodes_allocated,
-            "coincidences_processed": v.tc.coincidences_processed,
-        }
-    _emit_report(
-        args,
-        "verify",
-        {"family": args.family, "monoid": args.monoid, "n": n, "limit_nodes": args.limit_nodes},
-        result,
-        counters,
-        started,
-    )
-    return OK if v.ok else NEGATIVE
+    # Todd-Coxeter's work, which the verdict holds once Todd-Coxeter ran
+    counters = {key: verdict[key] for key in ("nodes_allocated", "coincidences_processed")
+                if key in verdict}
+    parameters = {"family": args.family, "monoid": args.monoid, "n": n,
+                  "limit_nodes": args.limit_nodes}
+    return (OK if v.ok else NEGATIVE), parameters, result, counters
 
 
-def cmd_rank(args) -> int:
-    started = time.monotonic()
+def cmd_rank(args):
     M = resolve_monoid(args.monoid)
     n = int(args.n)
     result = {"monoid": M.name, "n": n, "mode": args.mode}
@@ -192,21 +186,15 @@ def cmd_rank(args) -> int:
     if args.mode in ("brute", "both"):
         ctx = WreathContext(M, n, "singular")
         target = wreath_sing_target(M, n, limit=args.limit_elements)
-        found = brute_rank(target, list(target.elements), budget=args.limit_subsets)
-        brute = {"rank": None, "idrank": None, "rank_witness": None}
-        if found:
-            k, witness = found
-            brute["rank"] = k
-            brute["rank_witness"] = [ctx.serialize(x) for x in witness]
-        idem = brute_rank(
-            target, list(target.elements), idempotents_only=True, budget=args.limit_subsets
-        )
-        if idem:
-            brute["idrank"] = idem[0]
-        result["brute"] = brute
+        found = brute_rank(target, target.elements, budget=args.limit_subsets)
+        idem = brute_rank(target, target.elements, idempotents_only=True, budget=args.limit_subsets)
+        result["brute"] = {
+            "rank": found[0] if found else None,
+            "idrank": idem[0] if idem else None,
+            "rank_witness": [ctx.serialize(x) for x in found[1]] if found else None,
+        }
     if args.mode == "both":
-        fr = result["formula"]
-        br = result["brute"]
+        fr, br = result["formula"], result["brute"]
         checks = [fr["lower"] <= br["rank"] <= fr["upper"]]
         if fr["exact_rank"] is not None:
             checks.append(fr["exact_rank"] == br["rank"])
@@ -215,14 +203,8 @@ def cmd_rank(args) -> int:
         verdict = all(checks)
         status = "match" if verdict else "mismatch"
     result["status"] = status
-    _emit_report(
-        args,
-        "rank",
-        {"monoid": args.monoid, "n": n, "mode": args.mode},
-        result,
-        started=started,
-    )
-    return OK if verdict else NEGATIVE
+    parameters = {"monoid": args.monoid, "n": n, "mode": args.mode}
+    return (OK if verdict else NEGATIVE), parameters, result, {}
 
 
 def _parse_edges(text):
@@ -236,18 +218,23 @@ def _parse_edges(text):
     return edges
 
 
-def cmd_gens(args) -> int:
-    started = time.monotonic()
+def _parse_elements(text):
+    data = json.loads(text)
+    # a bool is an int to isinstance, but not an image
+    if not (isinstance(data, list) and all(isinstance(images, list) for images in data)
+            and all(type(v) is int for images in data for v in images)):
+        raise ValueError("--elements must be a JSON list of image lists of integers")
+    return data
+
+
+def cmd_gens(args):
     n = int(args.n)
+    parameters = {"n": n, "edges": args.edges, "elements": args.elements, "confirm": args.confirm}
     result = {"n": n}
     if args.edges is not None:
         edges = _parse_edges(args.edges)
         gen, sc, complete = tournament_check(n, edges)
-        result["criterion"] = {
-            "generates": gen,
-            "strongly_connected": sc,
-            "complete": complete,
-        }
+        result["criterion"] = {"generates": gen, "strongly_connected": sc, "complete": complete}
         answer = gen
         if args.confirm:
             target = sing_target(n, limit=args.limit_elements)
@@ -256,29 +243,20 @@ def cmd_gens(args) -> int:
             result["closure"] = {"generates": closure_answer}
             if closure_answer != gen:
                 result["error"] = "criterion and closure disagree"
-                _emit_report(args, "gens", {"n": n, "edges": args.edges}, result, started=started)
-                return INTERNAL
+                return INTERNAL, parameters, result, {}
     elif args.elements is not None:
-        data = json.loads(args.elements)
-        gens = [Transformation(tuple(images)) for images in data]
+        gens = [Transformation(tuple(images)) for images in _parse_elements(args.elements)]
         target = sing_target(n, limit=args.limit_elements)
         answer = generates(gens, target) if gens else False
         result["closure"] = {"generates": answer}
     else:
         raise PreconditionError("either --edges or --elements is required")
     result["generates"] = answer
-    _emit_report(
-        args,
-        "gens",
-        {"n": n, "edges": args.edges, "elements": args.elements, "confirm": args.confirm},
-        result,
-        started=started,
-    )
-    return OK if answer else NEGATIVE
+    return (OK if answer else NEGATIVE), parameters, result, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wreathbench",
         description="Workbench for singular wreath products: idempotent counts, "
         "generating sets, ranks, and machine-certified presentations.",
@@ -289,11 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--out", default=None, help="also write the report to this path")
+        return p
 
-    p = sub.add_parser("idempotents", help="count idempotents of M wr T_n / M wr Sing_n")
+    p = command("idempotents", cmd_idempotents, "count idempotents of M wr T_n / M wr Sing_n")
     p.add_argument("--monoid", required=True)
     p.add_argument("-n", default="2", help="degree, or comma-separated degrees")
     p.add_argument("--part", choices=("full", "singular"), default="full")
@@ -301,50 +282,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="compare formula against brute force")
     p.add_argument("--list", action="store_true", help="include the idempotent elements")
     p.add_argument("--csv", default=None, help="write n,|M|,formula,brute rows to this path")
-    common(p)
-    p.set_defaults(func=cmd_idempotents)
 
-    p = sub.add_parser("verify", help="emit a presentation family and certify it")
-    p.add_argument("--family", choices=FAMILIES, required=True)
+    p = command("verify", cmd_verify, "emit a presentation family and certify it")
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--monoid", default=None)
     p.add_argument("-n", default="3")
-    p.add_argument("--limit-nodes", type=int, default=10**6)
-    p.add_argument("--limit-elements", type=int, default=10**6)
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--limit-nodes", type=int, default=NODE_LIMIT)
+    p.add_argument("--limit-elements", type=int, default=CLOSURE_LIMIT)
 
-    p = sub.add_parser("rank", help="rank/idrank of M wr Sing_n by formula and brute force")
+    p = command("rank", cmd_rank, "rank/idrank of M wr Sing_n by formula and brute force")
     p.add_argument("--monoid", required=True)
     p.add_argument("-n", default="2")
     p.add_argument("--mode", choices=("formula", "brute", "both"), default="formula")
-    p.add_argument("--limit-elements", type=int, default=10**6)
-    p.add_argument("--limit-subsets", type=int, default=10**7)
-    common(p)
-    p.set_defaults(func=cmd_rank)
+    p.add_argument("--limit-elements", type=int, default=CLOSURE_LIMIT)
+    p.add_argument("--limit-subsets", type=int, default=SUBSET_BUDGET)
 
-    p = sub.add_parser("gens", help="generation tests for the singular part")
+    p = command("gens", cmd_gens, "generation tests for the singular part")
     p.add_argument("-n", default="3")
     p.add_argument("--edges", default=None, help='idempotent edges "i:j,k:l,..."')
     p.add_argument("--elements", default=None, help="JSON list of image lists")
     p.add_argument("--confirm", action="store_true", help="also run the closure check")
-    p.add_argument("--limit-elements", type=int, default=10**6)
-    common(p)
-    p.set_defaults(func=cmd_gens)
+    p.add_argument("--limit-elements", type=int, default=CLOSURE_LIMIT)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line: one report, or one error envelope on refusal."""
     try:
-        return args.func(args)
-    except (PreconditionError, MonoidValidationError, CapacityError, ValueError, OSError, KeyError) as exc:
+        args = build_parser().parse_args(argv)
+        started = time.monotonic()
+        code, parameters, result, counters = args.func(args)
+        _emit_report(args, parameters, result, counters, started)
+        return code
+    except (CapacityError, ValueError, OSError, KeyError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))
         return INVALID
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

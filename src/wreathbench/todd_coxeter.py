@@ -21,6 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+NODE_LIMIT = 10**6
+
+
+class _BoundExceeded(Exception):
+    pass
+
 
 @dataclass
 class TCResult:
@@ -30,14 +36,16 @@ class TCResult:
     coincidences_processed: int
 
 
-def todd_coxeter(p, node_limit: int = 10**6) -> TCResult:
+def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
+    """Enumerate the classes of ``p``.  The run stops with "bound_exceeded" at
+    the allocation that takes the node count (the root included) past
+    ``node_limit``."""
     na = len(p.letters)
     # trivial relations (u, u) impose nothing; drop them up front
     rels = [(r.lhs, r.rhs) for r in p.relations if r.lhs != r.rhs]
 
-    parent = [0]
-    tab = [-1] * na
-    alloc = 1
+    parent = []
+    tab = []
     coinc = 0
     pending = []
 
@@ -48,11 +56,11 @@ def todd_coxeter(p, node_limit: int = 10**6) -> TCResult:
         return x
 
     def new_node():
-        nonlocal alloc
         idx = len(parent)
         parent.append(idx)
         tab.extend([-1] * na)
-        alloc += 1
+        if idx >= node_limit:
+            raise _BoundExceeded
         return idx
 
     def process_pending():
@@ -91,36 +99,38 @@ def todd_coxeter(p, node_limit: int = 10**6) -> TCResult:
                 cur = find(nxt)
         return cur
 
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(parent):
-            if parent[i] != i or find(i) != i:
-                i += 1
-                continue
-            before_alloc = alloc
-            for lhs, rhs in rels:
-                a = trace_fill(i, lhs)
-                b = trace_fill(i, rhs)
-                if a != b:
-                    pending.append((a, b))
-                    process_pending()
-                    changed = True
-                if find(i) != i:
-                    break
-            if find(i) == i:
-                base = i * na
-                for c in range(na):
-                    if tab[base + c] == -1:
-                        tab[base + c] = new_node()
+    try:
+        new_node()  # the root: the empty word
+        changed = True
+        while changed:
+            changed = False
+            i = 0
+            while i < len(parent):
+                if parent[i] != i or find(i) != i:
+                    i += 1
+                    continue
+                before = len(parent)
+                for lhs, rhs in rels:
+                    a = trace_fill(i, lhs)
+                    b = trace_fill(i, rhs)
+                    if a != b:
+                        pending.append((a, b))
+                        process_pending()
                         changed = True
-            if alloc != before_alloc:
-                changed = True
-            if alloc > node_limit:
-                return TCResult("bound_exceeded", None, alloc, coinc)
-            i += 1
+                    if find(i) != i:
+                        break
+                if find(i) == i:
+                    base = i * na
+                    for c in range(na):
+                        if tab[base + c] == -1:
+                            tab[base + c] = new_node()
+                            changed = True
+                if len(parent) != before:
+                    changed = True
+                i += 1
+    except _BoundExceeded:
+        return TCResult("bound_exceeded", None, len(parent), coinc)
 
     live = sum(1 for i in range(len(parent)) if parent[i] == i)
     count = live if p.kind == "monoid" else live - 1
-    return TCResult("certified", count, alloc, coinc)
+    return TCResult("certified", count, len(parent), coinc)

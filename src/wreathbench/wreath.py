@@ -53,6 +53,8 @@ class WreathContext:
             raise ValueError(f"unknown part {self.part!r}; expected 'full' or 'singular'")
         if self.part == "singular" and self.degree < 2:
             raise ValueError("the singular part is empty below degree 2")
+        if self.degree < 1:
+            raise ValueError(f"degree {self.degree} is below 1")
 
     def element(self, tup, trans) -> WreathElement:
         tup = tuple(tup)

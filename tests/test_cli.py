@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +85,7 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert report["result"]["verdict"]["status"] == "inconclusive"
+        assert report["counters"]["nodes_allocated"] == 11
 
 
 class TestIdempotentsCommand:
@@ -137,9 +140,18 @@ class TestIdempotentsCommand:
 
     def test_method_both_refused(self, capsys):
         # --check is the one way to run both counts
-        with pytest.raises(SystemExit) as exc:
-            main(["idempotents", "--monoid", "@Z2", "-n", "2", "--method", "both"])
-        assert exc.value.code == 2
+        code, report = run_json(
+            capsys, "idempotents", "--monoid", "@Z2", "-n", "2", "--method", "both"
+        )
+        assert code == 2
+        assert report["error"] == "UsageError"
+        assert "--method" in report["message"]
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_degree_below_one_refused(self, capsys, degree):
+        code, report = run_json(capsys, "idempotents", "--monoid", "@Z2", "-n", degree)
+        assert code == 2
+        assert report == {"error": "ValueError", "message": f"degree {degree} is below 1"}
 
     def test_csv_export(self, capsys, tmp_path):
         out = tmp_path / "counts.csv"
@@ -230,6 +242,20 @@ class TestGensCommand:
         assert report["result"]["criterion"]["generates"]
         assert report["result"]["closure"]["generates"]
 
+    @pytest.mark.parametrize(
+        "elements", ["[1]", '["113"]', "[[1.0,1,3]]", "{}", "[[true,1,3]]"]
+    )
+    def test_malformed_element_list_refused(self, capsys, elements):
+        code, report = run_json(capsys, "gens", "-n", "3", "--elements", elements)
+        assert code == 2
+        assert report["error"] == "ValueError"
+        assert "--elements" in report["message"]
+
+    def test_empty_element_list_is_negative(self, capsys):
+        code, report = run_json(capsys, "gens", "-n", "3", "--elements", "[]")
+        assert code == 1
+        assert report["result"]["generates"] is False
+
     def test_disagreement_is_internal_error(self, capsys, monkeypatch):
         # the criterion and the closure can only disagree through a bug;
         # force one to check the exit contract
@@ -241,6 +267,7 @@ class TestGensCommand:
         )
         assert code == 70
         assert "disagree" in report["result"]["error"]
+        assert report["parameters"]["confirm"] is True
 
 
 class TestReports:
@@ -286,3 +313,54 @@ class TestReports:
     def test_unknown_fixture(self, capsys):
         code, report = run_json(capsys, "idempotents", "--monoid", "@NOPE", "-n", "2")
         assert code == 2
+
+
+class TestUsageErrors:
+    """A command line that argparse refuses gets the error envelope too."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["idempotents", "-n", "2"], "--monoid"),
+            ([], "command"),
+            (["verify", "--family", "R9", "-n", "2"], "--family"),
+            (["frobnicate"], "frobnicate"),
+        ],
+    )
+    def test_one_envelope_line(self, capsys, argv, needle):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert len(out.splitlines()) == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "message"}
+        assert report["error"] == "UsageError"
+        assert needle in report["message"]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--limit-nodes" in capsys.readouterr().out
+
+
+def readme_examples():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples:", 1)[1].split("\n\n", 2)[1]
+    lines = [shlex.split(line) for line in block.splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["wreathbench"]]
+
+
+def test_readme_examples_found():
+    examples = readme_examples()
+    assert len(examples) >= 5
+    assert {argv[0] for argv in examples} == {"idempotents", "verify", "rank", "gens"}
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_example_runs(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # one example writes counts.csv
+    code, out = run(capsys, *argv)
+    assert code in (0, 1)
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    assert "result" in report

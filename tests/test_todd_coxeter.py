@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from wreathbench import emit_R, emit_R1p, emit_R2, table_presentation, todd_coxeter
 from wreathbench.presentations import Presentation, Relation, Letter
 
@@ -58,6 +60,23 @@ class TestBounds:
         assert res.status == "bound_exceeded"
         assert res.class_count is None
         assert res.nodes_allocated > 50
+
+    @pytest.mark.parametrize("limit", [10, 50])
+    def test_node_limit_kept_to_the_unit(self, limit):
+        # the run stops at the allocation that passes the limit
+        res = todd_coxeter(emit_R(3), node_limit=limit)
+        assert res.status == "bound_exceeded"
+        assert res.nodes_allocated == limit + 1
+
+    def test_zero_node_limit_stops_at_the_root(self):
+        res = todd_coxeter(emit_R(3), node_limit=0)
+        assert (res.status, res.nodes_allocated) == ("bound_exceeded", 1)
+
+    def test_limit_at_the_certified_node_count_certifies(self):
+        full = todd_coxeter(emit_R(3))
+        assert todd_coxeter(emit_R(3), node_limit=full.nodes_allocated).status == "certified"
+        res = todd_coxeter(emit_R(3), node_limit=full.nodes_allocated - 1)
+        assert (res.status, res.nodes_allocated) == ("bound_exceeded", full.nodes_allocated)
 
     def test_dropped_relation_diverges_or_grows(self):
         # removing one absorption relation can only coarsen upward
