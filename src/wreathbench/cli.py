@@ -88,8 +88,16 @@ def _as_table(report):
     return "\n".join(lines)
 
 
+def _int_option(option, text):
+    """``text`` as an integer; a refusal names the option and quotes the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{option} must be an integer, got {text!r}") from None
+
+
 def _parse_n_list(text):
-    values = [int(x) for x in str(text).split(",") if x != ""]
+    values = [_int_option("-n", x) for x in str(text).split(",") if x != ""]
     if not values:
         raise ValueError("no degree given")
     return values
@@ -147,7 +155,7 @@ FAMILIES = {
 
 def cmd_verify(args):
     M = resolve_monoid(args.monoid) if args.monoid else None
-    n = int(args.n)
+    n = _int_option("-n", args.n)
     if M is None and args.family != "R":
         raise PreconditionError(f"family {args.family} needs a monoid")
     presentation, target = FAMILIES[args.family]
@@ -174,7 +182,7 @@ def cmd_verify(args):
 
 def cmd_rank(args):
     M = resolve_monoid(args.monoid)
-    n = int(args.n)
+    n = _int_option("-n", args.n)
     result = {"monoid": M.name, "n": n, "mode": args.mode}
     verdict = True
     status = "ok"
@@ -213,8 +221,11 @@ def _parse_edges(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        i, j = chunk.split(":")
-        edges.append((int(i), int(j)))
+        i, _, j = chunk.partition(":")
+        try:
+            edges.append((int(i), int(j)))
+        except ValueError:
+            raise ValueError(f"--edges must be i:j pairs, got {chunk!r}") from None
     return edges
 
 
@@ -228,7 +239,7 @@ def _parse_elements(text):
 
 
 def cmd_gens(args):
-    n = int(args.n)
+    n = _int_option("-n", args.n)
     parameters = {"n": n, "edges": args.edges, "elements": args.elements, "confirm": args.confirm}
     result = {"n": n}
     if args.edges is not None:

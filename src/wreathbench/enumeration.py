@@ -17,6 +17,8 @@ from .monoids import EnumeratedSemigroup, units
 
 CLOSURE_LIMIT = 10**6
 SUBSET_BUDGET = 10**7
+# entries of the Cayley table the brute rank search builds: |S| <= 3162
+TABLE_LIMIT = 10**7
 
 
 def close(generators, multiply, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
@@ -121,19 +123,23 @@ def brute_rank(
 ):
     """Smallest generating subset of ``pool`` by increasing-size search, with
     subsets visited in lexicographic order of pool positions; returns
-    (k, witness_tuple) or None if no subset of the pool generates."""
-    pool = list(pool)
-    seen = set()
-    dedup = []
+    (k, witness_tuple) or None if no subset of the pool generates.
+
+    The candidates are closed over element positions through the target's
+    Cayley table, built once (|S|^2 products) before the first subset and
+    refused with a CapacityError when it would exceed TABLE_LIMIT entries."""
+    positions = []
     for x in pool:
         i = target.index.get(x)
         if i is None:
             raise ForeignElementError(f"{x!r} is not an element of the target")
-        if i not in seen:
-            seen.add(i)
-            dedup.append(x)
+        positions.append(i)
+    dedup = list(dict.fromkeys(positions))
+    if len(target) ** 2 > TABLE_LIMIT:
+        raise CapacityError("Cayley table limit exceeded", count=len(target) ** 2)
+    table = target.table
     if idempotents_only:
-        dedup = [x for x in dedup if target.multiply(x, x) == x]
+        dedup = [i for i in dedup if table[i][i] == i]
     searched = 0
     want = len(target)
     for k in range(1, len(dedup) + 1):
@@ -141,9 +147,9 @@ def brute_rank(
             searched += 1
             if searched > budget:
                 raise CapacityError("subset search budget exceeded", count=searched - 1)
-            sub = close(list(subset), target.multiply, limit=want)
+            sub = close(subset, lambda a, b: table[a][b], limit=want)
             if len(sub) == want:
-                return k, subset
+                return k, tuple(target.elements[i] for i in subset)
     return None
 
 

@@ -194,6 +194,20 @@ class TestRankCommand:
         assert report["error"] == "CapacityError"
         assert report["message"] == "closure limit exceeded (reached 3077120)"
 
+    def test_brute_refused_over_table_limit(self, capsys, monkeypatch):
+        # |Z2 wr Sing_4| = 3712 is within the element limit, but its Cayley
+        # table is not, so the search refuses before its first product
+        from wreathbench import wreath
+
+        def refuse(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(wreath, "wr_multiply", refuse)
+        code, report = run_json(capsys, "rank", "--monoid", "@Z2", "-n", "4", "--mode", "brute")
+        assert code == 2
+        assert report == {"error": "CapacityError",
+                          "message": "Cayley table limit exceeded (reached 13778944)"}
+
     def test_non_chain_formula_bounds_status(self, capsys):
         code, report = run_json(capsys, "rank", "--monoid", "@RZ1", "-n", "2", "--mode", "formula")
         assert code == 0
@@ -313,6 +327,28 @@ class TestReports:
     def test_unknown_fixture(self, capsys):
         code, report = run_json(capsys, "idempotents", "--monoid", "@NOPE", "-n", "2")
         assert code == 2
+
+
+class TestMalformedValues:
+    """A value argparse accepts but the command cannot parse is refused in
+    the error envelope, naming the option and quoting the text."""
+
+    @pytest.mark.parametrize(
+        "argv, option, text",
+        [
+            (["gens", "-n", "3", "--edges", "1-2"], "--edges", "'1-2'"),
+            (["gens", "-n", "3", "--edges", "1:2,2:3:1"], "--edges", "'2:3:1'"),
+            (["verify", "--family", "R", "-n", "x"], "-n", "'x'"),
+            (["rank", "--monoid", "@Z2", "-n", "2.0"], "-n", "'2.0'"),
+            (["idempotents", "--monoid", "@Z2", "-n", "2,y"], "-n", "'y'"),
+        ],
+    )
+    def test_names_option_and_text(self, capsys, argv, option, text):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["error"] == "ValueError"
+        assert report["message"].startswith(option + " ")
+        assert text in report["message"]
 
 
 class TestUsageErrors:

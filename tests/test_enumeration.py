@@ -11,11 +11,14 @@ from wreathbench import (
     diagonal_action_generated,
     eps_a,
     epsilon,
+    fixture,
     gen_family,
     generates,
     rank_formulas,
     tournament_check,
+    wreath_sing_target,
 )
+from wreathbench import wreath
 from wreathbench.errors import CapacityError, ForeignElementError, PreconditionError
 
 from conftest import rank_one_less_idempotents
@@ -23,6 +26,26 @@ from conftest import rank_one_less_idempotents
 
 def sing(n):
     return close(rank_one_less_idempotents(n), compose)
+
+
+def _brute_rank_by_values(target, pool, idempotents_only=False):
+    """Reference for ``brute_rank``: the same search, closing each candidate
+    subset over element values with the target's own product."""
+    seen = set()
+    dedup = []
+    for x in pool:
+        i = target.index[x]
+        if i not in seen:
+            seen.add(i)
+            dedup.append(x)
+    if idempotents_only:
+        dedup = [x for x in dedup if target.multiply(x, x) == x]
+    want = len(target)
+    for k in range(1, len(dedup) + 1):
+        for subset in itertools.combinations(dedup, k):
+            if len(close(list(subset), target.multiply, limit=want)) == want:
+                return k, subset
+    return None
 
 
 class TestClose:
@@ -161,8 +184,41 @@ class TestBruteRank:
 
     def test_budget(self):
         target = sing(3)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError) as exc:
             brute_rank(target, list(target.elements), budget=10)
+        assert exc.value.count == 10
+
+    def test_budget_kept_to_the_unit(self):
+        # Sing_2's two elements: (a), (b), then (a, b) generates
+        target = sing(2)
+        assert brute_rank(target, list(target.elements), budget=3)[0] == 2
+        with pytest.raises(CapacityError) as exc:
+            brute_rank(target, list(target.elements), budget=2)
+        assert exc.value.count == 2
+
+    @pytest.mark.parametrize("idempotents_only", [False, True])
+    @pytest.mark.parametrize("name", ["@Z2", "@B01", "@RZ1", "Sing_3"])
+    def test_positions_agree_with_values(self, name, idempotents_only):
+        target = sing(3) if name == "Sing_3" else wreath_sing_target(fixture(name), 2)
+        pool = list(target.elements)
+        assert brute_rank(target, pool, idempotents_only) == _brute_rank_by_values(
+            target, pool, idempotents_only
+        )
+
+    def test_products_bounded_by_table(self, RZ1, monkeypatch):
+        # the search multiplies values only to build the |S|^2 Cayley table
+        target = wreath_sing_target(RZ1, 2)
+        calls = []
+        multiply = wreath.wr_multiply
+
+        def counted(*args):
+            calls.append(None)
+            return multiply(*args)
+
+        monkeypatch.setattr(wreath, "wr_multiply", counted)
+        k, _ = brute_rank(target, list(target.elements))
+        assert k == 7
+        assert len(calls) <= len(target) ** 2
 
     def test_first_witness_deterministic(self):
         target = sing(3)
