@@ -96,6 +96,14 @@ def _int_option(option, text):
         raise ValueError(f"{option} must be an integer, got {text!r}") from None
 
 
+def _refuse_negative_budgets(args):
+    """A budget of 0 is kept (the run stops at once); a negative one is refused."""
+    for key in ("limit_nodes", "limit_elements", "limit_subsets"):
+        value = getattr(args, key, 0)
+        if value < 0:
+            raise ValueError(f"--{key.replace('_', '-')} must be at least 0, got {value}")
+
+
 def _parse_n_list(text):
     values = [_int_option("-n", x) for x in str(text).split(",") if x != ""]
     if not values:
@@ -321,6 +329,7 @@ def main(argv=None) -> int:
     """Run one command line: one report, or one error envelope on refusal."""
     try:
         args = build_parser().parse_args(argv)
+        _refuse_negative_budgets(args)
         started = time.monotonic()
         code, parameters, result, counters = args.func(args)
         _emit_report(args, parameters, result, counters, started)

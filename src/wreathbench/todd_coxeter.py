@@ -1,20 +1,32 @@
 """Todd-Coxeter style congruence enumeration for finite presentations.
 
 Nodes are tentative congruence classes of the free monoid on the alphabet,
-arranged as a right Cayley table ``node x letter -> node``.  Every relation
-is traced from every live node (filling missing edges as it goes) and the
-two endpoints are identified; identifications are processed eagerly to a
-fixpoint through a union-find over nodes, merging table rows as classes
-collapse.  The run is finished when a full sweep over all live nodes makes
-no new definition and no identification, at which point the live nodes are
-exactly the elements of the presented monoid.
+arranged as a right Cayley table ``node x letter -> node``.  Before the
+enumeration starts, both sides of every non-trivial relation are compiled
+into one prefix trie, stored as a flat list of ``(parent trie node, letter)``
+steps in creation order, so that words sharing a prefix share its steps;
+each relation becomes the pair of trie nodes its two sides end at, and
+duplicate pairs are dropped.
+
+Each sweep visits every live node once.  The node walks the trie steps in
+order, following the table (filling a missing edge with a new node as it
+goes) to find the node every trie node reaches.  An edge that points at a
+node merged away since it was written is resolved through the union-find
+and the representative is written back into that table slot.  After the
+walk, the two ends of every relation are identified; identifications are
+processed to a fixpoint, merging table rows as classes collapse, and the
+node's remaining edges are then defined.  The run is finished when a full
+sweep over all live nodes makes no new definition and no identification,
+at which point the live nodes are exactly the elements of the presented
+monoid.
 
 A semigroup presentation is enumerated as a monoid presentation whose root
 node (the empty word) can never coincide with a non-empty class, and the
 root is excluded from the final count.
 
 The certified class count is a property of the presentation alone, so it is
-independent of relation order and of the processing schedule.
+independent of relation order and of the processing schedule; the numbers
+of nodes allocated and of coincidences processed are not.
 """
 
 from __future__ import annotations
@@ -36,13 +48,37 @@ class TCResult:
     coincidences_processed: int
 
 
+def _compile(relations):
+    """The prefix trie of the relation sides, as ``(parent, letter)`` steps
+    (trie node ``k + 1`` is made by step ``k``; node 0 is the empty word),
+    and the distinct pairs of trie nodes where the two sides end.  Trivial
+    relations (u, u) impose nothing and are dropped."""
+    steps = []
+    made = {}
+
+    def insert(word):
+        t = 0
+        for c in word:
+            nxt = made.get((t, c))
+            if nxt is None:
+                steps.append((t, c))
+                nxt = made[(t, c)] = len(steps)
+            t = nxt
+        return t
+
+    ends = {}
+    for r in relations:
+        if r.lhs != r.rhs:
+            ends[(insert(r.lhs), insert(r.rhs))] = None
+    return steps, list(ends)
+
+
 def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
     """Enumerate the classes of ``p``.  The run stops with "bound_exceeded" at
     the allocation that takes the node count (the root included) past
     ``node_limit``."""
     na = len(p.letters)
-    # trivial relations (u, u) impose nothing; drop them up front
-    rels = [(r.lhs, r.rhs) for r in p.relations if r.lhs != r.rhs]
+    steps, ends = _compile(p.relations)
 
     parent = []
     tab = []
@@ -86,19 +122,6 @@ def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
                     elif find(vx) != find(vy):
                         pending.append((vx, vy))
 
-    def trace_fill(start, word):
-        """Follow ``word`` from ``start``, creating nodes for missing edges."""
-        cur = start
-        for c in word:
-            nxt = tab[cur * na + c]
-            if nxt == -1:
-                nxt = new_node()
-                tab[cur * na + c] = nxt
-                cur = nxt
-            else:
-                cur = find(nxt)
-        return cur
-
     try:
         new_node()  # the root: the empty word
         changed = True
@@ -106,25 +129,31 @@ def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
             changed = False
             i = 0
             while i < len(parent):
-                if parent[i] != i or find(i) != i:
+                if parent[i] != i:
                     i += 1
                     continue
                 before = len(parent)
-                for lhs, rhs in rels:
-                    a = trace_fill(i, lhs)
-                    b = trace_fill(i, rhs)
-                    if a != b:
-                        pending.append((a, b))
-                        process_pending()
-                        changed = True
-                    if find(i) != i:
-                        break
-                if find(i) == i:
+                # reached[k] is the node that trie node k leads to from i
+                reached = [i]
+                for t, c in steps:
+                    slot = reached[t] * na + c
+                    nxt = tab[slot]
+                    if nxt == -1:
+                        nxt = tab[slot] = new_node()
+                    elif parent[nxt] != nxt:
+                        nxt = tab[slot] = find(nxt)
+                    reached.append(nxt)
+                for a, b in ends:
+                    if reached[a] != reached[b]:
+                        pending.append((reached[a], reached[b]))
+                if pending:
+                    process_pending()
+                    changed = True
+                if parent[i] == i:
                     base = i * na
                     for c in range(na):
                         if tab[base + c] == -1:
                             tab[base + c] = new_node()
-                            changed = True
                 if len(parent) != before:
                     changed = True
                 i += 1

@@ -351,6 +351,34 @@ class TestMalformedValues:
         assert text in report["message"]
 
 
+class TestNegativeBudgets:
+    """A negative budget is refused naming the option, before any work; a
+    budget of 0 is a real budget."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify", "--family", "R", "-n", "3", "--limit-nodes", "-5"], "--limit-nodes"),
+            (["verify", "--family", "R", "-n", "3", "--limit-elements", "-1"], "--limit-elements"),
+            (["gens", "-n", "3", "--elements", "[[1,1,2]]", "--limit-elements", "-1"],
+             "--limit-elements"),
+            (["rank", "--monoid", "@Z2", "-n", "2", "--mode", "brute", "--limit-subsets", "-1"],
+             "--limit-subsets"),
+        ],
+    )
+    def test_refused(self, capsys, argv, option):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report == {"error": "ValueError",
+                          "message": f"{option} must be at least 0, got {argv[-1]}"}
+
+    def test_zero_node_limit_is_a_run(self, capsys):
+        code, report = run_json(capsys, "verify", "--family", "R", "-n", "3", "--limit-nodes", "0")
+        assert code == 1
+        assert report["result"]["verdict"]["status"] == "inconclusive"
+        assert report["counters"]["nodes_allocated"] == 1
+
+
 class TestUsageErrors:
     """A command line that argparse refuses gets the error envelope too."""
 
