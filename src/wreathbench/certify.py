@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 from .enumeration import CLOSURE_LIMIT, close
 from .errors import CapacityError
+from .green import idempotent_generated_part
 from .monoids import EnumeratedSemigroup
 from .presentations import EvaluationMap, Presentation, soundness
 from .todd_coxeter import NODE_LIMIT, TCResult, todd_coxeter
 from .transformations import compose, enumerate_Tn, part_size
-from .wreath import WreathContext, is_wr_idempotent
+from .wreath import WreathContext
 
 
 @dataclass
@@ -103,11 +104,9 @@ def _check_size(size: int, limit: int) -> None:
 
 
 def e_wreath_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
-    """The idempotent-generated part of M wr T_n: the closure of the full
-    idempotent set, which contains the identity.  Refused with a
-    CapacityError when all of M wr T_n, which is enumerated to find the
-    idempotents, exceeds ``limit``."""
+    """The idempotent-generated part of M wr T_n, which contains the
+    identity.  Refused with a CapacityError when all of M wr T_n, which is
+    enumerated to find the idempotents, exceeds ``limit``."""
     ctx = WreathContext(M, n, "full")
     _check_size(M.order**n * part_size(n, "full"), limit)
-    idem = [x for x in ctx.elements() if is_wr_idempotent(ctx, x)]
-    return close(idem, ctx.multiply, limit=limit)
+    return idempotent_generated_part(EnumeratedSemigroup(ctx.elements(), ctx.multiply))

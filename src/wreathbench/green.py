@@ -1,9 +1,7 @@
-"""Green's preorders and relations on a finite semigroup.
-
-Works on any ``EnumeratedSemigroup``, through its Cayley table of positions
-and its identity.  Preorders are computed from principal ideals over S^1,
-where an identity is adjoined only when the semigroup has no two-sided
-identity element.
+"""Green's preorders and relations, and the idempotent-generated part, of
+any ``EnumeratedSemigroup``.  Preorders are computed from principal ideals
+over S^1, where an identity is adjoined only when the semigroup has no
+two-sided identity element.
 """
 
 from __future__ import annotations
@@ -26,22 +24,10 @@ class GreenData:
     classes_J: tuple[tuple[int, ...], ...]
 
 
-def _classes_from(n, related) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * n
-    classes = []
-    for a in range(n):
-        if seen[a]:
-            continue
-        cls = [b for b in range(n) if related(a, b)]
-        for b in cls:
-            seen[b] = True
-        classes.append(tuple(sorted(cls)))
-    return tuple(classes)
-
-
 def green(S) -> GreenData:
-    """Preorders via principal-ideal membership; D as the composite of R and L
-    (which equals their join)."""
+    """Preorders via principal-ideal membership; classes group the elements
+    with equal right (R), left (L), two-sided (J), or right and left (H)
+    ideals, listed by least element; D = J, as in every finite semigroup."""
     prod = S.table
     n = len(prod)
     has_one = S.identity is not None
@@ -55,35 +41,36 @@ def green(S) -> GreenData:
         if not has_one:
             ra.add(a)
             la.add(a)
-        right.append(ra)
-        left.append(la)
+        right.append(frozenset(ra))
+        left.append(frozenset(la))
     two = []
     for a in range(n):
         ja = set()
         for b in right[a]:
             ja |= left[b]
         ja |= right[a] | left[a]
-        two.append(ja)
+        two.append(frozenset(ja))
 
     leq_R = tuple(tuple(a in right[b] for b in range(n)) for a in range(n))
     leq_L = tuple(tuple(a in left[b] for b in range(n)) for a in range(n))
     leq_J = tuple(tuple(a in two[b] for b in range(n)) for a in range(n))
 
-    rel_r = lambda a, b: leq_R[a][b] and leq_R[b][a]
-    rel_l = lambda a, b: leq_L[a][b] and leq_L[b][a]
-    rel_j = lambda a, b: leq_J[a][b] and leq_J[b][a]
-    rel_h = lambda a, b: rel_r(a, b) and rel_l(a, b)
-    rel_d = lambda a, b: any(rel_r(a, c) and rel_l(c, b) for c in range(n))
+    def classes(ideals):
+        by_ideal = {}
+        for a, ideal in enumerate(ideals):
+            by_ideal.setdefault(ideal, []).append(a)
+        return tuple(tuple(cls) for cls in by_ideal.values())
 
+    classes_J = classes(two)
     return GreenData(
         leq_L=leq_L,
         leq_R=leq_R,
         leq_J=leq_J,
-        classes_L=_classes_from(n, rel_l),
-        classes_R=_classes_from(n, rel_r),
-        classes_H=_classes_from(n, rel_h),
-        classes_D=_classes_from(n, rel_d),
-        classes_J=_classes_from(n, rel_j),
+        classes_L=classes(left),
+        classes_R=classes(right),
+        classes_H=classes(zip(right, left)),
+        classes_D=classes_J,
+        classes_J=classes_J,
     )
 
 
@@ -129,16 +116,17 @@ def l_chain_element_order(M: EnumeratedSemigroup) -> list[int]:
     return out
 
 
-def idempotent_generated_part(M: EnumeratedSemigroup):
-    """The subsemigroup generated by all idempotents of M (always contains 1)."""
+def idempotent_generated_part(S: EnumeratedSemigroup) -> EnumeratedSemigroup:
+    """<E(S)>, the closure of the idempotents of S over element values, with
+    |S| as its limit; it contains the identity only when S is a monoid."""
     from .enumeration import close
 
-    gens = M.idempotents()
-    return close(gens, M.multiply)
+    return close([S.elements[i] for i in S.idempotents()], S.multiply, limit=len(S))
 
 
-def e_part_indices(M: EnumeratedSemigroup) -> frozenset[int]:
-    return frozenset(idempotent_generated_part(M).elements)
+def e_part_indices(S: EnumeratedSemigroup) -> frozenset[int]:
+    """The positions in S of the elements of <E(S)>."""
+    return frozenset(S.index[x] for x in idempotent_generated_part(S).elements)
 
 
 def has_unit_complement_E(M: EnumeratedSemigroup) -> tuple[bool, int | None]:

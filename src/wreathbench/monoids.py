@@ -91,25 +91,35 @@ def cayley_monoid(labels, identity, table, name="") -> EnumeratedSemigroup:
 def validate_monoid(labels, identity, table, name="") -> EnumeratedSemigroup:
     """Check a raw table and wrap it.  Errors cite the first offending datum:
     the violating triple (i,j,k) for associativity, the violating element for
-    the identity law."""
+    the identity law.  Lists may be tuples; a bool is not an index."""
+    if not isinstance(name, str):
+        raise MonoidValidationError(f"name must be a string, got {name!r}")
+    if not isinstance(labels, (list, tuple)):
+        raise MonoidValidationError(f"elements must be a list of labels, got {labels!r}")
     labels = tuple(str(x) for x in labels)
     m = len(labels)
     if m == 0:
         raise MonoidValidationError("empty element list")
     if len(set(labels)) != m:
         raise MonoidValidationError("element labels are not distinct")
-    if not isinstance(identity, int) or not 0 <= identity < m:
-        raise MonoidValidationError(f"identity index {identity!r} out of range 0..{m - 1}")
+    if type(identity) is not int or not 0 <= identity < m:
+        raise MonoidValidationError(f"identity must be an index in 0..{m - 1}, got {identity!r}")
+    if not isinstance(table, (list, tuple)):
+        raise MonoidValidationError(f"table must be a list of rows, got {table!r}")
     if len(table) != m:
         raise MonoidValidationError(f"table has {len(table)} rows, expected {m}")
     rows = []
     for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise MonoidValidationError(f"table row {i} must be a list, got {row!r}", witness=i)
         row = tuple(row)
         if len(row) != m:
             raise MonoidValidationError(f"row {i} has {len(row)} entries, expected {m}", witness=i)
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < m:
-                raise MonoidValidationError(f"table[{i}][{j}] = {v!r} out of range", witness=(i, j))
+            if type(v) is not int or not 0 <= v < m:
+                raise MonoidValidationError(
+                    f"table[{i}][{j}] must be an index in 0..{m - 1}, got {v!r}", witness=(i, j)
+                )
         rows.append(row)
     tab = tuple(rows)
     e = identity
@@ -199,10 +209,6 @@ def submonoid(M: EnumeratedSemigroup, indices, name="") -> tuple[EnumeratedSemig
         tuple(M.labels[m] for m in carrier), pos[M.identity], tuple(table), name or M.name
     )
     return sub, carrier
-
-
-def units_submonoid(M: EnumeratedSemigroup) -> tuple[EnumeratedSemigroup, list[int]]:
-    return submonoid(M, units(M), name=f"U({M.name})" if M.name else "")
 
 
 def power_monoid(M: EnumeratedSemigroup, n: int) -> EnumeratedSemigroup:

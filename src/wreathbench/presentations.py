@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .enumeration import close
 from .errors import CapacityError, PreconditionError
 from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain, l_chain_element_order
-from .monoids import EnumeratedSemigroup, inverse_of, is_group, submonoid, units, units_submonoid
+from .monoids import EnumeratedSemigroup, inverse_of, is_group, submonoid, units
 from .todd_coxeter import todd_coxeter
 from .transformations import compose, epsilon, identity, index_pairs
 from .wreath import WreathContext, eps_a, eps_ab, eps_elem
@@ -610,9 +610,8 @@ def emit_E_wreath_monoid(
     if any(m == M.identity for m in base_images):
         raise PreconditionError("a base letter maps to the identity")
 
-    unit_set = set(units(M))
-    e_indices = sorted({M.identity} | (set(range(M.order)) - unit_set))
-    E_mon, carrier = submonoid(M, e_indices, name="E")
+    G_mon, unit_list = submonoid(M, units(M))
+    E_mon, carrier = submonoid(M, {M.identity} | (set(range(M.order)) - set(unit_list)), name="E")
     pos_in_E = {m: k for k, m in enumerate(carrier)}
     for m in base_images:
         if m not in pos_in_E:
@@ -640,9 +639,6 @@ def emit_E_wreath_monoid(
     if len(h_word) != E_mon.order:
         raise PreconditionError("base letter images do not generate <E(M)>")
 
-    G_mon, g_carrier = units_submonoid(M)
-    unit_list = list(g_carrier)
-
     letters = []
     index = {}
     for coord in range(1, n + 1):
@@ -654,6 +650,7 @@ def emit_E_wreath_monoid(
                     (("y", lt.name), ("m", base_images[y]), ("coord", coord)),
                 )
             )
+    # the unit letters in emit_R1p(G_mon, n)'s order: pair-major, then units
     for i, j in index_pairs(n):
         for a in unit_list:
             index[("e", i, j, a)] = len(letters)
@@ -686,20 +683,9 @@ def emit_E_wreath_monoid(
                         "RC",
                     )
                 )
-    if len(unit_list) > 0:
-        group_pres = emit_R1p(G_mon, n)
-        remap = {}
-        for k, lt in enumerate(group_pres.letters):
-            d = dict(lt.params)
-            remap[k] = index[("e", d["i"], d["j"], g_carrier[d["a"]])]
-        for rel in group_pres.relations:
-            add(
-                Relation(
-                    tuple(remap[l] for l in rel.lhs),
-                    tuple(remap[l] for l in rel.rhs),
-                    rel.tag,
-                )
-            )
+    shift = n * nb  # the per-coordinate letters come first
+    for lhs, rhs, tag in emit_R1p(G_mon, n).relations:
+        add(Relation(tuple(l + shift for l in lhs), tuple(l + shift for l in rhs), tag))
     one = M.identity
     mul = M.multiply
     for y in range(nb):

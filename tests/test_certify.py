@@ -11,6 +11,7 @@ from wreathbench import (
     epsilon,
     fixture,
     gen_family,
+    is_wr_idempotent,
     sing_target,
     standard_map,
     verify,
@@ -168,6 +169,17 @@ class TestTargets:
         ctx = WreathContext(M, n, "singular")
         closed = close(gen_family(ctx, "Xn"), ctx.multiply)
         assert set(wreath_sing_target(M, n).elements) == set(closed.elements)
+
+    @pytest.mark.parametrize(
+        "name, n", [(f"@{k}", 2) for k in sorted(FIXTURES)] + [("@Z2", 3), ("@B01", 3)]
+    )
+    def test_e_wreath_target_is_closure_of_filtered_idempotents(self, name, n):
+        # reference: filter the idempotents of M wr T_n by their closed-form
+        # test, then close them; same elements in the same order
+        M = fixture(name)
+        ctx = WreathContext(M, n, "full")
+        idem = [x for x in ctx.elements() if is_wr_idempotent(ctx, x)]
+        assert e_wreath_target(M, n).elements == close(idem, ctx.multiply).elements
 
     def test_targets_do_no_products(self, Z2, monkeypatch):
         calls = []

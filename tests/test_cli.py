@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -324,6 +327,29 @@ class TestReports:
         assert code == 2
         assert report["error"] == "MonoidValidationError"
 
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"elements": 5, "identity": 0, "table": [[0]]}, "elements"),
+            ({"elements": "1g", "identity": 0, "table": [[0, 1], [1, 0]]}, "elements"),
+            ({"elements": ["1", "g"], "identity": 0, "table": 5}, "table"),
+            ({"elements": ["1", "g"], "identity": 0, "table": [[0, 1], 5]}, "table"),
+            ({"elements": ["1", "g"], "identity": 0, "table": [[0, 1], [1, True]]}, "table"),
+            ({"elements": ["1", "g"], "identity": True, "table": [[0, 1], [1, 0]]}, "identity"),
+            ({"name": 7, "elements": ["1", "g"], "identity": 0, "table": [[0, 1], [1, 0]]},
+             "name"),
+        ],
+    )
+    def test_malformed_monoid_file(self, capsys, tmp_path, body, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        code, out = run(capsys, "idempotents", "--monoid", str(path), "-n", "2")
+        assert code == 2
+        assert len(out.splitlines()) == 1
+        report = json.loads(out)
+        assert report["error"] == "MonoidValidationError"
+        assert report["message"].startswith(key)
+
     def test_unknown_fixture(self, capsys):
         code, report = run_json(capsys, "idempotents", "--monoid", "@NOPE", "-n", "2")
         assert code == 2
@@ -428,3 +454,44 @@ def test_readme_example_runs(capsys, tmp_path, monkeypatch, argv):
     report = json.loads(out)
     assert report["command"] == argv[0]
     assert "result" in report
+
+
+def test_readme_library_block_runs():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "verify(" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
+HASH_SEED_COMMANDS = [
+    ["verify", "--family", "Emonoid", "--monoid", "@T2", "-n", "2"],
+    ["verify", "--family", "R1", "--monoid", "@RZ1", "-n", "2"],
+    ["rank", "--monoid", "@B01", "-n", "2", "--mode", "both"],
+    ["idempotents", "--monoid", "@RZ1", "-n", "2,3", "--check", "--list"],
+    ["gens", "-n", "3", "--edges", "1:2,2:3,3:1", "--confirm"],
+]
+
+
+def _reports_under_hash_seed(seed):
+    """Each command's output lines, without the wall-time line, from one
+    interpreter started with PYTHONHASHSEED=seed."""
+    script = (
+        "import json, sys\n"
+        "from wreathbench.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    main(argv)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(HASH_SEED_COMMANDS)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return [line for line in out.splitlines() if '"wall_time_s"' not in line]
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    first = _reports_under_hash_seed(1)
+    assert sum(line.startswith('{"error": "PreconditionError"') for line in first) == 1
+    assert first == _reports_under_hash_seed(2)

@@ -1,14 +1,106 @@
 import itertools
+from dataclasses import fields
 
 from wreathbench import close, compose, enumerate_Tn, full_transformation_monoid, green, idempotent_generated_part, is_L_chain
-from wreathbench.green import has_unit_complement_E, incomparable_L_witness
+from wreathbench import GreenData, cayley_monoid, fixture, sing_target, wreath_sing_target
+from wreathbench.green import e_part_indices, has_unit_complement_E, incomparable_L_witness
+from wreathbench.monoids import FIXTURES
 
-from conftest import rank_one_less_idempotents
+from conftest import monoid_census, rank_one_less_idempotents
 
 
 def kernel_pairs(x):
     """The pairs (i, j) that x maps to the same point."""
     return {(i, j) for i, a in enumerate(x.images) for j, b in enumerate(x.images) if a == b}
+
+
+def _classes_by_relation(n, related):
+    """Classes collected by pairwise relation tests, each from its least
+    unseen element."""
+    seen = [False] * n
+    classes = []
+    for a in range(n):
+        if seen[a]:
+            continue
+        cls = [b for b in range(n) if related(a, b)]
+        for b in cls:
+            seen[b] = True
+        classes.append(tuple(sorted(cls)))
+    return tuple(classes)
+
+
+def _green_by_relations(S):
+    """Reference: the same preorders, with every class found by pairwise
+    tests of its relation and D built as the composite of R and L."""
+    prod = S.table
+    n = len(prod)
+    has_one = S.identity is not None
+    right, left = [], []
+    for a in range(n):
+        ra = set(prod[a])
+        la = set(prod[x][a] for x in range(n))
+        if not has_one:
+            ra.add(a)
+            la.add(a)
+        right.append(ra)
+        left.append(la)
+    two = []
+    for a in range(n):
+        ja = set()
+        for b in right[a]:
+            ja |= left[b]
+        two.append(ja | right[a] | left[a])
+    leq_R = tuple(tuple(a in right[b] for b in range(n)) for a in range(n))
+    leq_L = tuple(tuple(a in left[b] for b in range(n)) for a in range(n))
+    leq_J = tuple(tuple(a in two[b] for b in range(n)) for a in range(n))
+    rel_r = lambda a, b: leq_R[a][b] and leq_R[b][a]
+    rel_l = lambda a, b: leq_L[a][b] and leq_L[b][a]
+    rel_j = lambda a, b: leq_J[a][b] and leq_J[b][a]
+    return GreenData(
+        leq_L=leq_L,
+        leq_R=leq_R,
+        leq_J=leq_J,
+        classes_L=_classes_by_relation(n, rel_l),
+        classes_R=_classes_by_relation(n, rel_r),
+        classes_H=_classes_by_relation(n, lambda a, b: rel_r(a, b) and rel_l(a, b)),
+        classes_D=_classes_by_relation(
+            n, lambda a, b: any(rel_r(a, c) and rel_l(c, b) for c in range(n))
+        ),
+        classes_J=_classes_by_relation(n, rel_j),
+    )
+
+
+def _d_classes_by_composite(g):
+    """The D-classes as the composite of R and L: a D b iff a R c L b for
+    some c."""
+    n = len(g.leq_R)
+    rel_r = lambda a, b: g.leq_R[a][b] and g.leq_R[b][a]
+    rel_l = lambda a, b: g.leq_L[a][b] and g.leq_L[b][a]
+    return sorted(
+        {
+            tuple(b for b in range(n) if any(rel_r(a, c) and rel_l(c, b) for c in range(n)))
+            for a in range(n)
+        }
+    )
+
+
+def _reference_semigroups():
+    """Census monoids of order <=4, the fixtures, T3, wreath targets, Sing_3
+    and Sing_4: monoids and semigroups without an identity."""
+    out = [cayley_monoid([f"m{i}" for i in range(len(t))], 0, t) for t in monoid_census(4)]
+    out += [fixture(f"@{k}") for k in sorted(FIXTURES)]
+    out.append(full_transformation_monoid(3))
+    out += [wreath_sing_target(fixture(k), 2) for k in ("@Z2", "@B01", "@T2", "@RZ1")]
+    out += [wreath_sing_target(fixture("@Z2"), 3), sing_target(3), sing_target(4)]
+    return out
+
+
+class TestAgainstReference:
+    def test_same_green_data(self):
+        for S in _reference_semigroups():
+            got, want = green(S), _green_by_relations(S)
+            for f in fields(GreenData):
+                assert getattr(got, f.name) == getattr(want, f.name), (S, f.name)
 
 
 class TestPreorders:
@@ -54,7 +146,7 @@ class TestPreorders:
         sing3 = close(rank_one_less_idempotents(3), compose)
         carriers.append(green(sing3))
         for g in carriers:
-            assert sorted(g.classes_D) == sorted(g.classes_J)
+            assert sorted(g.classes_D) == _d_classes_by_composite(g)
 
     def test_enumerated_semigroup_without_identity(self):
         sing2 = close(rank_one_less_idempotents(2), compose)
@@ -95,6 +187,12 @@ class TestIdempotentPart:
 
     def test_b01_everything(self, B01):
         assert sorted(idempotent_generated_part(B01).elements) == [0, 1]
+
+    def test_semigroups_of_values(self):
+        # closed over element values, not positions; no identity is added
+        for S, size in ((wreath_sing_target(fixture("@Z2"), 2), 8), (sing_target(3), 21)):
+            assert len(idempotent_generated_part(S)) == size
+            assert e_part_indices(S) == frozenset(range(size))
 
     def test_unit_complement_condition(self, Z2, B01, RZ1, T2, N3):
         for M, expected in ((Z2, True), (B01, True), (RZ1, True), (T2, True), (N3, False)):
