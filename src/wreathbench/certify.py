@@ -80,33 +80,42 @@ def verify(p: Presentation, emap: EvaluationMap, target, node_limit: int = NODE_
 # ---------------------------------------------------------------------------
 # standard verification targets
 
+def target_size(M, n: int, part: str = "singular") -> int:
+    """The closed-form size a standard target checks against its limit before
+    it enumerates anything: |Sing_n| when M is None, else |M wr Sing_n|, or
+    |M wr T_n| for the part "full" that the Emonoid target is drawn from."""
+    if M is None:
+        if n < 2:
+            raise ValueError("the singular part is empty below degree 2")
+        return part_size(n, "singular")
+    return WreathContext(M, n, part).size()
+
+
+def check_size(size: int, limit: int) -> None:
+    # the same refusal close() gives when handed the whole element list
+    if size > limit:
+        raise CapacityError("closure limit exceeded", count=size)
+
+
 def sing_target(n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
     """The singular part of T_n, enumerated directly; refused with a
     CapacityError when its closed-form size exceeds ``limit``."""
-    if n < 2:
-        raise ValueError("the singular part is empty below degree 2")
-    _check_size(part_size(n, "singular"), limit)
+    check_size(target_size(None, n), limit)
     return EnumeratedSemigroup(enumerate_Tn(n, "singular"), compose)
 
 
 def wreath_sing_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
     """All of M wr Sing_n, enumerated directly (not via any generating set);
     refused with a CapacityError when its closed-form size exceeds ``limit``."""
+    check_size(target_size(M, n), limit)
     ctx = WreathContext(M, n, "singular")
-    _check_size(M.order**n * part_size(n, "singular"), limit)
     return EnumeratedSemigroup(ctx.elements(), ctx.multiply)
-
-
-def _check_size(size: int, limit: int) -> None:
-    # the same refusal close() gives when handed the whole element list
-    if size > limit:
-        raise CapacityError("closure limit exceeded", count=size)
 
 
 def e_wreath_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
     """The idempotent-generated part of M wr T_n, which contains the
     identity.  Refused with a CapacityError when all of M wr T_n, which is
     enumerated to find the idempotents, exceeds ``limit``."""
+    check_size(target_size(M, n, "full"), limit)
     ctx = WreathContext(M, n, "full")
-    _check_size(M.order**n * part_size(n, "full"), limit)
     return idempotent_generated_part(EnumeratedSemigroup(ctx.elements(), ctx.multiply))

@@ -16,7 +16,9 @@ import json
 import sys
 import time
 
-from .certify import e_wreath_target, sing_target, verify, wreath_sing_target
+from .certify import (
+    check_size, e_wreath_target, sing_target, target_size, verify, wreath_sing_target,
+)
 from .enumeration import (
     CLOSURE_LIMIT,
     SUBSET_BUDGET,
@@ -148,16 +150,20 @@ def _emonoid(M, n):
     return emit_E_wreath_monoid(M, n, base, [carrier[m] for m in base_gens])
 
 
-# family -> (presentation of M and n, target of M, n and the element limit);
-# only R takes no monoid.  Each entry looks its functions up by module name
-# when called, so that a rebound module attribute (a tracer's wrapper) runs.
+# family -> (presentation of M and n, closed-form size of the target of M and
+# n, target of M, n and the element limit); only R takes no monoid.  Each
+# entry looks its functions up by module name when called, so that a rebound
+# module attribute (a tracer's wrapper) runs.
+_WREATH_SING = (target_size, lambda M, n, limit: wreath_sing_target(M, n, limit))
 FAMILIES = {
-    "R": (lambda M, n: emit_R(n), lambda M, n, limit: sing_target(n, limit)),
-    "Rn": (lambda M, n: emit_Rn(M, n), lambda M, n, limit: wreath_sing_target(M, n, limit)),
-    "R2": (lambda M, n: emit_R2(M, n), lambda M, n, limit: wreath_sing_target(M, n, limit)),
-    "R1": (lambda M, n: emit_R1(M, n), lambda M, n, limit: wreath_sing_target(M, n, limit)),
-    "R1p": (lambda M, n: emit_R1p(M, n), lambda M, n, limit: wreath_sing_target(M, n, limit)),
-    "Emonoid": (_emonoid, lambda M, n, limit: e_wreath_target(M, n, limit)),
+    "R": (lambda M, n: emit_R(n), lambda M, n: target_size(None, n),
+          lambda M, n, limit: sing_target(n, limit)),
+    "Rn": (lambda M, n: emit_Rn(M, n), *_WREATH_SING),
+    "R2": (lambda M, n: emit_R2(M, n), *_WREATH_SING),
+    "R1": (lambda M, n: emit_R1(M, n), *_WREATH_SING),
+    "R1p": (lambda M, n: emit_R1p(M, n), *_WREATH_SING),
+    "Emonoid": (_emonoid, lambda M, n: target_size(M, n, "full"),
+                lambda M, n, limit: e_wreath_target(M, n, limit)),
 }
 
 
@@ -166,7 +172,11 @@ def cmd_verify(args):
     n = _int_option("-n", args.n)
     if M is None and args.family != "R":
         raise PreconditionError(f"family {args.family} needs a monoid")
-    presentation, target = FAMILIES[args.family]
+    presentation, size, target = FAMILIES[args.family]
+    if n < 2:  # the emitters' own refusal, ahead of the size check that needs a part
+        raise ValueError("n must be at least 2")
+    # the target's own size check, ahead of the emitter: R emits Theta(n^4) relations
+    check_size(size(M, n), args.limit_elements)
     p = presentation(M, n)
     emap = standard_map(p, M)
     v = verify(p, emap, target(M, n, args.limit_elements), node_limit=args.limit_nodes)

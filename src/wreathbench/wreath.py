@@ -12,6 +12,7 @@ their context; every operation here takes the context explicitly.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -22,7 +23,12 @@ from .transformations import (
     Transformation, compose, enumerate_Tn, epsilon, identity, index_pairs, part_size,
 )
 
+# Brute force decides every element of the part, one table lookup per
+# coordinate, so this bounds its time; --list builds only the idempotents.
 BRUTE_ELEMENT_BOUND = 10**6
+# The formula's work grows about as n^3; at this degree the slowest fixture
+# takes about a second (2-core x86 VM, Python 3.11).
+MAX_FORMULA_DEGREE = 600
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,10 @@ class WreathContext:
     def identity_element(self) -> WreathElement:
         one = self.base.identity
         return WreathElement((one,) * self.degree, identity(self.degree))
+
+    def size(self) -> int:
+        """|M|^n times the size of the part of T_n, without enumerating."""
+        return self.base.order**self.degree * part_size(self.degree, self.part)
 
     def elements(self) -> list[WreathElement]:
         """Every element of M wr S: transformation-major, tuple odometer minor."""
@@ -171,35 +181,62 @@ def count_idempotents(ctx: WreathContext, method: str = "formula") -> int:
 def _count_formula(ctx: WreathContext) -> int:
     """Sum over image sizes k of C(n,k) * sum over idempotent tuples
     (e_1..e_k) of (|Me_1| + ... + |Me_k|)^(n-k); the singular count subtracts
-    the k = n term |E(M)|^n."""
+    the k = n term |E(M)|^n.  The tuples are counted by their sum t, which is
+    the coefficient of x^t in P(x)^k for P(x) = sum over e of x^|Me|, so the
+    work is polynomial in n.  Degrees above MAX_FORMULA_DEGREE are refused
+    before any term is computed."""
     M = ctx.base
     n = ctx.degree
+    if n > MAX_FORMULA_DEGREE:
+        raise CapacityError(f"degree {n} outside the formula's range 1..{MAX_FORMULA_DEGREE}")
     idem = M.idempotents()
-    ideal_size = {e: len({row[e] for row in M.table}) for e in idem}
+    sizes = Counter(len({row[e] for row in M.table}) for e in idem)  # |Me| -> how many e
+    power = [1]  # coefficients of P(x)^k
     total = 0
     for k in range(1, n + 1):
-        inner = 0
-        for es in itertools.product(idem, repeat=k):
-            inner += sum(ideal_size[e] for e in es) ** (n - k)
-        total += comb(n, k) * inner
+        nxt = [0] * (len(power) + max(sizes))
+        for t, c in enumerate(power):
+            if c:
+                for size, count in sizes.items():
+                    nxt[t + size] += c * count
+        power = nxt
+        total += comb(n, k) * sum(c * t ** (n - k) for t, c in enumerate(power) if c)
     if ctx.part == "singular":
         total -= len(idem) ** n
     return total
 
 
 def _count_brute(ctx: WreathContext) -> int:
-    return len(idempotent_elements(ctx))
+    return sum(1 for _ in _idempotent_pairs(ctx))
 
 
 def idempotent_elements(ctx: WreathContext) -> list[WreathElement]:
-    """The idempotents in element order, filtered from every element; refused
-    with a CapacityError when there are more than BRUTE_ELEMENT_BOUND
-    elements."""
-    # size the part before enumerating any of T_n
-    total = ctx.base.order**ctx.degree * part_size(ctx.degree, ctx.part)
-    if total > BRUTE_ELEMENT_BOUND:
-        raise CapacityError("brute idempotent count too large", count=total)
-    return [x for x in ctx.elements() if is_wr_idempotent(ctx, x)]
+    """The idempotents in element order, built from the pairs that
+    ``_idempotent_pairs`` decides."""
+    return [WreathElement(tup, t) for tup, t in _idempotent_pairs(ctx)]
+
+
+def _idempotent_pairs(ctx: WreathContext):
+    """Yield (tuple, transformation) for every idempotent of the part, in
+    element order, deciding every element without building it: each
+    transformation is tested once, and each tuple over an idempotent
+    transformation s by a_k a_{ks} = a_k in every coordinate.  Refused with a
+    CapacityError when the part has more than BRUTE_ELEMENT_BOUND elements."""
+    size = ctx.size()  # sized before enumerating any of T_n
+    if size > BRUTE_ELEMENT_BOUND:
+        raise CapacityError("brute idempotent count too large", count=size)
+    table = ctx.base.table
+    tuples = list(itertools.product(range(ctx.base.order), repeat=ctx.degree))
+    for t in enumerate_Tn(ctx.degree, ctx.part):
+        if not t.is_idempotent():
+            continue
+        images = [v - 1 for v in t.images]
+        for tup in tuples:
+            for a, j in zip(tup, images):
+                if table[a][tup[j]] != a:
+                    break
+            else:
+                yield tup, t
 
 
 def sigma_membership(ctx: WreathContext, x: WreathElement) -> bool:

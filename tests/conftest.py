@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -92,8 +93,10 @@ def canonical_table(table, m):
     return best
 
 
+@lru_cache(maxsize=None)
 def monoid_census(max_order):
-    """One representative table per isomorphism class, orders 1..max_order."""
+    """One representative table per isomorphism class, orders 1..max_order;
+    computed once per order, as a tuple."""
     reps = []
     for m in range(1, max_order + 1):
         seen = set()
@@ -102,4 +105,4 @@ def monoid_census(max_order):
             if c not in seen:
                 seen.add(c)
                 reps.append(c)
-    return reps
+    return tuple(reps)

@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,25 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def _subprocess_env(**extra):
+    """The environment with ``extra`` set and this checkout's src/ first on
+    PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_json_subprocess(*argv, timeout):
+    """One command line in its own interpreter, stopped after ``timeout``
+    seconds: a count that hangs fails the test instead of the run."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "wreathbench.cli", *argv],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=timeout,
+    )
+    return proc.returncode, json.loads(proc.stdout)
 
 
 class TestVerifyCommand:
@@ -82,6 +102,45 @@ class TestVerifyCommand:
         assert report["error"] == "CapacityError"
         assert report["message"] == "closure limit exceeded (reached 3200000)"
 
+    def test_r_refused_before_emitting(self, capsys, monkeypatch):
+        # |Sing_24| is over the default limit; emit_R would first write
+        # 559,728 relations
+        from wreathbench import cli
+
+        def refuse(n):
+            raise AssertionError("presentation emitted")
+
+        monkeypatch.setattr(cli, "emit_R", refuse)
+        code, report = run_json(capsys, "verify", "--family", "R", "-n", "24")
+        assert code == 2
+        assert report["error"] == "CapacityError"
+        assert report["message"] == f"closure limit exceeded (reached {24**24 - factorial(24)})"
+
+    def test_emonoid_precondition_before_enumerating(self, capsys, monkeypatch):
+        # |N3 wr T_4| is within the limit, so the emitter's precondition
+        # refuses, and the target is never built
+        from wreathbench.wreath import WreathContext
+
+        def refuse(self):
+            raise AssertionError("target enumerated")
+
+        monkeypatch.setattr(WreathContext, "elements", refuse)
+        code, report = run_json(
+            capsys, "verify", "--family", "Emonoid", "--monoid", "@N3", "-n", "4"
+        )
+        assert code == 2
+        assert report["error"] == "PreconditionError"
+
+    @pytest.mark.parametrize("family", ["R", "R2", "Emonoid"])
+    @pytest.mark.parametrize("degree", ["1", "0"])
+    def test_degree_below_two_refused(self, capsys, family, degree):
+        # the emitters' message, ahead of the target's size check
+        code, report = run_json(
+            capsys, "verify", "--family", family, "--monoid", "@Z2", "-n", degree
+        )
+        assert code == 2
+        assert report == {"error": "ValueError", "message": "n must be at least 2"}
+
     def test_budget_exhaustion_is_negative(self, capsys):
         code, report = run_json(
             capsys, "verify", "--family", "R", "-n", "3", "--limit-nodes", "10"
@@ -140,6 +199,43 @@ class TestIdempotentsCommand:
         assert code == 2
         assert report["error"] == "CapacityError"
         assert report["message"] == f"brute idempotent count too large (reached {4**9 * 9**9})"
+
+    @pytest.mark.parametrize("part", ["full", "singular"])
+    def test_group_at_degree_100(self, part):
+        # for a group G the formula is sum_k C(n,k) (k|G|)^(n-k), less
+        # |E(G)|^n = 1 for the singular part
+        code, report = run_json_subprocess(
+            "idempotents", "--monoid", "@Z3", "-n", "100", "--part", part, timeout=30
+        )
+        assert code == 0
+        expected = sum(comb(100, k) * (3 * k) ** (100 - k) for k in range(1, 101))
+        assert report["result"]["rows"][0]["formula"] == expected - (part == "singular")
+
+    def test_t2_at_degree_100(self):
+        # the value of bench/expected.py's idempotent_count_poly for the @T2
+        # table at n = 100, a route written apart from the program's
+        code, report = run_json_subprocess("idempotents", "--monoid", "@T2", "-n", "100", timeout=30)
+        assert code == 0
+        assert report["result"]["rows"][0]["formula"] == int(
+            "84276055342103166835393072141393424622196205528631995528086530493916973214"
+            "43140901294059001128931944495036389969729588618227128145543001205064646009"
+            "7186076238833461751073896601"
+        )
+
+    def test_formula_degree_budget(self, capsys, monkeypatch):
+        from wreathbench import wreath
+
+        def refuse(*args):
+            raise AssertionError("a term computed before the degree check")
+
+        monkeypatch.setattr(wreath, "comb", refuse)
+        n = wreath.MAX_FORMULA_DEGREE + 1
+        code, report = run_json(capsys, "idempotents", "--monoid", "@T2", "-n", str(n))
+        assert code == 2
+        assert report == {
+            "error": "CapacityError",
+            "message": f"degree {n} outside the formula's range 1..{wreath.MAX_FORMULA_DEGREE}",
+        }
 
     def test_method_both_refused(self, capsys):
         # --check is the one way to run both counts
@@ -481,12 +577,9 @@ def _reports_under_hash_seed(seed):
         "for argv in json.loads(sys.argv[1]):\n"
         "    main(argv)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONHASHSEED=str(seed))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", script, json.dumps(HASH_SEED_COMMANDS)],
-        env=env, capture_output=True, text=True, check=True,
+        env=_subprocess_env(PYTHONHASHSEED=str(seed)), capture_output=True, text=True, check=True,
     ).stdout
     return [line for line in out.splitlines() if '"wall_time_s"' not in line]
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -12,16 +13,57 @@ from wreathbench import (
     eps_a,
     eps_ab,
     epsilon,
+    fixture,
     gen_family,
     is_wr_idempotent,
     sigma_membership,
     validate_monoid,
     wr_multiply,
 )
-from wreathbench.errors import PreconditionError
+from wreathbench import wreath
+from wreathbench.errors import CapacityError, PreconditionError
+from wreathbench.monoids import FIXTURES
 from wreathbench.transformations import enumerate_Tn, identity
+from wreathbench.wreath import MAX_FORMULA_DEGREE, idempotent_elements
 
 from conftest import monoid_census
+
+
+def _count_formula_by_tuples(ctx):
+    """Reference for the formula count: the sum over image sizes k of
+    C(n,k) times the sum over every k-tuple of idempotents (e_1..e_k) of
+    (|Me_1| + ... + |Me_k|)^(n-k), less |E(M)|^n for the singular part."""
+    M = ctx.base
+    n = ctx.degree
+    idem = M.idempotents()
+    ideal_size = {e: len({row[e] for row in M.table}) for e in idem}
+    total = 0
+    for k in range(1, n + 1):
+        inner = 0
+        for es in itertools.product(idem, repeat=k):
+            inner += sum(ideal_size[e] for e in es) ** (n - k)
+        total += comb(n, k) * inner
+    if ctx.part == "singular":
+        total -= len(idem) ** n
+    return total
+
+
+def _idempotents_by_filter(ctx):
+    """Reference for the brute count and the listing: every element built,
+    then filtered by the per-element definition."""
+    return [x for x in ctx.elements() if is_wr_idempotent(ctx, x)]
+
+
+@lru_cache(maxsize=None)
+def _census_monoids(max_order):
+    return tuple(
+        validate_monoid([f"m{i}" for i in range(len(t))], 0, [list(r) for r in t])
+        for t in monoid_census(max_order)
+    )
+
+
+def _fixtures():
+    return tuple(fixture("@" + key) for key in sorted(FIXTURES))
 
 
 class TestMultiply:
@@ -133,16 +175,11 @@ class TestIdempotents:
                 )
 
     def test_brute_capacity_bound(self, T2):
-        from wreathbench.errors import CapacityError
-
         ctx = WreathContext(T2, 6, "full")
         with pytest.raises(CapacityError):
             count_idempotents(ctx, "brute")
 
     def test_brute_capacity_checked_before_enumeration(self, T2, monkeypatch):
-        from wreathbench import wreath
-        from wreathbench.errors import CapacityError
-
         def refuse(*args):
             raise AssertionError("T_n enumerated before the budget check")
 
@@ -163,6 +200,49 @@ class TestIdempotents:
                     assert count_idempotents(ctx, "formula") == count_idempotents(
                         ctx, "brute"
                     )
+
+
+    def test_formula_degree_budget(self, Z2):
+        n = MAX_FORMULA_DEGREE
+        assert count_idempotents(WreathContext(Z2, n, "full")) == sum(
+            comb(n, k) * (2 * k) ** (n - k) for k in range(1, n + 1)
+        )
+        with pytest.raises(CapacityError) as exc:
+            count_idempotents(WreathContext(Z2, n + 1, "singular"))
+        assert str(exc.value) == f"degree {n + 1} outside the formula's range 1..{n}"
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("part", ["full", "singular"])
+    def test_formula_equals_tuple_sum_on_census(self, part):
+        for M in _census_monoids(4):
+            for n in range(2, 7):
+                ctx = WreathContext(M, n, part)
+                assert count_idempotents(ctx, "formula") == _count_formula_by_tuples(ctx)
+
+    @pytest.mark.parametrize("part", ["full", "singular"])
+    def test_formula_equals_tuple_sum_on_fixtures(self, part):
+        for M in _fixtures():
+            for n in range(1 if part == "full" else 2, 9):
+                ctx = WreathContext(M, n, part)
+                assert count_idempotents(ctx, "formula") == _count_formula_by_tuples(ctx)
+
+    @pytest.mark.parametrize("part", ["full", "singular"])
+    def test_listing_equals_filter(self, part):
+        for M in _census_monoids(3) + _fixtures():
+            for n in (2, 3):
+                ctx = WreathContext(M, n, part)
+                listed = idempotent_elements(ctx)
+                assert listed == _idempotents_by_filter(ctx)
+                assert count_idempotents(ctx, "brute") == len(listed)
+
+    def test_listing_builds_only_idempotents(self, T2, monkeypatch):
+        def refuse(self):
+            raise AssertionError("every element built")
+
+        monkeypatch.setattr(WreathContext, "elements", refuse)
+        ctx = WreathContext(T2, 3, "full")
+        assert count_idempotents(ctx, "brute") == len(idempotent_elements(ctx)) == 189
 
 
 class TestFamilies:
