@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .enumeration import CLOSURE_LIMIT, close
-from .errors import CapacityError
+from .errors import CapacityError, format_count
 from .green import idempotent_generated_part
 from .monoids import EnumeratedSemigroup
 from .presentations import EvaluationMap, Presentation, soundness
@@ -92,9 +92,14 @@ def target_size(M, n: int, part: str = "singular") -> int:
 
 
 def check_size(size: int, limit: int) -> None:
-    # the same refusal close() gives when handed the whole element list
+    """Refuse a target by its closed-form size, before any element is built;
+    the error's ``count`` is that size."""
     if size > limit:
-        raise CapacityError("closure limit exceeded", count=size)
+        error = CapacityError(
+            f"the target's size, {format_count(size)}, is over the element limit {limit}"
+        )
+        error.count = size
+        raise error
 
 
 def sing_target(n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:

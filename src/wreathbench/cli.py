@@ -42,7 +42,7 @@ from .presentations import (
 )
 from .todd_coxeter import NODE_LIMIT
 from .transformations import Transformation, epsilon
-from .wreath import WreathContext, count_idempotents, idempotent_elements
+from .wreath import WreathContext, check_formula_degree, count_idempotents, idempotent_elements
 
 OK, NEGATIVE, INVALID, INTERNAL = 0, 1, 2, 70
 
@@ -117,6 +117,9 @@ def cmd_idempotents(args):
     M = resolve_monoid(args.monoid)
     ns = _parse_n_list(args.n)
     method = "both" if args.check else args.method
+    if method in ("formula", "both"):  # every degree, before the first row's work
+        for n in ns:
+            check_formula_degree(n)
     rows = []
     verdict = True
     for n in ns:

@@ -1,6 +1,18 @@
 """Exception types shared across the package."""
 
 
+def format_count(count: int) -> str:
+    """``count`` in decimal, or, past 100 digits, as its number of digits:
+    Python refuses to convert an integer of more than 4,300 digits to text."""
+    if count < 10**100:
+        return str(count)
+    # the digits of 2^(bit_length - 1), or fewer: log10(2) rounded down
+    digits = int((count.bit_length() - 1) * 0.30102999) + 1
+    while 10**digits <= count:
+        digits += 1
+    return f"a {digits}-digit number"
+
+
 class DegreeMismatch(ValueError):
     """Raised when combining transformations or wreath elements of different degrees."""
 
@@ -19,7 +31,7 @@ class CapacityError(RuntimeError):
 
     def __init__(self, message, count=None):
         self.count = count
-        super().__init__(message if count is None else f"{message} (reached {count})")
+        super().__init__(message if count is None else f"{message} (reached {format_count(count)})")
 
 
 class MonoidValidationError(ValueError):

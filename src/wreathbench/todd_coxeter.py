@@ -6,19 +6,28 @@ enumeration starts, both sides of every non-trivial relation are compiled
 into one prefix trie, stored as a flat list of ``(parent trie node, letter)``
 steps in creation order, so that words sharing a prefix share its steps;
 each relation becomes the pair of trie nodes its two sides end at, and
-duplicate pairs are dropped.
+duplicate pairs are dropped.  The later-made end of each pair is partnered
+with the earlier end of the first pair it belongs to.
 
 Each sweep visits every live node once.  The node walks the trie steps in
-order, following the table (filling a missing edge with a new node as it
-goes) to find the node every trie node reaches.  An edge that points at a
-node merged away since it was written is resolved through the union-find
-and the representative is written back into that table slot.  After the
-walk, the two ends of every relation are identified; identifications are
+order, following the table to find the node every trie node reaches.  An
+edge that points at a node merged away since it was written is resolved
+through the union-find and the representative is written back into that
+table slot.  A missing edge is filled as the walk goes: into a trie node
+with a partner it is deduced, set to the node the partner reached (the
+relation itself, applied at the walking node, so no node is allocated and
+no coincidence is queued); otherwise it gets a new node.  After the walk,
+the two ends of every relation are identified; identifications are
 processed to a fixpoint, merging table rows as classes collapse, and the
-node's remaining edges are then defined.  The run is finished when a full
-sweep over all live nodes makes no new definition and no identification,
-at which point the live nodes are exactly the elements of the presented
-monoid.
+node's remaining edges are then defined.
+
+After each sweep the table is checked a column at a time: the live nodes
+are renumbered, each letter's edges become one column of representatives,
+and the trie is walked for 256 live nodes at once, one list per trie node,
+so that the two ends of every relation are compared as lists.  The run is
+finished when every live row is complete and every relation holds at every
+live node, at which point the live nodes are exactly the elements of the
+presented monoid; otherwise another sweep runs.
 
 A semigroup presentation is enumerated as a monoid presentation whose root
 node (the empty word) can never coincide with a non-empty class, and the
@@ -51,8 +60,9 @@ class TCResult:
 def _compile(relations):
     """The prefix trie of the relation sides, as ``(parent, letter)`` steps
     (trie node ``k + 1`` is made by step ``k``; node 0 is the empty word),
-    and the distinct pairs of trie nodes where the two sides end.  Trivial
-    relations (u, u) impose nothing and are dropped."""
+    the distinct pairs of trie nodes where the two sides end, and ``partner``:
+    for the later-made end of each pair, the earlier end of the first pair it
+    closes.  Trivial relations (u, u) impose nothing and are dropped."""
     steps = []
     made = {}
 
@@ -70,7 +80,43 @@ def _compile(relations):
     for r in relations:
         if r.lhs != r.rhs:
             ends[(insert(r.lhs), insert(r.rhs))] = None
-    return steps, list(ends)
+    partner = {}
+    for a, b in ends:
+        partner.setdefault(max(a, b), min(a, b))
+    return steps, list(ends), partner
+
+
+def _closed(parent, tab, na, steps, ends):
+    """Whether the table is finished: every live row is complete, and both
+    sides of every relation reach the same node from every live node.  The
+    live nodes are renumbered, each letter's edges become one column of
+    representatives, and the trie is walked for 256 live nodes at a time,
+    one list per trie node: all of them at once would hold a list as long as
+    the live nodes for every trie node."""
+    rep = []
+    live = []
+    for x, p in enumerate(parent):  # parent[x] <= x: a merge keeps the smaller node
+        if p == x:
+            rep.append(len(live))
+            live.append(x)
+        else:
+            rep.append(rep[p])
+    columns = []
+    for c in range(na):
+        column = tab[c::na]
+        column = [column[x] for x in live]
+        if -1 in column:
+            return False
+        columns.append([rep[v] for v in column])
+    steps = [(t, columns[c]) for t, c in steps]
+    for lo in range(0, len(live), 256):
+        reached = [list(range(lo, min(lo + 256, len(live))))]
+        for t, column in steps:
+            reached.append([column[v] for v in reached[t]])
+        for a, b in ends:
+            if reached[a] != reached[b]:
+                return False
+    return True
 
 
 def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
@@ -78,7 +124,7 @@ def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
     the allocation that takes the node count (the root included) past
     ``node_limit``."""
     na = len(p.letters)
-    steps, ends = _compile(p.relations)
+    steps, ends, partner = _compile(p.relations)
 
     parent = []
     tab = []
@@ -124,39 +170,40 @@ def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
 
     try:
         new_node()  # the root: the empty word
-        changed = True
-        while changed:
-            changed = False
+        while True:
             i = 0
             while i < len(parent):
                 if parent[i] != i:
                     i += 1
                     continue
-                before = len(parent)
                 # reached[k] is the node that trie node k leads to from i
                 reached = [i]
                 for t, c in steps:
                     slot = reached[t] * na + c
                     nxt = tab[slot]
-                    if nxt == -1:
-                        nxt = tab[slot] = new_node()
-                    elif parent[nxt] != nxt:
-                        nxt = tab[slot] = find(nxt)
+                    # parent[-1] is never -1, so this also catches a missing edge
+                    if parent[nxt] != nxt:
+                        if nxt != -1:
+                            nxt = find(nxt)
+                        else:
+                            # the end of a relation side: the other side's node
+                            k = partner.get(len(reached))
+                            nxt = new_node() if k is None else reached[k]
+                        tab[slot] = nxt
                     reached.append(nxt)
                 for a, b in ends:
                     if reached[a] != reached[b]:
                         pending.append((reached[a], reached[b]))
                 if pending:
                     process_pending()
-                    changed = True
                 if parent[i] == i:
                     base = i * na
                     for c in range(na):
                         if tab[base + c] == -1:
                             tab[base + c] = new_node()
-                if len(parent) != before:
-                    changed = True
                 i += 1
+            if _closed(parent, tab, na, steps, ends):
+                break
     except _BoundExceeded:
         return TCResult("bound_exceeded", None, len(parent), coinc)
 

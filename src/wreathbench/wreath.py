@@ -178,6 +178,11 @@ def count_idempotents(ctx: WreathContext, method: str = "formula") -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
+def check_formula_degree(n: int) -> None:
+    if n > MAX_FORMULA_DEGREE:
+        raise CapacityError(f"degree {n} outside the formula's range 1..{MAX_FORMULA_DEGREE}")
+
+
 def _count_formula(ctx: WreathContext) -> int:
     """Sum over image sizes k of C(n,k) * sum over idempotent tuples
     (e_1..e_k) of (|Me_1| + ... + |Me_k|)^(n-k); the singular count subtracts
@@ -187,8 +192,7 @@ def _count_formula(ctx: WreathContext) -> int:
     before any term is computed."""
     M = ctx.base
     n = ctx.degree
-    if n > MAX_FORMULA_DEGREE:
-        raise CapacityError(f"degree {n} outside the formula's range 1..{MAX_FORMULA_DEGREE}")
+    check_formula_degree(n)
     idem = M.idempotents()
     sizes = Counter(len({row[e] for row in M.table}) for e in idem)  # |Me| -> how many e
     power = [1]  # coefficients of P(x)^k

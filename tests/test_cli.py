@@ -76,7 +76,7 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert report["error"] == "CapacityError"
-        assert report["message"] == "closure limit exceeded (reached 168)"
+        assert report["message"] == "the target's size, 168, is over the element limit 100"
 
     def test_limit_elements_bounds_sing_target(self, capsys):
         code, report = run_json(
@@ -84,7 +84,7 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert report["error"] == "CapacityError"
-        assert report["message"] == "closure limit exceeded (reached 232)"
+        assert report["message"] == "the target's size, 232, is over the element limit 10"
 
     def test_emonoid_target_refused_before_enumerating(self, capsys, monkeypatch):
         # the Emonoid target filters the idempotents from all of T2 wr T_5,
@@ -100,7 +100,7 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert report["error"] == "CapacityError"
-        assert report["message"] == "closure limit exceeded (reached 3200000)"
+        assert report["message"] == "the target's size, 3200000, is over the element limit 1000000"
 
     def test_r_refused_before_emitting(self, capsys, monkeypatch):
         # |Sing_24| is over the default limit; emit_R would first write
@@ -114,7 +114,9 @@ class TestVerifyCommand:
         code, report = run_json(capsys, "verify", "--family", "R", "-n", "24")
         assert code == 2
         assert report["error"] == "CapacityError"
-        assert report["message"] == f"closure limit exceeded (reached {24**24 - factorial(24)})"
+        assert report["message"] == (
+            f"the target's size, {24**24 - factorial(24)}, is over the element limit 1000000"
+        )
 
     def test_emonoid_precondition_before_enumerating(self, capsys, monkeypatch):
         # |N3 wr T_4| is within the limit, so the emitter's precondition
@@ -237,6 +239,18 @@ class TestIdempotentsCommand:
             "message": f"degree {n} outside the formula's range 1..{wreath.MAX_FORMULA_DEGREE}",
         }
 
+    def test_every_degree_checked_before_the_first_row(self, capsys, monkeypatch):
+        from wreathbench import cli
+
+        def refuse(*args):
+            raise AssertionError("a row counted before the degree check")
+
+        monkeypatch.setattr(cli, "count_idempotents", refuse)
+        code, report = run_json(capsys, "idempotents", "--monoid", "@T2", "-n", "600,601")
+        assert code == 2
+        assert report == {"error": "CapacityError",
+                          "message": "degree 601 outside the formula's range 1..600"}
+
     def test_method_both_refused(self, capsys):
         # --check is the one way to run both counts
         code, report = run_json(
@@ -291,7 +305,7 @@ class TestRankCommand:
         code, report = run_json(capsys, "rank", "--monoid", "@T2", "-n", "5", "--mode", "brute")
         assert code == 2
         assert report["error"] == "CapacityError"
-        assert report["message"] == "closure limit exceeded (reached 3077120)"
+        assert report["message"] == "the target's size, 3077120, is over the element limit 1000000"
 
     def test_brute_refused_over_table_limit(self, capsys, monkeypatch):
         # |Z2 wr Sing_4| = 3712 is within the element limit, but its Cayley
@@ -471,6 +485,29 @@ class TestMalformedValues:
         assert report["error"] == "ValueError"
         assert report["message"].startswith(option + " ")
         assert text in report["message"]
+
+
+class TestSizesPastTheDigitLimit:
+    """A closed-form size of more than 4,300 digits, which Python will not
+    convert to text, is refused as a capacity problem, named by its number
+    of digits."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--family", "R", "-n", "2000"],
+             "the target's size, a 6603-digit number, is over the element limit 1000000"),
+            (["rank", "--monoid", "@Z2", "-n", "2000", "--mode", "brute"],
+             "the target's size, a 7205-digit number, is over the element limit 1000000"),
+            (["idempotents", "--monoid", "@Z2", "-n", "2000", "--method", "brute"],
+             "brute idempotent count too large (reached a 7205-digit number)"),
+        ],
+        ids=["verify", "rank", "idempotents"],
+    )
+    def test_refused(self, capsys, argv, message):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report == {"error": "CapacityError", "message": message}
 
 
 class TestNegativeBudgets:

@@ -4,6 +4,7 @@ import pytest
 
 from wreathbench import emit_R, emit_R1p, emit_R2, table_presentation, todd_coxeter
 from wreathbench.presentations import Presentation, Relation, Letter
+from wreathbench.todd_coxeter import _closed, _compile
 
 from test_acceptance import _matrix
 
@@ -161,8 +162,9 @@ class TestBounds:
 
     @pytest.mark.parametrize("limit", [10, 50])
     def test_node_limit_kept_to_the_unit(self, limit):
-        # the run stops at the allocation that passes the limit
-        res = todd_coxeter(emit_R(3), node_limit=limit)
+        # the run stops at the allocation that passes the limit; R at n=4
+        # needs 863 nodes, so both limits are reached
+        res = todd_coxeter(emit_R(4), node_limit=limit)
         assert res.status == "bound_exceeded"
         assert res.nodes_allocated == limit + 1
 
@@ -189,16 +191,67 @@ class TestBounds:
 
 class TestAgainstReference:
     """The trie walk certifies the same count as tracing every relation
-    word separately, on every presentation of acceptance criterion 8."""
+    word separately, on every presentation of acceptance criterion 8, with
+    the relations as given, with every side reversed and under two shuffles:
+    the trie, and so which edges are deduced, depends on that order."""
 
     @pytest.mark.parametrize("p", [p for _, p in REFERENCE_CASES],
                              ids=[name for name, _ in REFERENCE_CASES])
     def test_same_count(self, p):
-        res = todd_coxeter(p)
-        assert (res.status, res.class_count) == _todd_coxeter_by_relations(p)
+        want = _todd_coxeter_by_relations(p)
+        reversed_sides = with_relations(p, [Relation(r.rhs, r.lhs, r.tag) for r in p.relations])
+        for q in (p, reversed_sides, shuffled(p, 0), shuffled(p, 1)):
+            res = todd_coxeter(q)
+            assert (res.status, res.class_count) == want
+
+
+class TestClosed:
+    """The finishing check on hand-built tables of <a | a^2 = 1>."""
+
+    @staticmethod
+    def closed(tab, parent=None):
+        p = Presentation("monoid", (Letter("a"),), (Relation((0, 0), (), "inv"),), {})
+        steps, ends, _ = _compile(p.relations)
+        return _closed(parent or list(range(len(tab))), tab, 1, steps, ends)
+
+    def test_complete_table_satisfying_the_relation(self):
+        assert self.closed([1, 0])
+
+    def test_relation_broken_at_the_root(self):
+        # a^2 leads from node 0 to node 1, not back to node 0
+        assert not self.closed([1, 1])
+
+    def test_missing_edge(self):
+        assert not self.closed([1, -1])
+        # read as node 2 itself, the missing edge would satisfy the relation
+        assert not self.closed([1, 0, -1])
+
+    def test_edges_read_through_the_representative(self):
+        # node 2 was merged into node 1, and node 0's edge still points at it
+        assert self.closed([2, 0, 0], parent=[0, 1, 1])
+        assert not self.closed([2, 2, 0], parent=[0, 1, 1])
+
+    def test_every_chunk_checked(self):
+        # 300 live nodes swapped in pairs; with node 299 fixed, the relation
+        # breaks at node 298 alone, past the first chunk of 256
+        pairs = [x ^ 1 for x in range(300)]
+        assert self.closed(pairs)
+        pairs[299] = 299
+        assert not self.closed(pairs)
 
 
 class TestCompiledRelations:
+    def test_partner_is_the_earlier_end_of_the_first_pair(self):
+        # a^2 = 1 ends at trie nodes 2 and 0; a^3 = a at 3 and 1
+        p = Presentation("monoid", (Letter("a"),), (
+            Relation((0, 0), (), "inv"), Relation((0, 0, 0), (0,), "cube"),
+        ), {})
+        steps, ends, partner = _compile(p.relations)
+        assert steps == [(0, 0), (1, 0), (2, 0)]
+        assert ends == [(2, 0), (3, 1)]
+        assert partner == {2: 0, 3: 1}
+
+
     def test_duplicate_and_trivial_relations_change_nothing(self):
         p = emit_R(3)
         rels = list(p.relations)
