@@ -7,7 +7,6 @@ from .enumeration import (
     RankReport,
     brute_rank,
     close,
-    diagonal_action_generated,
     generates,
     rank_formulas,
     tournament_check,
@@ -37,12 +36,9 @@ from .presentations import (
     emit_Rn,
     emit_semidirect,
     evaluate,
-    omega_witnesses,
     soundness,
     standard_map,
     table_presentation,
-    word_E_X1,
-    word_E_X2,
 )
 from .todd_coxeter import TCResult, todd_coxeter
 from .transformations import (
@@ -51,22 +47,14 @@ from .transformations import (
     enumerate_Tn,
     epsilon,
     identity,
-    transformation,
-    transformation_props,
 )
 from .wreath import (
     WreathContext,
     WreathElement,
     count_idempotents,
-    decompose_E,
     eps_a,
     eps_ab,
     eps_elem,
-    gen_family,
-    is_wr_idempotent,
-    semidirect_multiply,
-    sigma_membership,
-    validate_action,
     wr_multiply,
 )
 

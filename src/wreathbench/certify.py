@@ -52,9 +52,9 @@ def verify(p: Presentation, emap: EvaluationMap, target, node_limit: int = NODE_
     if p.kind == "monoid" and emap.identity is None:
         raise ValueError("monoid presentation needs an evaluation map with an identity")
     want = len(target.elements)
-    rep = soundness(p, emap)
-    if not rep.ok:
-        return Verdict("unsound", want, failures=rep.failures)
+    failures = soundness(p, emap)
+    if failures:
+        return Verdict("unsound", want, failures=failures)
 
     for img in emap.images:
         if img not in target.index:

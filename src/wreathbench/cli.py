@@ -42,7 +42,9 @@ from .presentations import (
 )
 from .todd_coxeter import NODE_LIMIT
 from .transformations import Transformation, epsilon
-from .wreath import WreathContext, check_formula_degree, count_idempotents, idempotent_elements
+from .wreath import (
+    WreathContext, check_brute_size, check_formula_degrees, count_idempotents, idempotent_elements,
+)
 
 OK, NEGATIVE, INVALID, INTERNAL = 0, 1, 2, 70
 
@@ -117,13 +119,15 @@ def cmd_idempotents(args):
     M = resolve_monoid(args.monoid)
     ns = _parse_n_list(args.n)
     method = "both" if args.check else args.method
-    if method in ("formula", "both"):  # every degree, before the first row's work
-        for n in ns:
-            check_formula_degree(n)
+    # every degree, and the whole list's work, before the first row
+    if method in ("formula", "both"):
+        check_formula_degrees(ns)
+    contexts = [WreathContext(M, n, args.part) for n in ns]
+    if method in ("brute", "both") or args.list:
+        check_brute_size(sum(ctx.size() for ctx in contexts))
     rows = []
     verdict = True
-    for n in ns:
-        ctx = WreathContext(M, n, args.part)
+    for n, ctx in zip(ns, contexts):
         row = {"n": n, "order": M.order, "part": args.part}
         if method in ("formula", "both"):
             row["formula"] = count_idempotents(ctx, "formula")

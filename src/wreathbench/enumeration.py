@@ -186,9 +186,3 @@ def rank_formulas(M: EnumeratedSemigroup, n: int) -> RankReport:
         report.exact_rank = 2 if (n == 2 and m == 1) else (2 * m - g) * pairs
         report.exact_idrank = 2 * m if (n == 2 and g == 1) else (2 * m - g) * pairs
     return report
-
-
-def diagonal_action_generated(M: EnumeratedSemigroup, omega) -> bool:
-    """Whether Omega * M = M x M under the right action (a,b).c = (ac, bc)."""
-    orbit = {(M.table[a][c], M.table[b][c]) for (a, b) in omega for c in range(M.order)}
-    return len(orbit) == M.order * M.order

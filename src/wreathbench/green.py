@@ -103,19 +103,6 @@ def incomparable_L_witness(M: EnumeratedSemigroup) -> tuple[int, int] | None:
     return None
 
 
-def l_chain_element_order(M: EnumeratedSemigroup) -> list[int]:
-    """All element indices sorted bottom-up along the L-chain, ties within an
-    L-class broken by index.  Requires M/L to be a chain (the sort key is only
-    a linear order in that case)."""
-    g = green_cached(M)
-    below = lambda rep: sum(1 for b in range(M.order) if g.leq_L[b][rep])
-    classes = sorted(g.classes_L, key=lambda cls: below(cls[0]))
-    out = []
-    for cls in classes:
-        out.extend(sorted(cls))
-    return out
-
-
 def idempotent_generated_part(S: EnumeratedSemigroup) -> EnumeratedSemigroup:
     """<E(S)>, the closure of the idempotents of S over element values, with
     |S| as its limit; it contains the identity only when S is a monoid."""

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .enumeration import close
 from .errors import CapacityError, PreconditionError
-from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain, l_chain_element_order
+from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain
 from .monoids import EnumeratedSemigroup, inverse_of, is_group, submonoid, units
 from .todd_coxeter import todd_coxeter
 from .transformations import compose, epsilon, identity, index_pairs
@@ -92,18 +92,9 @@ def evaluate(word, emap: EvaluationMap):
     return val
 
 
-@dataclass
-class SoundnessReport:
-    checked: int
-    failures: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def soundness(p: Presentation, emap: EvaluationMap) -> SoundnessReport:
-    """Check that every relation is preserved by the evaluation map."""
+def soundness(p: Presentation, emap: EvaluationMap) -> list[dict]:
+    """The relations that the evaluation map does not preserve, in order;
+    the presentation is sound when the list is empty."""
     failures = []
     for idx, rel in enumerate(p.relations):
         lv = evaluate(rel.lhs, emap)
@@ -119,7 +110,7 @@ def soundness(p: Presentation, emap: EvaluationMap) -> SoundnessReport:
                     "rhs_value": repr(rv),
                 }
             )
-    return SoundnessReport(checked=len(p.relations), failures=failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -317,29 +308,6 @@ def emit_R2(M: EnumeratedSemigroup, n: int) -> Presentation:
 # ---------------------------------------------------------------------------
 # idempotent generators (L-chain case)
 
-def omega_witnesses(M: EnumeratedSemigroup):
-    """A canonical choice of the pair set Omega and factor witnesses for an
-    L-chain monoid: order elements bottom-up along the chain (ties by index),
-    put (a, b) in Omega when a comes no later than b, and pick the least x
-    with a = x*b."""
-    if not is_L_chain(M):
-        raise PreconditionError("M/L is not a chain")
-    order = l_chain_element_order(M)
-    pos = {a: p for p, a in enumerate(order)}
-    omega = set()
-    for a in range(M.order):
-        for b in range(M.order):
-            if pos[a] <= pos[b]:
-                omega.add((a, b))
-    xwit = {}
-    for a, b in sorted(omega):
-        for x in range(M.order):
-            if M.table[x][b] == a:
-                xwit[(a, b)] = x
-                break
-    return omega, xwit
-
-
 def _chain_precondition(M: EnumeratedSemigroup):
     wit = incomparable_L_witness(M)
     raise PreconditionError(
@@ -478,38 +446,6 @@ def emit_R1p(M: EnumeratedSemigroup, n: int) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# substitution words
-
-def word_E_X2(M: EnumeratedSemigroup, n: int, i: int, j: int, tup) -> tuple[int, ...]:
-    """A word over the two-entry alphabet evaluating to the element with full
-    tuple ``tup`` over transformation (i, j): the head letter carries the
-    (i, j) entries and one trailing letter per remaining position.  When all
-    off-pair entries are the identity the word degenerates to one letter."""
-    tup = tuple(tup)
-    _, L = _alphabet(n, M, 2)
-    one = M.identity
-    rest = [k for k in range(1, n + 1) if k not in (i, j)]
-    if all(tup[k - 1] == one for k in rest):
-        return (L[(i, j, tup[i - 1], tup[j - 1])],)
-    word = [L[(i, j, tup[i - 1], tup[j - 1])]]
-    for k in rest:
-        word.append(L[(k, j, tup[k - 1], one)])
-    return tuple(word)
-
-
-def word_E_X1(
-    M: EnumeratedSemigroup, n: int, i: int, j: int, a: int, b: int, omega, xwit
-) -> tuple[int, ...]:
-    """A word over the idempotent alphabet evaluating to the two-entry
-    element (a at i, b at j), using the chain witnesses."""
-    _, L = _alphabet(n, M, 1)
-    one = M.identity
-    if (a, b) in omega:
-        return (L[(j, i, xwit[(a, b)])], L[(i, j, b)])
-    return (L[(i, j, xwit[(b, a)])], L[(j, i, a)], L[(i, j, one)])
-
-
-# ---------------------------------------------------------------------------
 # general semidirect products
 
 def emit_semidirect(base: Presentation, M: EnumeratedSemigroup, action) -> Presentation:
@@ -620,9 +556,9 @@ def emit_E_wreath_monoid(
     base_map = EvaluationMap(
         tuple(pos_in_E[m] for m in base_images), E_mon.multiply, identity=E_mon.identity
     )
-    rep = soundness(base, base_map)
-    if not rep.ok:
-        raise PreconditionError(f"base presentation unsound: {rep.failures[0]}")
+    failures = soundness(base, base_map)
+    if failures:
+        raise PreconditionError(f"base presentation unsound: {failures[0]}")
     tc = todd_coxeter(base, node_limit=BASE_NODE_LIMIT)
     if tc.status != "certified" or tc.class_count != E_mon.order:
         raise PreconditionError(

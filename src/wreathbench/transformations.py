@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import NamedTuple
 
 from .errors import CapacityError, DegreeMismatch
 
@@ -34,19 +33,8 @@ class Transformation:
     def degree(self) -> int:
         return len(self.images)
 
-    def image(self) -> frozenset[int]:
-        return frozenset(self.images)
-
     def rank(self) -> int:
         return len(set(self.images))
-
-    def kernel(self) -> tuple[tuple[int, ...], ...]:
-        """Partition of {1..n} into blocks of equal image, each block sorted,
-        blocks ordered by least element."""
-        blocks: dict[int, list[int]] = {}
-        for i, v in enumerate(self.images, start=1):
-            blocks.setdefault(v, []).append(i)
-        return tuple(sorted((tuple(b) for b in blocks.values()), key=lambda b: b[0]))
 
     def is_idempotent(self) -> bool:
         # idempotent iff every point of the image is fixed
@@ -59,17 +47,6 @@ class Transformation:
         return f"Transformation({list(self.images)})"
 
 
-class TransformationProps(NamedTuple):
-    image: frozenset[int]
-    kernel: tuple[tuple[int, ...], ...]
-    rank: int
-    idempotent: bool
-
-
-def transformation(images) -> Transformation:
-    return Transformation(tuple(images))
-
-
 def identity(n: int) -> Transformation:
     return Transformation(tuple(range(1, n + 1)))
 
@@ -80,10 +57,6 @@ def compose(t1: Transformation, t2: Transformation) -> Transformation:
         raise DegreeMismatch(t1.degree, t2.degree)
     im2 = t2.images
     return Transformation(tuple(im2[v - 1] for v in t1.images))
-
-
-def transformation_props(t: Transformation) -> TransformationProps:
-    return TransformationProps(t.image(), t.kernel(), t.rank(), t.is_idempotent())
 
 
 def epsilon(n: int, i: int, j: int) -> Transformation:

@@ -16,12 +16,9 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ActionError, CapacityError, DegreeMismatch, PreconditionError
-from .green import green_cached, has_unit_complement_E
-from .monoids import EnumeratedSemigroup, power_monoid, units
-from .transformations import (
-    Transformation, compose, enumerate_Tn, epsilon, identity, index_pairs, part_size,
-)
+from .errors import ActionError, CapacityError, DegreeMismatch
+from .monoids import EnumeratedSemigroup, power_monoid
+from .transformations import Transformation, compose, enumerate_Tn, epsilon, identity, part_size
 
 # Brute force decides every element of the part, one table lookup per
 # coordinate, so this bounds its time; --list builds only the idempotents.
@@ -106,16 +103,6 @@ def wr_multiply(ctx: WreathContext, x: WreathElement, y: WreathElement) -> Wreat
     return WreathElement(tup, compose(x.trans, y.trans))
 
 
-def is_wr_idempotent(ctx: WreathContext, x: WreathElement) -> bool:
-    """Idempotent iff the transformation is idempotent and a_i * a_{i.alpha}
-    = a_i in every coordinate."""
-    if not x.trans.is_idempotent():
-        return False
-    table = ctx.base.table
-    im = x.trans.images
-    return all(table[x.tup[k]][x.tup[im[k] - 1]] == x.tup[k] for k in range(ctx.degree))
-
-
 def eps_elem(ctx: WreathContext, i: int, j: int, tup) -> WreathElement:
     return ctx.element(tup, epsilon(ctx.degree, i, j))
 
@@ -133,43 +120,6 @@ def eps_a(ctx: WreathContext, i: int, j: int, a: int) -> WreathElement:
     return eps_ab(ctx, i, j, ctx.base.identity, a)
 
 
-def gen_family(ctx: WreathContext, family: str) -> list[WreathElement]:
-    """The nested generator families over the singular part, ordered by (i, j)
-    pair and then by tuple odometer over monoid indices:
-
-    - "X": one idempotent per ordered pair;
-    - "X1": identity at i, arbitrary entry at j (all idempotent);
-    - "X2": arbitrary entries at i and j;
-    - "Xn": arbitrary full tuples.
-    """
-    n = ctx.degree
-    if n < 2:
-        raise ValueError("generator families need degree >= 2")
-    m = ctx.base.order
-    one = ctx.base.identity
-    pairs = index_pairs(n)
-    out = []
-    if family == "X":
-        for i, j in pairs:
-            out.append(eps_a(ctx, i, j, one))
-    elif family == "X1":
-        for i, j in pairs:
-            for a in range(m):
-                out.append(eps_a(ctx, i, j, a))
-    elif family == "X2":
-        for i, j in pairs:
-            for a in range(m):
-                for b in range(m):
-                    out.append(eps_ab(ctx, i, j, a, b))
-    elif family == "Xn":
-        for i, j in pairs:
-            for tup in itertools.product(range(m), repeat=n):
-                out.append(eps_elem(ctx, i, j, tup))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return out
-
-
 def count_idempotents(ctx: WreathContext, method: str = "formula") -> int:
     if method == "formula":
         return _count_formula(ctx)
@@ -178,9 +128,26 @@ def count_idempotents(ctx: WreathContext, method: str = "formula") -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-def check_formula_degree(n: int) -> None:
-    if n > MAX_FORMULA_DEGREE:
-        raise CapacityError(f"degree {n} outside the formula's range 1..{MAX_FORMULA_DEGREE}")
+def check_formula_degrees(ns) -> None:
+    """Refuse the formula for the degrees ``ns`` before any term: each degree
+    must be at most MAX_FORMULA_DEGREE, and their work, about n^3 each, must
+    sum to no more than that of MAX_FORMULA_DEGREE alone."""
+    for n in ns:
+        if n > MAX_FORMULA_DEGREE:
+            raise CapacityError(f"degree {n} outside the formula's range 1..{MAX_FORMULA_DEGREE}")
+    work = sum(n**3 for n in ns)
+    if work > MAX_FORMULA_DEGREE**3:
+        raise CapacityError(
+            f"{len(ns)} degrees over the formula's budget: their cubes sum to {work}, "
+            f"over {MAX_FORMULA_DEGREE}^3"
+        )
+
+
+def check_brute_size(size: int) -> None:
+    """Refuse brute force over parts of ``size`` elements in all, before any
+    of them is decided."""
+    if size > BRUTE_ELEMENT_BOUND:
+        raise CapacityError("brute idempotent count too large", count=size)
 
 
 def _count_formula(ctx: WreathContext) -> int:
@@ -192,7 +159,7 @@ def _count_formula(ctx: WreathContext) -> int:
     before any term is computed."""
     M = ctx.base
     n = ctx.degree
-    check_formula_degree(n)
+    check_formula_degrees([n])
     idem = M.idempotents()
     sizes = Counter(len({row[e] for row in M.table}) for e in idem)  # |Me| -> how many e
     power = [1]  # coefficients of P(x)^k
@@ -226,9 +193,7 @@ def _idempotent_pairs(ctx: WreathContext):
     transformation is tested once, and each tuple over an idempotent
     transformation s by a_k a_{ks} = a_k in every coordinate.  Refused with a
     CapacityError when the part has more than BRUTE_ELEMENT_BOUND elements."""
-    size = ctx.size()  # sized before enumerating any of T_n
-    if size > BRUTE_ELEMENT_BOUND:
-        raise CapacityError("brute idempotent count too large", count=size)
+    check_brute_size(ctx.size())  # sized before enumerating any of T_n
     table = ctx.base.table
     tuples = list(itertools.product(range(ctx.base.order), repeat=ctx.degree))
     for t in enumerate_Tn(ctx.degree, ctx.part):
@@ -243,63 +208,20 @@ def _idempotent_pairs(ctx: WreathContext):
                 yield tup, t
 
 
-def sigma_membership(ctx: WreathContext, x: WreathElement) -> bool:
-    """Membership in the idempotent-generated part: some non-diagonal kernel
-    pair (i, j) of the transformation has a_i <=_L a_j in the base monoid."""
-    if x.trans.is_permutation():
-        raise PreconditionError("element's transformation is invertible")
-    leq_L = green_cached(ctx.base).leq_L
-    im = x.trans.images
-    n = ctx.degree
-    for i in range(n):
-        for j in range(n):
-            if i != j and im[i] == im[j] and leq_L[x.tup[i]][x.tup[j]]:
-                return True
-    return False
-
-
-def decompose_E(ctx: WreathContext, x: WreathElement) -> tuple[WreathElement, WreathElement]:
-    """Split x in M wr Sing_n as e_part * g_part with e_part supported on the
-    idempotent-generated part of M (identity transformation) and g_part
-    carrying a unit tuple.  Requires <E(M)> = {1} u (M \\ G)."""
-    ok, witness = has_unit_complement_E(ctx.base)
-    if not ok:
-        raise PreconditionError(
-            f"<E(M)> != {{1}} u (M \\ G); witness element {ctx.base.labels[witness]!r}",
-            witness=witness,
-        )
-    if x.trans.is_permutation():
-        raise PreconditionError("element's transformation is invertible")
-    G = set(units(ctx.base))
-    one = ctx.base.identity
-    e_tup = tuple(one if c in G else c for c in x.tup)
-    g_tup = tuple(c if c in G else one for c in x.tup)
-    e_part = WreathElement(e_tup, identity(ctx.degree))
-    g_part = WreathElement(g_tup, x.trans)
-    return e_part, g_part
-
-
-def validate_action(M: EnumeratedSemigroup, S, action) -> None:
-    """Check that ``action(s, a)`` is a left action of S on M by monoid
-    endomorphisms: s.1 = 1, s.(ab) = (s.a)(s.b), (st).a = s.(t.a).  The last
-    axiom is checked for s among the generators ``close`` recorded, or every
-    element of an S that was not closed; by induction on the length of s as
-    a generator word, that covers every s."""
-    _check_endomorphisms(M, len(S), action)
-    for s in S.gen_indices or range(len(S)):
-        for t in range(len(S)):
-            st = S.product(s, t)
-            for a in range(M.order):
-                if action(st, a) != action(s, action(t, a)):
-                    raise ActionError("(st).a = s.(t.a)", (s, t, a))
-
-
 def validate_letter_action(M: EnumeratedSemigroup, base, action) -> None:
     """Check that ``action(x, a)``, given on the letters x of the semigroup
     presentation ``base``, extends to a left action by monoid endomorphisms
-    of the semigroup it presents: every letter acts by an endomorphism and
-    both sides of every relation act alike.  The semigroup is not enumerated."""
-    _check_endomorphisms(M, len(base.letters), action)
+    of the semigroup it presents: every letter acts by an endomorphism (s.1 =
+    1 and s.(ab) = (s.a)(s.b)) and both sides of every relation act alike.
+    The semigroup is not enumerated."""
+    one = M.identity
+    for x in range(len(base.letters)):
+        if action(x, one) != one:
+            raise ActionError("s.1 = 1", (x, one))
+        for a in range(M.order):
+            for b in range(M.order):
+                if action(x, M.table[a][b]) != M.table[action(x, a)][action(x, b)]:
+                    raise ActionError("s.(ab) = (s.a)(s.b)", (x, a, b))
     for rel in base.relations:
         for a in range(M.order):
             u = v = a
@@ -309,29 +231,6 @@ def validate_letter_action(M: EnumeratedSemigroup, base, action) -> None:
                 v = action(x, v)
             if u != v:
                 raise ActionError("u.a = v.a", (rel.lhs, rel.rhs, a))
-
-
-def _check_endomorphisms(M: EnumeratedSemigroup, count: int, action) -> None:
-    """Check s.1 = 1 and s.(ab) = (s.a)(s.b) for s in range(count)."""
-    one = M.identity
-    for s in range(count):
-        if action(s, one) != one:
-            raise ActionError("s.1 = 1", (s, one))
-        for a in range(M.order):
-            for b in range(M.order):
-                if action(s, M.table[a][b]) != M.table[action(s, a)][action(s, b)]:
-                    raise ActionError("s.(ab) = (s.a)(s.b)", (s, a, b))
-
-
-def semidirect_multiply(M: EnumeratedSemigroup, S, action, x, y):
-    """Product in the semidirect product M x| S: (a,s)(b,t) = (a(s.b), st).
-
-    x and y are pairs (monoid index, S index); the action must have been
-    validated with validate_action.
-    """
-    a, s = x
-    b, t = y
-    return (M.table[a][action(s, b)], S.product(s, t))
 
 
 def power_with_shuffle(M: EnumeratedSemigroup, n: int, transformations):

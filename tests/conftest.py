@@ -3,7 +3,10 @@ from functools import lru_cache
 
 import pytest
 
-from wreathbench import epsilon, fixture
+from wreathbench import eps_a, eps_ab, eps_elem, epsilon, fixture, is_L_chain
+from wreathbench.errors import PreconditionError
+from wreathbench.green import green_cached
+from wreathbench.presentations import _alphabet
 from wreathbench.transformations import index_pairs
 
 
@@ -45,6 +48,106 @@ def N3():
 def rank_one_less_idempotents(n):
     """The rank n-1 idempotents of T_n, one per ordered pair (i, j)."""
     return [epsilon(n, i, j) for i, j in index_pairs(n)]
+
+
+# ---------------------------------------------------------------------------
+# references: the paper's generator families, membership predicate, chain
+# witnesses and substitution words, which the tests check the program against
+
+
+def gen_family(ctx, family):
+    """The nested generator families over the singular part, ordered by (i, j)
+    pair and then by tuple odometer over monoid indices:
+
+    - "X": one idempotent per ordered pair;
+    - "X1": identity at i, arbitrary entry at j (all idempotent);
+    - "X2": arbitrary entries at i and j;
+    - "Xn": arbitrary full tuples.
+    """
+    n = ctx.degree
+    ms = range(ctx.base.order)
+    pairs = index_pairs(n)
+    if family == "X":
+        return [eps_a(ctx, i, j, ctx.base.identity) for i, j in pairs]
+    if family == "X1":
+        return [eps_a(ctx, i, j, a) for i, j in pairs for a in ms]
+    if family == "X2":
+        return [eps_ab(ctx, i, j, a, b) for i, j in pairs for a in ms for b in ms]
+    if family == "Xn":
+        return [eps_elem(ctx, i, j, tup) for i, j in pairs for tup in itertools.product(ms, repeat=n)]
+    raise ValueError(f"unknown family {family!r}")
+
+
+def sigma_membership(ctx, x):
+    """Membership in the idempotent-generated part of M wr Sing_n: some
+    non-diagonal kernel pair (i, j) of the transformation has a_i <=_L a_j
+    in the base monoid."""
+    if x.trans.is_permutation():
+        raise PreconditionError("element's transformation is invertible")
+    leq_L = green_cached(ctx.base).leq_L
+    im = x.trans.images
+    n = ctx.degree
+    return any(
+        i != j and im[i] == im[j] and leq_L[x.tup[i]][x.tup[j]] for i in range(n) for j in range(n)
+    )
+
+
+def l_chain_element_order(M):
+    """All element indices sorted bottom-up along the L-chain, ties within an
+    L-class broken by index; a linear order only when M/L is a chain."""
+    g = green_cached(M)
+    below = lambda rep: sum(1 for b in range(M.order) if g.leq_L[b][rep])  # noqa: E731
+    return [a for cls in sorted(g.classes_L, key=lambda cls: below(cls[0])) for a in sorted(cls)]
+
+
+def omega_witnesses(M):
+    """A canonical choice of the pair set Omega and factor witnesses for an
+    L-chain monoid: order elements bottom-up along the chain (ties by index),
+    put (a, b) in Omega when a comes no later than b, and pick the least x
+    with a = x*b."""
+    if not is_L_chain(M):
+        raise PreconditionError("M/L is not a chain")
+    pos = {a: p for p, a in enumerate(l_chain_element_order(M))}
+    ms = range(M.order)
+    omega = {(a, b) for a in ms for b in ms if pos[a] <= pos[b]}
+    xwit = {(a, b): next(x for x in ms if M.table[x][b] == a) for a, b in sorted(omega)}
+    return omega, xwit
+
+
+def word_E_X2(M, n, i, j, tup):
+    """A word over the two-entry alphabet evaluating to the element with full
+    tuple ``tup`` over transformation (i, j): the head letter carries the
+    (i, j) entries and one trailing letter per remaining position.  When all
+    off-pair entries are the identity the word degenerates to one letter."""
+    tup = tuple(tup)
+    _, L = _alphabet(n, M, 2)
+    one = M.identity
+    head = L[(i, j, tup[i - 1], tup[j - 1])]
+    rest = [k for k in range(1, n + 1) if k not in (i, j)]
+    if all(tup[k - 1] == one for k in rest):
+        return (head,)
+    return (head,) + tuple(L[(k, j, tup[k - 1], one)] for k in rest)
+
+
+def word_E_X1(M, n, i, j, a, b, omega, xwit):
+    """A word over the idempotent alphabet evaluating to the two-entry
+    element (a at i, b at j), using the chain witnesses."""
+    _, L = _alphabet(n, M, 1)
+    if (a, b) in omega:
+        return (L[(j, i, xwit[(a, b)])], L[(i, j, b)])
+    return (L[(i, j, xwit[(b, a)])], L[(j, i, a)], L[(i, j, M.identity)])
+
+
+def semidirect_multiply(M, S, action, x, y):
+    """Product in the semidirect product M x| S: (a,s)(b,t) = (a(s.b), st),
+    for pairs (monoid index, S index) and a left action of S on M."""
+    a, s = x
+    b, t = y
+    return (M.table[a][action(s, b)], S.product(s, t))
+
+
+# ---------------------------------------------------------------------------
+# the census of small monoids
 
 
 def monoid_tables(m):

@@ -26,12 +26,9 @@ from wreathbench import (
     epsilon,
     evaluate,
     fixture,
-    gen_family,
     generates,
     is_L_chain,
-    omega_witnesses,
     rank_formulas,
-    sigma_membership,
     sing_target,
     soundness,
     standard_map,
@@ -40,15 +37,15 @@ from wreathbench import (
     todd_coxeter,
     tournament_check,
     verify,
-    word_E_X1,
-    word_E_X2,
     wreath_sing_target,
 )
 from wreathbench.certify import e_wreath_target
 from wreathbench.green import e_part_indices
 from wreathbench.presentations import Presentation
 
-from conftest import rank_one_less_idempotents
+from conftest import (
+    gen_family, omega_witnesses, rank_one_less_idempotents, sigma_membership, word_E_X1, word_E_X2,
+)
 
 FIXTURES = ("@T1", "@Z2", "@Z3", "@B01", "@RZ1", "@T2")
 
@@ -212,9 +209,9 @@ def test_criterion_6_soundness_and_mutations():
     for fam, name, n, p, _ in _matrix():
         M = fixture(name) if name else None
         emap = standard_map(p, M)
-        rep = soundness(p, emap)
-        if not rep.ok:
-            failures.append(f"{fam} {name} n={n}: {len(rep.failures)} unsound relations")
+        unsound = soundness(p, emap)
+        if unsound:
+            failures.append(f"{fam} {name} n={n}: {len(unsound)} unsound relations")
     # one corrupted relation per family is detected
     Z2 = fixture("@Z2")
     B01 = fixture("@B01")

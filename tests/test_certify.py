@@ -10,8 +10,6 @@ from wreathbench import (
     emit_R2,
     epsilon,
     fixture,
-    gen_family,
-    is_wr_idempotent,
     sing_target,
     standard_map,
     verify,
@@ -22,7 +20,7 @@ from wreathbench.errors import CapacityError
 from wreathbench.monoids import FIXTURES
 from wreathbench.presentations import EvaluationMap, Letter, Presentation, Relation
 
-from conftest import rank_one_less_idempotents
+from conftest import gen_family, rank_one_less_idempotents
 
 
 class TestVerify:
@@ -174,11 +172,11 @@ class TestTargets:
         "name, n", [(f"@{k}", 2) for k in sorted(FIXTURES)] + [("@Z2", 3), ("@B01", 3)]
     )
     def test_e_wreath_target_is_closure_of_filtered_idempotents(self, name, n):
-        # reference: filter the idempotents of M wr T_n by their closed-form
-        # test, then close them; same elements in the same order
+        # reference: filter the idempotents of M wr T_n by squaring, then
+        # close them; same elements in the same order
         M = fixture(name)
         ctx = WreathContext(M, n, "full")
-        idem = [x for x in ctx.elements() if is_wr_idempotent(ctx, x)]
+        idem = [x for x in ctx.elements() if ctx.multiply(x, x) == x]
         assert e_wreath_target(M, n).elements == close(idem, ctx.multiply).elements
 
     def test_targets_do_no_products(self, Z2, monkeypatch):

@@ -251,6 +251,35 @@ class TestIdempotentsCommand:
         assert report == {"error": "CapacityError",
                           "message": "degree 601 outside the formula's range 1..600"}
 
+    def test_degree_list_budget_checked_before_the_first_row(self, capsys, monkeypatch):
+        # each degree is within range, but their work, about n^3 each, sums
+        # past that of one degree 600
+        from wreathbench import cli
+
+        def refuse(*args):
+            raise AssertionError("a row counted before the list's budget check")
+
+        monkeypatch.setattr(cli, "count_idempotents", refuse)
+        code, report = run_json(capsys, "idempotents", "--monoid", "@T2", "-n", "600,600")
+        assert code == 2
+        assert report == {"error": "CapacityError",
+                          "message": "2 degrees over the formula's budget: their cubes sum to "
+                                     "432000000, over 600^3"}
+
+    def test_brute_budget_summed_over_the_degrees(self, capsys, monkeypatch):
+        # |Z3 wr T_5| = 3^5 * 5^5 = 759,375 is within the brute bound, twice
+        # that is not
+        from wreathbench import cli
+
+        def refuse(*args):
+            raise AssertionError("a row counted before the list's budget check")
+
+        monkeypatch.setattr(cli, "count_idempotents", refuse)
+        code, report = run_json(capsys, "idempotents", "--monoid", "@Z3", "-n", "5,5", "--check")
+        assert code == 2
+        assert report == {"error": "CapacityError",
+                          "message": f"brute idempotent count too large (reached {2 * 3**5 * 5**5})"}
+
     def test_method_both_refused(self, capsys):
         # --check is the one way to run both counts
         code, report = run_json(

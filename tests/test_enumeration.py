@@ -8,11 +8,9 @@ from wreathbench import (
     brute_rank,
     close,
     compose,
-    diagonal_action_generated,
     eps_a,
     epsilon,
     fixture,
-    gen_family,
     generates,
     rank_formulas,
     tournament_check,
@@ -21,7 +19,7 @@ from wreathbench import (
 from wreathbench import wreath
 from wreathbench.errors import CapacityError, ForeignElementError, PreconditionError
 
-from conftest import rank_one_less_idempotents
+from conftest import gen_family, rank_one_less_idempotents
 
 
 def sing(n):
@@ -262,29 +260,3 @@ class TestRankFormulas:
             target = close(ctx.elements(), ctx.multiply)
             k, _ = brute_rank(target, list(target.elements))
             assert rank_formulas(M, 2).lower <= k
-
-
-class TestDiagonalAction:
-    def test_two_generators_enough(self, Z2):
-        g = Z2.labels.index("g")
-        assert diagonal_action_generated(Z2, [(0, 0), (0, g)])
-
-    def test_diagonal_alone_fails(self, Z2):
-        assert not diagonal_action_generated(Z2, [(0, 0)])
-
-    def test_everything_trivially(self, RZ1):
-        omega = list(itertools.product(range(RZ1.order), repeat=2))
-        assert diagonal_action_generated(RZ1, omega)
-
-    def test_oracle_direct_orbit(self, B01):
-        # oracle: literal orbit computation
-        for size in (1, 2):
-            for omega in itertools.combinations(
-                list(itertools.product(range(2), repeat=2)), size
-            ):
-                orbit = {
-                    (B01.multiply(a, c), B01.multiply(b, c))
-                    for a, b in omega
-                    for c in range(2)
-                }
-                assert diagonal_action_generated(B01, omega) == (len(orbit) == 4)

@@ -6,7 +6,7 @@ from wreathbench import GreenData, cayley_monoid, fixture, sing_target, wreath_s
 from wreathbench.green import e_part_indices, has_unit_complement_E, incomparable_L_witness
 from wreathbench.monoids import FIXTURES
 
-from conftest import monoid_census, rank_one_less_idempotents
+from conftest import gen_family, monoid_census, rank_one_less_idempotents
 
 
 def kernel_pairs(x):
@@ -124,7 +124,7 @@ class TestPreorders:
         g = green(T3)
         for a, x in enumerate(elems):
             for b, y in enumerate(elems):
-                assert g.leq_L[a][b] == (x.image() <= y.image())
+                assert g.leq_L[a][b] == (set(x.images) <= set(y.images))
                 assert g.leq_R[a][b] == (kernel_pairs(x) >= kernel_pairs(y))
                 assert g.leq_J[a][b] == (x.rank() <= y.rank())
         # eps maps with the same moved point are L-related
@@ -137,7 +137,7 @@ class TestPreorders:
         assert not (g.leq_L[i12][i21] and g.leq_L[i21][i12])
 
     def test_d_equals_j_on_finite_carriers(self, Z2, B01, RZ1, T2):
-        from wreathbench import WreathContext, gen_family
+        from wreathbench import WreathContext
 
         carriers = [green(M) for M in (Z2, B01, RZ1, T2)]
         ctx = WreathContext(Z2, 2, "singular")

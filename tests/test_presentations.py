@@ -18,14 +18,11 @@ from wreathbench import (
     evaluate,
     fixture,
     is_L_chain,
-    omega_witnesses,
     soundness,
     standard_map,
     table_presentation,
     validate_monoid,
     verify,
-    word_E_X1,
-    word_E_X2,
     wreath_sing_target,
 )
 from wreathbench.errors import PreconditionError
@@ -34,7 +31,7 @@ from wreathbench.green import e_part_indices
 from wreathbench.presentations import Letter, Presentation, Relation
 from wreathbench.transformations import epsilon
 
-from conftest import monoid_census
+from conftest import gen_family, monoid_census, omega_witnesses, word_E_X1, word_E_X2
 
 
 def name_index(p):
@@ -56,9 +53,7 @@ def corrupt_and_detect(p, emap):
                     p.relations[:idx] + (mutated,) + p.relations[idx + 1 :],
                     dict(p.provenance),
                 )
-                rep = soundness(q, emap)
-                assert not rep.ok
-                assert any(f["index"] == idx for f in rep.failures)
+                assert any(f["index"] == idx for f in soundness(q, emap))
                 return
     raise AssertionError("no effective corruption found")
 
@@ -83,8 +78,7 @@ class TestEmitR:
     def test_sound(self):
         for n in (2, 3, 4):
             p = emit_R(n)
-            rep = soundness(p, standard_map(p))
-            assert rep.ok and rep.checked == len(p.relations)
+            assert soundness(p, standard_map(p)) == []
 
     def test_mutation_detected(self):
         p = emit_R(3)
@@ -108,7 +102,7 @@ class TestEmitRn:
         for M in (Z2, B01):
             for n in (2, 3):
                 p = emit_Rn(M, n)
-                assert soundness(p, standard_map(p, M)).ok
+                assert soundness(p, standard_map(p, M)) == []
 
     def test_capacity(self, Z2):
         from wreathbench.errors import CapacityError
@@ -189,7 +183,7 @@ class TestEmitR2:
         for M in (Z2, B01, RZ1):
             for n in (2, 3):
                 p = emit_R2(M, n)
-                assert soundness(p, standard_map(p, M)).ok
+                assert soundness(p, standard_map(p, M)) == []
 
     def test_mutation_detected(self, Z2):
         p = emit_R2(Z2, 2)
@@ -203,7 +197,7 @@ class TestEmitR1:
         assert "chain" in str(exc.value)
         # force hook still emits sound relations
         p = emit_R1(RZ1, 2, force=True)
-        assert soundness(p, standard_map(p, RZ1)).ok
+        assert soundness(p, standard_map(p, RZ1)) == []
 
     def test_cancellation_family_instance(self, B01):
         # 1*0 = 0*0, so the two left factors are interchangeable before e(1,2;0)
@@ -247,7 +241,7 @@ class TestEmitR1:
         for M in (B01, T1):
             for n in (2, 3):
                 p = emit_R1(M, n)
-                assert soundness(p, standard_map(p, M)).ok
+                assert soundness(p, standard_map(p, M)) == []
 
     def test_mutation_detected(self, B01):
         p = emit_R1(B01, 2)
@@ -283,7 +277,7 @@ class TestEmitR1p:
         for M in (Z2, Z3):
             for n in (2, 3):
                 p = emit_R1p(M, n)
-                assert soundness(p, standard_map(p, M)).ok
+                assert soundness(p, standard_map(p, M)) == []
 
     def test_mutation_detected(self, Z3):
         p = emit_R1p(Z3, 2)
@@ -381,7 +375,7 @@ class TestTablePresentation:
         p, gens = table_presentation(B01)
         assert p.kind == "monoid"
         assert len(p.letters) == 1
-        assert soundness(p, standard_map(p, B01)).ok
+        assert soundness(p, standard_map(p, B01)) == []
 
     def test_images_avoid_identity(self, T2):
         E_mon, carrier = submonoid(T2, sorted(e_part_indices(T2)))
@@ -422,7 +416,7 @@ class TestEmitEMonoid:
     def test_sound(self, Z2, T2):
         for M in (Z2, T2):
             p = self._auto(M, 2)
-            assert soundness(p, standard_map(p, M)).ok
+            assert soundness(p, standard_map(p, M)) == []
 
     def test_spec_style_two_generator_base(self, T2):
         # hand-built base: two letters, the chained idempotency/absorption
@@ -440,7 +434,7 @@ class TestEmitEMonoid:
             {"family": "table", "monoid": "E"},
         )
         p = emit_E_wreath_monoid(T2, 2, base, [T2.labels.index("11"), T2.labels.index("22")])
-        assert soundness(p, standard_map(p, T2)).ok
+        assert soundness(p, standard_map(p, T2)) == []
 
     def test_hypothesis_failure(self, N3):
         base = Presentation("monoid", (), (), {"family": "table"})
@@ -605,6 +599,17 @@ def test_matches_recorded_ordered_emission(family, name, n, letters, relations, 
     assert digest(tuple((lt.name, lt.params) for lt in p.letters)) == letters
     assert digest(tuple((r.lhs, r.rhs, r.tag) for r in p.relations)) == relations
     assert len(p.relations) == count
+
+
+@pytest.mark.parametrize("family, gens", [("R1", "X1"), ("R2", "X2"), ("Rn", "Xn")])
+def test_letter_images_are_the_generator_family_in_order(family, gens):
+    # each emitter's alphabet is the paper's generator family, in its order:
+    # ordered pairs (i, j) first, then the monoid entries by odometer
+    for name in ("@T1", "@Z2", "@Z3", "@B01", "@RZ1", "@T2"):
+        M = fixture(name)
+        for n in (2, 3):
+            images = standard_map(_emit(family, name, n), M).images
+            assert list(images) == gen_family(WreathContext(M, n, "singular"), gens), (name, n)
 
 
 def test_census_r2_certifies_and_r1_exactly_on_L_chains():

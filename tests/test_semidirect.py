@@ -10,8 +10,6 @@ from wreathbench import (
     emit_R,
     emit_semidirect,
     enumerate_Tn,
-    semidirect_multiply,
-    validate_action,
     validate_monoid,
     wr_multiply,
 )
@@ -19,12 +17,7 @@ from wreathbench.errors import ActionError
 from wreathbench.presentations import EvaluationMap, soundness
 from wreathbench.wreath import power_with_shuffle
 
-from conftest import rank_one_less_idempotents
-
-
-def trivial_semigroup():
-    """One idempotent element."""
-    return close(["e"], lambda x, y: "e")
+from conftest import rank_one_less_idempotents, semidirect_multiply
 
 
 def saturating_pair_monoid(cap):
@@ -38,53 +31,59 @@ def saturating_pair_monoid(cap):
     return validate_monoid([f"{a},{b}" for a, b in pairs], pos[(0, 0)], table), pos, pairs
 
 
+def folds(p):
+    """The RM2 relations of an emitted semidirect presentation, keyed by the
+    (base letter, monoid element) pairs of their letters."""
+    key = [(lt.param("x"), lt.param("a")) for lt in p.letters]
+    return {
+        (tuple(key[l] for l in r.lhs), tuple(key[l] for l in r.rhs))
+        for r in p.relations
+        if r.tag == "RM2"
+    }
+
+
 class TestAction:
     def test_trivial_action_gives_direct_product(self, Z2):
-        S = trivial_semigroup()
-        action = lambda s, a: a
-        validate_action(Z2, S, action)
-        for a in range(2):
-            for b in range(2):
-                prod = semidirect_multiply(Z2, S, action, (a, 0), (b, 0))
-                assert prod == (Z2.multiply(a, b), 0)
+        # letters that fix every element fold (x, a)(y, b) into (x, ab)(y, 1)
+        rm2 = folds(emit_semidirect(emit_R(2), Z2, lambda x, a: a))
+        for x, y, a, b in itertools.product(range(2), repeat=4):
+            assert (((x, a), (y, b)), ((x, Z2.multiply(a, b)), (y, Z2.identity))) in rm2
 
     def test_first_coordinate_projection_action(self):
-        # the action s.(a,b) = (a,a) of a one-element semigroup turns the
-        # product into (a,b)(c,d) = (a+c, b+c)
+        # every letter acts by s.(a,b) = (a,a), an endomorphism that respects
+        # the relations of R at n = 2, so (x, (a,b))(y, (c,d)) folds into
+        # (x, (a+c, b+c))(y, (0,0))
         M, pos, pairs = saturating_pair_monoid(4)
-        S = trivial_semigroup()
-        action = lambda s, idx: pos[(pairs[idx][0], pairs[idx][0])]
-        validate_action(M, S, action)
+        action = lambda x, idx: pos[(pairs[idx][0], pairs[idx][0])]
+        rm2 = folds(emit_semidirect(emit_R(2), M, action))
         for a, b in ((0, 0), (1, 2), (2, 1)):
             for c, d in ((0, 1), (1, 1), (2, 0)):
-                got, _ = semidirect_multiply(M, S, action, (pos[(a, b)], 0), (pos[(c, d)], 0))
-                assert got == pos[(a + c, b + c)]
+                lhs = ((0, pos[(a, b)]), (1, pos[(c, d)]))
+                assert (lhs, ((0, pos[(a + c, b + c)]), (1, pos[(0, 0)]))) in rm2
 
     def test_invalid_action_names_axiom(self, Z2):
-        S = trivial_semigroup()
+        # every letter sends the identity to g
         g = Z2.labels.index("g")
-        bad = lambda s, a: g  # sends the identity to g
         with pytest.raises(ActionError) as exc:
-            validate_action(Z2, S, bad)
+            emit_semidirect(emit_R(2), Z2, lambda x, a: g)
         assert exc.value.axiom == "s.1 = 1"
+        assert exc.value.witness == (0, Z2.identity)
 
-    def test_composition_axiom_checked_on_generators(self, Z2):
-        # S = <g> in Z2: g acts as the identity and g^2 = 1 trivially, each an
-        # endomorphism, but (g g).g = 1 while g.(g.g) = g
-        S = close([Z2.labels.index("g")], Z2.multiply)
-        assert S.gen_indices == [0]
-        action = lambda s, a: a if s == 0 else Z2.identity
+    def test_non_endomorphism_names_axiom(self, Z3):
+        # every letter fixes 1 and g and sends g2 to g, so s.(g g) = s.g2 = g
+        # while (s.g)(s.g) = g g = g2
+        g = Z3.labels.index("g")
+        action = lambda x, a: g if a == Z3.labels.index("g2") else a
         with pytest.raises(ActionError) as exc:
-            validate_action(Z2, S, action)
-        assert exc.value.axiom == "(st).a = s.(t.a)"
-        assert exc.value.witness == (0, 0, Z2.labels.index("g"))
+            emit_semidirect(emit_R(2), Z3, action)
+        assert exc.value.axiom == "s.(ab) = (s.a)(s.b)"
+        assert exc.value.witness == (0, g, g)
 
     def test_shuffle_action_reproduces_wreath_product(self, Z2):
         n = 2
         trans = enumerate_Tn(n, "singular")
         Mn, action = power_with_shuffle(Z2, n, trans)
         S = close(list(range(len(trans))), lambda s, t: trans.index(compose(trans[s], trans[t])))
-        validate_action(Mn, S, action)
         ctx = WreathContext(Z2, n, "singular")
         tuples = list(itertools.product(range(Z2.order), repeat=n))
         pos = {t: i for i, t in enumerate(tuples)}
@@ -148,8 +147,7 @@ class TestEmitSemidirect:
         p = emit_semidirect(base, M2, lambda x, a: action(base_images[x], a))
         images = tuple((lt.param("a"), base_images[lt.param("x")]) for lt in p.letters)
         emap = EvaluationMap(images, lambda u, v: semidirect_multiply(M2, S, action, u, v))
-        rep = soundness(p, emap)
-        assert rep.ok
+        assert soundness(p, emap) == []
         elems = [(a, s) for a in range(M2.order) for s in range(len(S))]
         target = EnumeratedSemigroup(elems, lambda x, y: semidirect_multiply(M2, S, action, x, y))
         v = verify(p, emap, target)

@@ -1,10 +1,12 @@
 """The package surface holds only what the program runs.
 
 Every top-level function or class and every non-dunder method under
-``src/wreathbench/`` must be used: its name appears in ``src/`` outside its
-own definition, or anywhere in ``bench/``, as an identifier or as a whole
-string literal (the benchmark's span table wraps functions by name).  Names
-that ``__init__.py`` imports are used by that import.  The program also
+``src/wreathbench/`` must be used: its name appears in a module of ``src/``
+outside its own definition, or anywhere in ``bench/``, as an identifier or
+as a whole string literal (the benchmark's span table wraps functions by
+name).  An import in ``__init__.py`` is not a use, so a name that only the
+package's export list reaches counts as unused.  Every name that a module
+other than ``__init__.py`` imports is used in that module.  The program also
 holds no ``assert``: a check that ``python -O`` drops is not a check.
 """
 
@@ -14,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "wreathbench").glob("*.py"))
+MODULES = [path for path in SRC if path.name != "__init__.py"]
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
@@ -51,7 +54,7 @@ def _definitions(tree):
 
 
 def unused_definitions():
-    words = {path: _words(path) for path in SRC}
+    words = {path: _words(path) for path in MODULES}
     bench = {w for path in BENCH for _, w in _words(path)}
     unused = []
     for path in SRC:
@@ -66,6 +69,24 @@ def unused_definitions():
     return unused
 
 
+def unused_imports():
+    """Names a module imports but never reads.  Uses are read from the syntax
+    tree, where a name inside an f-string is an ``ast.Name`` as well."""
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
 def asserts():
     return [
         f"{path.name}:{node.lineno}"
@@ -77,6 +98,10 @@ def asserts():
 
 def test_every_definition_is_used():
     assert unused_definitions() == []
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
 
 
 def test_no_assert_statements():

@@ -4,13 +4,13 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from wreathbench import compose, enumerate_Tn, epsilon, identity, transformation, transformation_props
+from wreathbench import compose, enumerate_Tn, epsilon, identity
 from wreathbench.errors import CapacityError, DegreeMismatch
 from wreathbench.transformations import Transformation
 
 
 def t(*images):
-    return transformation(images)
+    return Transformation(images)
 
 
 class TestCompose:
@@ -67,22 +67,19 @@ class TestCompose:
 
 class TestProps:
     def test_spec_example(self):
-        props = transformation_props(t(1, 1, 3))
-        assert props.image == frozenset({1, 3})
-        assert props.kernel == ((1, 2), (3,))
-        assert props.rank == 2
-        assert props.idempotent
+        x = t(1, 1, 3)
+        assert x.rank() == 2
+        assert x.is_idempotent() and not x.is_permutation()
 
     def test_permutation_not_idempotent(self):
-        props = transformation_props(t(2, 1))
-        assert props.image == frozenset({1, 2})
-        assert props.rank == 2
-        assert not props.idempotent
+        x = t(2, 1)
+        assert x.rank() == 2
+        assert x.is_permutation() and not x.is_idempotent()
 
     def test_identity(self):
         for n in range(1, 6):
-            props = transformation_props(identity(n))
-            assert props.rank == n and props.idempotent
+            x = identity(n)
+            assert x.rank() == n and x.is_idempotent() and x.is_permutation()
 
     def test_idempotent_iff_fixes_image(self):
         # oracle: compare the flag against literal squaring

@@ -9,14 +9,10 @@ from wreathbench import (
     WreathContext,
     close,
     count_idempotents,
-    decompose_E,
     eps_a,
     eps_ab,
     epsilon,
     fixture,
-    gen_family,
-    is_wr_idempotent,
-    sigma_membership,
     validate_monoid,
     wr_multiply,
 )
@@ -26,7 +22,7 @@ from wreathbench.monoids import FIXTURES
 from wreathbench.transformations import enumerate_Tn, identity
 from wreathbench.wreath import MAX_FORMULA_DEGREE, idempotent_elements
 
-from conftest import monoid_census
+from conftest import gen_family, monoid_census, sigma_membership
 
 
 def _count_formula_by_tuples(ctx):
@@ -51,7 +47,7 @@ def _count_formula_by_tuples(ctx):
 def _idempotents_by_filter(ctx):
     """Reference for the brute count and the listing: every element built,
     then filtered by the per-element definition."""
-    return [x for x in ctx.elements() if is_wr_idempotent(ctx, x)]
+    return [x for x in ctx.elements() if ctx.multiply(x, x) == x]
 
 
 @lru_cache(maxsize=None)
@@ -140,24 +136,20 @@ class TestIdempotents:
         ctx = WreathContext(T2, 3, "singular")
         for i, j in ((1, 2), (2, 3), (3, 1)):
             for a in range(T2.order):
-                assert is_wr_idempotent(ctx, eps_a(ctx, i, j, a))
+                x = eps_a(ctx, i, j, a)
+                assert ctx.multiply(x, x) == x
 
     def test_group_diagonal_not_idempotent(self, Z2):
         ctx = WreathContext(Z2, 2, "full")
         g = Z2.labels.index("g")
-        assert not is_wr_idempotent(ctx, ctx.element((g, g), identity(2)))
+        x = ctx.element((g, g), identity(2))
+        assert ctx.multiply(x, x) != x
 
     def test_ones_tuple_over_idempotent(self, B01):
         ctx = WreathContext(B01, 3, "full")
         for t in enumerate_Tn(3, "full"):
             x = ctx.element((B01.identity,) * 3, t)
-            assert is_wr_idempotent(ctx, x) == t.is_idempotent()
-
-    def test_flag_agrees_with_squaring(self, Z2, B01, RZ1):
-        for M in (Z2, B01, RZ1):
-            ctx = WreathContext(M, 2, "full")
-            for x in ctx.elements():
-                assert is_wr_idempotent(ctx, x) == (wr_multiply(ctx, x, x) == x)
+            assert (ctx.multiply(x, x) == x) == t.is_idempotent()
 
     def test_counts_spec_values(self, Z2, T1):
         assert count_idempotents(WreathContext(Z2, 2, "full"), "formula") == 5
@@ -274,7 +266,7 @@ class TestFamilies:
 
     def test_x1_all_idempotent(self, RZ1):
         ctx = WreathContext(RZ1, 3, "singular")
-        assert all(is_wr_idempotent(ctx, x) for x in gen_family(ctx, "X1"))
+        assert all(ctx.multiply(x, x) == x for x in gen_family(ctx, "X1"))
 
 
 class TestSigma:
@@ -303,48 +295,7 @@ class TestSigma:
         for M in (RZ1, T2):
             ctx = WreathContext(M, 2, "singular")
             elems = ctx.elements()
-            idem = [x for x in elems if is_wr_idempotent(ctx, x)]
+            idem = [x for x in elems if ctx.multiply(x, x) == x]
             generated = set(close(idem, ctx.multiply).elements)
             sigma = {x for x in elems if sigma_membership(ctx, x)}
             assert generated == sigma
-
-
-class TestDecompose:
-    def test_t2_worked_example(self, T2):
-        ctx = WreathContext(T2, 2, "singular")
-        e12, sigma = T2.labels.index("11"), T2.labels.index("21")
-        x = ctx.element((e12, sigma), epsilon(2, 2, 1))
-        e_part, g_part = decompose_E(ctx, x)
-        assert [T2.labels[i] for i in e_part.tup] == ["11", "12"]
-        assert e_part.trans == identity(2)
-        assert [T2.labels[i] for i in g_part.tup] == ["12", "21"]
-        assert g_part.trans == x.trans
-
-    def test_all_units_and_no_units(self, T2):
-        ctx = WreathContext(T2, 2, "singular")
-        sigma = T2.labels.index("21")
-        e_part, g_part = decompose_E(ctx, ctx.element((sigma, T2.identity), epsilon(2, 1, 2)))
-        assert set(e_part.tup) == {T2.identity}
-        e_part, g_part = decompose_E(
-            ctx, ctx.element((T2.labels.index("11"), T2.labels.index("22")), epsilon(2, 1, 2))
-        )
-        assert set(g_part.tup) == {T2.identity}
-
-    def test_multiplies_back_everywhere(self, T2):
-        ctx = WreathContext(T2, 2, "singular")
-        from wreathbench.green import e_part_indices
-        from wreathbench.monoids import units
-
-        E = e_part_indices(T2)
-        G = set(units(T2))
-        for x in ctx.elements():
-            e_part, g_part = decompose_E(ctx, x)
-            assert wr_multiply(ctx, e_part, g_part) == x
-            assert all(c in E for c in e_part.tup)
-            assert all(c in G for c in g_part.tup)
-
-    def test_hypothesis_failure(self, N3):
-        ctx = WreathContext(N3, 2, "singular")
-        with pytest.raises(PreconditionError) as exc:
-            decompose_E(ctx, ctx.element((0, 0), epsilon(2, 1, 2)))
-        assert "'a'" in str(exc.value)
