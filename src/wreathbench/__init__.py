@@ -42,15 +42,17 @@ from .presentations import (
 )
 from .todd_coxeter import TCResult, todd_coxeter
 from .transformations import (
-    Transformation,
     compose,
     enumerate_Tn,
     epsilon,
     identity,
+    is_idempotent,
+    is_permutation,
+    rank,
+    transformation,
 )
 from .wreath import (
     WreathContext,
-    WreathElement,
     count_idempotents,
     eps_a,
     eps_ab,

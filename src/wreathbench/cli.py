@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 import time
+from functools import cache
 
 from .certify import (
     check_size, e_wreath_target, sing_target, target_size, verify, wreath_sing_target,
@@ -41,7 +42,7 @@ from .presentations import (
     table_presentation,
 )
 from .todd_coxeter import NODE_LIMIT
-from .transformations import Transformation, epsilon
+from .transformations import epsilon, transformation
 from .wreath import (
     WreathContext, check_brute_size, check_formula_degrees, count_idempotents, idempotent_elements,
 )
@@ -281,7 +282,7 @@ def cmd_gens(args):
                 result["error"] = "criterion and closure disagree"
                 return INTERNAL, parameters, result, {}
     elif args.elements is not None:
-        gens = [Transformation(tuple(images)) for images in _parse_elements(args.elements)]
+        gens = [transformation(images) for images in _parse_elements(args.elements)]
         target = sing_target(n, limit=args.limit_elements)
         answer = generates(gens, target) if gens else False
         result["closure"] = {"generates": answer}
@@ -291,6 +292,7 @@ def cmd_gens(args):
     return (OK if answer else NEGATIVE), parameters, result, {}
 
 
+@cache  # built once per process: the tree costs about a tenth of a small job
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wreathbench",

@@ -15,7 +15,7 @@ import json
 from functools import cached_property, lru_cache
 
 from .errors import MonoidValidationError
-from .transformations import Transformation, compose, enumerate_Tn
+from .transformations import compose, enumerate_Tn, identity
 
 MONOID_FILE_KEYS = {"name", "elements", "identity", "table"}
 
@@ -228,10 +228,9 @@ def full_transformation_monoid(n: int) -> EnumeratedSemigroup:
     by their image strings."""
     elems = enumerate_Tn(n, "full")
     pos = {t: i for i, t in enumerate(elems)}
-    labels = tuple("".join(str(v) for v in t.images) for t in elems)
+    labels = tuple("".join(str(v) for v in t) for t in elems)
     table = tuple(tuple(pos[compose(s, t)] for t in elems) for s in elems)
-    ident = pos[Transformation(tuple(range(1, n + 1)))]
-    return cayley_monoid(labels, ident, table, name=f"T{n}")
+    return cayley_monoid(labels, pos[identity(n)], table, name=f"T{n}")
 
 
 def _cyclic(k: int) -> EnumeratedSemigroup:

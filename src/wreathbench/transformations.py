@@ -1,13 +1,14 @@
 """Total transformations of {1..n} under left-to-right composition.
 
-All interfaces are 1-based: a transformation of degree n is the tuple
-(1t, 2t, ..., nt) of images.  Composition is (i)(s*t) = ((i)s)t.
+A transformation of degree n is the plain tuple (1t, 2t, ..., nt) of its
+images, 1-based.  Composition is (i)(s*t) = ((i)s)t.  Tuples built here are
+valid by construction; a tuple from outside the program goes through
+``transformation``, which checks it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
 
 from .errors import CapacityError, DegreeMismatch
@@ -17,49 +18,44 @@ from .errors import CapacityError, DegreeMismatch
 MAX_ENUM_DEGREE = 7
 
 
-@dataclass(frozen=True)
-class Transformation:
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if n == 0:
-            raise ValueError("degree must be positive")
-        for v in self.images:
-            if not 1 <= v <= n:
-                raise ValueError(f"image {v} out of range 1..{n}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def rank(self) -> int:
-        return len(set(self.images))
-
-    def is_idempotent(self) -> bool:
-        # idempotent iff every point of the image is fixed
-        return all(self.images[v - 1] == v for v in set(self.images))
-
-    def is_permutation(self) -> bool:
-        return self.rank() == self.degree
-
-    def __repr__(self):
-        return f"Transformation({list(self.images)})"
+def transformation(images) -> tuple[int, ...]:
+    """The transformation with these images, checked: at least one image, and
+    each in 1..n for the degree n = len(images)."""
+    images = tuple(images)
+    n = len(images)
+    if n == 0:
+        raise ValueError("degree must be positive")
+    for v in images:
+        if not 1 <= v <= n:
+            raise ValueError(f"image {v} out of range 1..{n}")
+    return images
 
 
-def identity(n: int) -> Transformation:
-    return Transformation(tuple(range(1, n + 1)))
+def rank(t) -> int:
+    return len(set(t))
 
 
-def compose(t1: Transformation, t2: Transformation) -> Transformation:
+def is_idempotent(t) -> bool:
+    # idempotent iff every point of the image is fixed
+    return all(t[v - 1] == v for v in set(t))
+
+
+def is_permutation(t) -> bool:
+    return rank(t) == len(t)
+
+
+def identity(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
+
+
+def compose(t1, t2) -> tuple[int, ...]:
     """Left-to-right composite: i -> (i t1) t2."""
-    if t1.degree != t2.degree:
-        raise DegreeMismatch(t1.degree, t2.degree)
-    im2 = t2.images
-    return Transformation(tuple(im2[v - 1] for v in t1.images))
+    if len(t1) != len(t2):
+        raise DegreeMismatch(len(t1), len(t2))
+    return tuple([t2[v - 1] for v in t1])
 
 
-def epsilon(n: int, i: int, j: int) -> Transformation:
+def epsilon(n: int, i: int, j: int) -> tuple[int, ...]:
     """The rank n-1 idempotent sending j to i and fixing every other point."""
     if n < 2:
         raise ValueError(f"degree {n} < 2")
@@ -69,7 +65,7 @@ def epsilon(n: int, i: int, j: int) -> Transformation:
         raise ValueError(f"indices ({i},{j}) out of range 1..{n}")
     images = list(range(1, n + 1))
     images[j - 1] = i
-    return Transformation(tuple(images))
+    return tuple(images)
 
 
 def index_pairs(n: int) -> list[tuple[int, int]]:
@@ -84,7 +80,7 @@ def part_size(n: int, part: str = "full") -> int:
     return n**n - (factorial(n) if part == "singular" else 0)
 
 
-def enumerate_Tn(n: int, part: str = "full") -> list[Transformation]:
+def enumerate_Tn(n: int, part: str = "full") -> list[tuple[int, ...]]:
     """Enumerate the "full" part of T_n (n^n maps) or its "singular" part (the
     non-invertible maps; empty for n <= 1), in lexicographic order of image
     sequences."""
@@ -92,7 +88,7 @@ def enumerate_Tn(n: int, part: str = "full") -> list[Transformation]:
         raise CapacityError(f"degree {n} outside supported range 1..{MAX_ENUM_DEGREE}")
     if part not in ("full", "singular"):
         raise ValueError(f"unknown part {part!r}")
-    maps = (Transformation(images) for images in itertools.product(range(1, n + 1), repeat=n))
+    maps = itertools.product(range(1, n + 1), repeat=n)
     if part == "full":
         return list(maps)
-    return [t for t in maps if not t.is_permutation()]
+    return [t for t in maps if not is_permutation(t)]

@@ -1,7 +1,8 @@
 """Wreath products of a finite monoid by a transformation semigroup.
 
-An element is a pair (tuple of monoid-element indices, transformation);
-multiplication shuffles the right tuple through the left transformation:
+An element is one flat tuple (a_1, ..., a_n, s_1, ..., s_n): the monoid
+element indices a, then the images of the transformation s, 1-based.
+Multiplication shuffles the right tuple through the left transformation:
 
     (a, s)(b, t) = ((a_1 b_{1s}, ..., a_n b_{ns}), st).
 
@@ -16,9 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ActionError, CapacityError, DegreeMismatch
+from .errors import ActionError, CapacityError, DegreeMismatch, format_count
 from .monoids import EnumeratedSemigroup, power_monoid
-from .transformations import Transformation, compose, enumerate_Tn, epsilon, identity, part_size
+from .transformations import enumerate_Tn, epsilon, identity, is_idempotent, part_size
 
 # Brute force decides every element of the part, one table lookup per
 # coordinate, so this bounds its time; --list builds only the idempotents.
@@ -26,23 +27,6 @@ BRUTE_ELEMENT_BOUND = 10**6
 # The formula's work grows about as n^3; at this degree the slowest fixture
 # takes about a second (2-core x86 VM, Python 3.11).
 MAX_FORMULA_DEGREE = 600
-
-
-@dataclass(frozen=True)
-class WreathElement:
-    tup: tuple[int, ...]
-    trans: Transformation
-
-    def __post_init__(self):
-        if len(self.tup) != self.trans.degree:
-            raise DegreeMismatch(len(self.tup), self.trans.degree)
-
-    @property
-    def degree(self) -> int:
-        return self.trans.degree
-
-    def __repr__(self):
-        return f"WreathElement({list(self.tup)}, {list(self.trans.images)})"
 
 
 @dataclass(frozen=True)
@@ -59,55 +43,54 @@ class WreathContext:
         if self.degree < 1:
             raise ValueError(f"degree {self.degree} is below 1")
 
-    def element(self, tup, trans) -> WreathElement:
+    def element(self, tup, trans) -> tuple[int, ...]:
+        """The element (tup, trans), with the monoid indices and the degree of
+        ``trans`` checked."""
         tup = tuple(tup)
         for a in tup:
             if not 0 <= a < self.base.order:
                 raise ValueError(f"monoid index {a} out of range")
-        return WreathElement(tup, trans)
+        if len(tup) != self.degree or len(trans) != self.degree:
+            raise DegreeMismatch((len(tup), len(trans)), self.degree)
+        return tup + tuple(trans)
 
-    def multiply(self, x: WreathElement, y: WreathElement) -> WreathElement:
+    def multiply(self, x, y) -> tuple[int, ...]:
         return wr_multiply(self, x, y)
 
-    def identity_element(self) -> WreathElement:
-        one = self.base.identity
-        return WreathElement((one,) * self.degree, identity(self.degree))
+    def identity_element(self) -> tuple[int, ...]:
+        return (self.base.identity,) * self.degree + identity(self.degree)
 
     def size(self) -> int:
         """|M|^n times the size of the part of T_n, without enumerating."""
         return self.base.order**self.degree * part_size(self.degree, self.part)
 
-    def elements(self) -> list[WreathElement]:
+    def elements(self) -> list[tuple[int, ...]]:
         """Every element of M wr S: transformation-major, tuple odometer minor."""
-        m = self.base.order
-        out = []
-        for t in enumerate_Tn(self.degree, self.part):
-            for tup in itertools.product(range(m), repeat=self.degree):
-                out.append(WreathElement(tup, t))
-        return out
+        tuples = list(itertools.product(range(self.base.order), repeat=self.degree))
+        return [tup + t for t in enumerate_Tn(self.degree, self.part) for tup in tuples]
 
-    def serialize(self, x: WreathElement) -> dict:
+    def serialize(self, x) -> dict:
+        n = self.degree
         return {
-            "tuple": [self.base.labels[a] for a in x.tup],
-            "trans": list(x.trans.images),
+            "tuple": [self.base.labels[a] for a in x[:n]],
+            "trans": list(x[n:]),
         }
 
 
-def wr_multiply(ctx: WreathContext, x: WreathElement, y: WreathElement) -> WreathElement:
-    if x.degree != ctx.degree or y.degree != ctx.degree:
-        raise DegreeMismatch((x.degree, y.degree), ctx.degree)
+def wr_multiply(ctx: WreathContext, x, y) -> tuple[int, ...]:
+    n = ctx.degree
+    if len(x) != 2 * n or len(y) != 2 * n:
+        raise DegreeMismatch((len(x) // 2, len(y) // 2), n)
     table = ctx.base.table
-    xi = x.trans.images
-    yt = y.tup
-    tup = tuple(table[x.tup[k]][yt[xi[k] - 1]] for k in range(ctx.degree))
-    return WreathElement(tup, compose(x.trans, y.trans))
+    s = x[n:]
+    return tuple([table[a][y[v - 1]] for a, v in zip(x, s)] + [y[n + v - 1] for v in s])
 
 
-def eps_elem(ctx: WreathContext, i: int, j: int, tup) -> WreathElement:
+def eps_elem(ctx: WreathContext, i: int, j: int, tup) -> tuple[int, ...]:
     return ctx.element(tup, epsilon(ctx.degree, i, j))
 
 
-def eps_ab(ctx: WreathContext, i: int, j: int, a: int, b: int) -> WreathElement:
+def eps_ab(ctx: WreathContext, i: int, j: int, a: int, b: int) -> tuple[int, ...]:
     one = ctx.base.identity
     tup = [one] * ctx.degree
     tup[i - 1] = a
@@ -115,7 +98,7 @@ def eps_ab(ctx: WreathContext, i: int, j: int, a: int, b: int) -> WreathElement:
     return eps_elem(ctx, i, j, tup)
 
 
-def eps_a(ctx: WreathContext, i: int, j: int, a: int) -> WreathElement:
+def eps_a(ctx: WreathContext, i: int, j: int, a: int) -> tuple[int, ...]:
     # identity at position i, a at position j
     return eps_ab(ctx, i, j, ctx.base.identity, a)
 
@@ -147,7 +130,11 @@ def check_brute_size(size: int) -> None:
     """Refuse brute force over parts of ``size`` elements in all, before any
     of them is decided."""
     if size > BRUTE_ELEMENT_BOUND:
-        raise CapacityError("brute idempotent count too large", count=size)
+        error = CapacityError(
+            f"the brute-force size, {format_count(size)}, is over its bound {BRUTE_ELEMENT_BOUND}"
+        )
+        error.count = size
+        raise error
 
 
 def _count_formula(ctx: WreathContext) -> int:
@@ -181,10 +168,10 @@ def _count_brute(ctx: WreathContext) -> int:
     return sum(1 for _ in _idempotent_pairs(ctx))
 
 
-def idempotent_elements(ctx: WreathContext) -> list[WreathElement]:
+def idempotent_elements(ctx: WreathContext) -> list[tuple[int, ...]]:
     """The idempotents in element order, built from the pairs that
     ``_idempotent_pairs`` decides."""
-    return [WreathElement(tup, t) for tup, t in _idempotent_pairs(ctx)]
+    return [tup + t for tup, t in _idempotent_pairs(ctx)]
 
 
 def _idempotent_pairs(ctx: WreathContext):
@@ -197,9 +184,9 @@ def _idempotent_pairs(ctx: WreathContext):
     table = ctx.base.table
     tuples = list(itertools.product(range(ctx.base.order), repeat=ctx.degree))
     for t in enumerate_Tn(ctx.degree, ctx.part):
-        if not t.is_idempotent():
+        if not is_idempotent(t):
             continue
-        images = [v - 1 for v in t.images]
+        images = [v - 1 for v in t]
         for tup in tuples:
             for a, j in zip(tup, images):
                 if table[a][tup[j]] != a:
@@ -241,7 +228,7 @@ def power_with_shuffle(M: EnumeratedSemigroup, n: int, transformations):
     pos = {t: i for i, t in enumerate(tuples)}
     # tabulated, since emission and its checks query each pair (s, a) many times
     table = [
-        [pos[tuple(tup[v - 1] for v in alpha.images)] for tup in tuples]
+        [pos[tuple(tup[v - 1] for v in alpha)] for tup in tuples]
         for alpha in transformations
     ]
 

@@ -7,7 +7,7 @@ from wreathbench import eps_a, eps_ab, eps_elem, epsilon, fixture, is_L_chain
 from wreathbench.errors import PreconditionError
 from wreathbench.green import green_cached
 from wreathbench.presentations import _alphabet
-from wreathbench.transformations import index_pairs
+from wreathbench.transformations import index_pairs, is_permutation
 
 
 @pytest.fixture(scope="session")
@@ -78,17 +78,24 @@ def gen_family(ctx, family):
     raise ValueError(f"unknown family {family!r}")
 
 
+def pair_multiply(M, x, y):
+    """The paper's product on separate (tuple, images) pairs:
+    (a, s)(b, t) = ((a_1 b_{1s}, ..., a_n b_{ns}), st)."""
+    (a, s), (b, t) = x, y
+    return tuple(M.table[a[k]][b[s[k] - 1]] for k in range(len(a))), tuple(t[v - 1] for v in s)
+
+
 def sigma_membership(ctx, x):
     """Membership in the idempotent-generated part of M wr Sing_n: some
     non-diagonal kernel pair (i, j) of the transformation has a_i <=_L a_j
     in the base monoid."""
-    if x.trans.is_permutation():
+    n = ctx.degree
+    tup, im = x[:n], x[n:]
+    if is_permutation(im):
         raise PreconditionError("element's transformation is invertible")
     leq_L = green_cached(ctx.base).leq_L
-    im = x.trans.images
-    n = ctx.degree
     return any(
-        i != j and im[i] == im[j] and leq_L[x.tup[i]][x.tup[j]] for i in range(n) for j in range(n)
+        i != j and im[i] == im[j] and leq_L[tup[i]][tup[j]] for i in range(n) for j in range(n)
     )
 
 

@@ -21,6 +21,7 @@ from wreathbench import (
     emit_R2,
     emit_Rn,
     enumerate_Tn,
+    is_idempotent,
     eps_ab,
     eps_elem,
     epsilon,
@@ -109,7 +110,7 @@ def test_criterion_1_idempotent_counts():
                 if f != b:
                     failures.append(f"{name} n={n} {part}: formula {f} != brute {b}")
     for n in range(1, 6):
-        brute = sum(1 for x in enumerate_Tn(n) if x.is_idempotent())
+        brute = sum(1 for x in enumerate_Tn(n) if is_idempotent(x))
         formula = sum(comb(n, k) * k ** (n - k) for k in range(1, n + 1))
         if brute != formula:
             failures.append(f"E(T_{n}): {brute} != {formula}")

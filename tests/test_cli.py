@@ -200,7 +200,7 @@ class TestIdempotentsCommand:
         )
         assert code == 2
         assert report["error"] == "CapacityError"
-        assert report["message"] == f"brute idempotent count too large (reached {4**9 * 9**9})"
+        assert report["message"] == f"the brute-force size, {4**9 * 9**9}, is over its bound 1000000"
 
     @pytest.mark.parametrize("part", ["full", "singular"])
     def test_group_at_degree_100(self, part):
@@ -278,7 +278,7 @@ class TestIdempotentsCommand:
         code, report = run_json(capsys, "idempotents", "--monoid", "@Z3", "-n", "5,5", "--check")
         assert code == 2
         assert report == {"error": "CapacityError",
-                          "message": f"brute idempotent count too large (reached {2 * 3**5 * 5**5})"}
+                          "message": f"the brute-force size, {2 * 3**5 * 5**5}, is over its bound 1000000"}
 
     def test_method_both_refused(self, capsys):
         # --check is the one way to run both counts
@@ -407,6 +407,20 @@ class TestGensCommand:
         assert report["error"] == "ValueError"
         assert "--elements" in report["message"]
 
+    @pytest.mark.parametrize("elements, image", [("[[1,1,4]]", 4), ("[[0,1,1]]", 0)])
+    def test_image_out_of_range_refused(self, capsys, elements, image):
+        code, report = run_json(capsys, "gens", "-n", "3", "--elements", elements)
+        assert code == 2
+        assert report == {"error": "ValueError", "message": f"image {image} out of range 1..3"}
+
+    @pytest.mark.parametrize("elements", ["[[1,1]]", "[[1,2,3]]"], ids=["degree", "permutation"])
+    def test_foreign_element_refused(self, capsys, elements):
+        # a map of another degree, and a permutation, are not in Sing_3
+        code, report = run_json(capsys, "gens", "-n", "3", "--elements", elements)
+        assert code == 2
+        assert report["error"] == "ForeignElementError"
+        assert report["message"].endswith(" is not an element of the target")
+
     def test_empty_element_list_is_negative(self, capsys):
         code, report = run_json(capsys, "gens", "-n", "3", "--elements", "[]")
         assert code == 1
@@ -529,7 +543,7 @@ class TestSizesPastTheDigitLimit:
             (["rank", "--monoid", "@Z2", "-n", "2000", "--mode", "brute"],
              "the target's size, a 7205-digit number, is over the element limit 1000000"),
             (["idempotents", "--monoid", "@Z2", "-n", "2000", "--method", "brute"],
-             "brute idempotent count too large (reached a 7205-digit number)"),
+             "the brute-force size, a 7205-digit number, is over its bound 1000000"),
         ],
         ids=["verify", "rank", "idempotents"],
     )

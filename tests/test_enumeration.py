@@ -60,7 +60,7 @@ class TestClose:
     def test_shortlex_element_order(self):
         s = sing(2)
         # generators first, then products in word-length order
-        assert [x.images for x in s.elements] == [(1, 1), (2, 2)]
+        assert s.elements == [(1, 1), (2, 2)]
         s3 = sing(3)
         lengths = [len(w) for w in s3.factorizations]
         assert lengths == sorted(lengths)

@@ -367,7 +367,7 @@ class TestEvaluate:
         emap = standard_map(p)
         L = name_index(p)
         val = evaluate((L["e(1,2)"], L["e(2,1)"]), emap)
-        assert val.images == (2, 2)
+        assert val == (2, 2)
 
 
 class TestTablePresentation:
@@ -491,7 +491,7 @@ def _emonoid_t3_over_R(n):
     images = []
     for lt in R3.letters:
         e = epsilon(3, lt.param("i"), lt.param("j"))
-        images.append(T3.labels.index("".join(map(str, e.images))))
+        images.append(T3.labels.index("".join(map(str, e))))
     return emit_E_wreath_monoid(T3, n, base, images)
 
 

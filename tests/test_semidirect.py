@@ -93,8 +93,8 @@ class TestAction:
             tb, sb = rng.choice(tuples), rng.randrange(len(trans))
             got = semidirect_multiply(Mn, S, action, (pos[ta], sa), (pos[tb], sb))
             via_wreath = wr_multiply(ctx, ctx.element(ta, trans[sa]), ctx.element(tb, trans[sb]))
-            assert tuples[got[0]] == via_wreath.tup
-            assert trans[got[1]] == via_wreath.trans
+            assert tuples[got[0]] == via_wreath[:n]
+            assert trans[got[1]] == via_wreath[n:]
 
 
 class TestEmitSemidirect:

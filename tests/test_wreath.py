@@ -19,10 +19,10 @@ from wreathbench import (
 from wreathbench import wreath
 from wreathbench.errors import CapacityError, PreconditionError
 from wreathbench.monoids import FIXTURES
-from wreathbench.transformations import enumerate_Tn, identity
+from wreathbench.transformations import enumerate_Tn, identity, is_idempotent
 from wreathbench.wreath import MAX_FORMULA_DEGREE, idempotent_elements
 
-from conftest import gen_family, monoid_census, sigma_membership
+from conftest import gen_family, monoid_census, pair_multiply, sigma_membership
 
 
 def _count_formula_by_tuples(ctx):
@@ -69,8 +69,8 @@ class TestMultiply:
         x = ctx.element((g, 0), epsilon(2, 1, 2))
         y = ctx.element((0, g), epsilon(2, 2, 1))
         z = wr_multiply(ctx, x, y)
-        assert z.tup == (g, 0)
-        assert z.trans.images == (2, 2)
+        assert z[:2] == (g, 0)
+        assert z[2:] == (2, 2)
 
     def test_identity_element(self, Z2):
         ctx = WreathContext(Z2, 2, "full")
@@ -89,11 +89,19 @@ class TestMultiply:
             x, y = rng.choice(elems), rng.choice(elems)
             z = wr_multiply(ctx, x, y)
             for k in range(3):
-                target = x.trans.images[k]
-                assert z.tup[k] == T2.multiply(x.tup[k], y.tup[target - 1])
-            assert z.trans.images == tuple(
-                y.trans.images[v - 1] for v in x.trans.images
-            )
+                target = x[3 + k]
+                assert z[k] == T2.multiply(x[k], y[target - 1])
+            assert z[3:] == tuple(y[3 + v - 1] for v in x[3:])
+
+    @pytest.mark.parametrize("name, n, part", [("@T2", 2, "full"), ("@Z2", 3, "singular")])
+    def test_equals_pair_reference(self, name, n, part):
+        M = fixture(name)
+        ctx = WreathContext(M, n, part)
+        elems = ctx.elements()
+        for x in elems:
+            for y in elems:
+                tup, images = pair_multiply(M, (x[:n], x[n:]), (y[:n], y[n:]))
+                assert wr_multiply(ctx, x, y) == tup + images
 
     def test_associative_exhaustive_small_bases(self, Z2, B01, RZ1):
         for M in (Z2, B01, RZ1):
@@ -149,7 +157,7 @@ class TestIdempotents:
         ctx = WreathContext(B01, 3, "full")
         for t in enumerate_Tn(3, "full"):
             x = ctx.element((B01.identity,) * 3, t)
-            assert (ctx.multiply(x, x) == x) == t.is_idempotent()
+            assert (ctx.multiply(x, x) == x) == is_idempotent(t)
 
     def test_counts_spec_values(self, Z2, T1):
         assert count_idempotents(WreathContext(Z2, 2, "full"), "formula") == 5
