@@ -28,9 +28,8 @@ from .enumeration import (
     rank_formulas,
     tournament_check,
 )
-from .errors import CapacityError, PreconditionError
-from .green import e_part_indices
-from .monoids import FIXTURES, resolve_monoid, submonoid
+from .errors import CapacityError, DegreeMismatch, PreconditionError
+from .monoids import FIXTURES, resolve_monoid
 from .presentations import (
     emit_E_wreath_monoid,
     emit_R,
@@ -39,7 +38,6 @@ from .presentations import (
     emit_R2,
     emit_Rn,
     standard_map,
-    table_presentation,
 )
 from .todd_coxeter import NODE_LIMIT
 from .transformations import epsilon, transformation
@@ -48,6 +46,9 @@ from .wreath import (
 )
 
 OK, NEGATIVE, INVALID, INTERNAL = 0, 1, 2, 70
+# the largest -n, refused where -n is read: the closed-form sizes that the
+# size checks compute exactly cost more with every degree (20 ms at 10,000)
+MAX_DEGREE = 10_000
 
 
 class UsageError(ValueError):
@@ -93,12 +94,16 @@ def _as_table(report):
     return "\n".join(lines)
 
 
-def _int_option(option, text):
-    """``text`` as an integer; a refusal names the option and quotes the text."""
+def _degree(text):
+    """``text`` as a degree, an integer of at most MAX_DEGREE, refused before
+    any size is computed; a refusal names -n and quotes the text."""
     try:
-        return int(text)
+        n = int(text)
     except ValueError:
-        raise ValueError(f"{option} must be an integer, got {text!r}") from None
+        raise ValueError(f"-n must be an integer, got {text!r}") from None
+    if n > MAX_DEGREE:
+        raise ValueError(f"-n must be at most {MAX_DEGREE}, got {n}")
+    return n
 
 
 def _refuse_negative_budgets(args):
@@ -110,7 +115,7 @@ def _refuse_negative_budgets(args):
 
 
 def _parse_n_list(text):
-    values = [_int_option("-n", x) for x in str(text).split(",") if x != ""]
+    values = [_degree(x) for x in str(text).split(",") if x != ""]
     if not values:
         raise ValueError("no degree given")
     return values
@@ -151,13 +156,6 @@ def cmd_idempotents(args):
     return (OK if verdict else NEGATIVE), parameters, result, {}
 
 
-def _emonoid(M, n):
-    """The Emonoid presentation over the table presentation of E(M)'s submonoid."""
-    E_mon, carrier = submonoid(M, sorted(e_part_indices(M)), name="E")
-    base, base_gens = table_presentation(E_mon)
-    return emit_E_wreath_monoid(M, n, base, [carrier[m] for m in base_gens])
-
-
 # family -> (presentation of M and n, closed-form size of the target of M and
 # n, target of M, n and the element limit); only R takes no monoid.  Each
 # entry looks its functions up by module name when called, so that a rebound
@@ -170,14 +168,14 @@ FAMILIES = {
     "R2": (lambda M, n: emit_R2(M, n), *_WREATH_SING),
     "R1": (lambda M, n: emit_R1(M, n), *_WREATH_SING),
     "R1p": (lambda M, n: emit_R1p(M, n), *_WREATH_SING),
-    "Emonoid": (_emonoid, lambda M, n: target_size(M, n, "full"),
+    "Emonoid": (lambda M, n: emit_E_wreath_monoid(M, n), lambda M, n: target_size(M, n, "full"),
                 lambda M, n, limit: e_wreath_target(M, n, limit)),
 }
 
 
 def cmd_verify(args):
     M = resolve_monoid(args.monoid) if args.monoid else None
-    n = _int_option("-n", args.n)
+    n = _degree(args.n)
     if M is None and args.family != "R":
         raise PreconditionError(f"family {args.family} needs a monoid")
     presentation, size, target = FAMILIES[args.family]
@@ -208,7 +206,7 @@ def cmd_verify(args):
 
 def cmd_rank(args):
     M = resolve_monoid(args.monoid)
-    n = _int_option("-n", args.n)
+    n = _degree(args.n)
     result = {"monoid": M.name, "n": n, "mode": args.mode}
     verdict = True
     status = "ok"
@@ -265,7 +263,7 @@ def _parse_elements(text):
 
 
 def cmd_gens(args):
-    n = _int_option("-n", args.n)
+    n = _degree(args.n)
     parameters = {"n": n, "edges": args.edges, "elements": args.elements, "confirm": args.confirm}
     result = {"n": n}
     if args.edges is not None:
@@ -282,7 +280,11 @@ def cmd_gens(args):
                 result["error"] = "criterion and closure disagree"
                 return INTERNAL, parameters, result, {}
     elif args.elements is not None:
-        gens = [transformation(images) for images in _parse_elements(args.elements)]
+        gens = []
+        for images in _parse_elements(args.elements):
+            if len(images) != n:
+                raise DegreeMismatch(len(images), n)
+            gens.append(transformation(images))
         target = sing_target(n, limit=args.limit_elements)
         answer = generates(gens, target) if gens else False
         result["closure"] = {"generates": answer}

@@ -1,8 +1,8 @@
 """Breadth-first closure of generator sets, generation tests and rank search.
 
 The closure enumerates elements in shortlex order of their defining words
-(word length first, then generator index), which makes element order and the
-recorded shortest factorizations deterministic.
+(word length first, then generator index), which makes element order
+deterministic.
 """
 
 from __future__ import annotations
@@ -32,30 +32,24 @@ def close(generators, multiply, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigro
         raise ValueError("generator list is empty")
     elements = []
     index = {}
-    facts = []
     gen_indices = []
-    for g, val in enumerate(generators):
+    for val in generators:
         if val not in index:
             index[val] = len(elements)
             elements.append(val)
-            facts.append((g,))
         gen_indices.append(index[val])
     if len(elements) > limit:
         raise CapacityError("closure limit exceeded", count=len(elements))
-    i = 0
-    while i < len(elements):
-        x = elements[i]
-        for g, gval in enumerate(generators):
+    for x in elements:  # the list grows as it is walked: breadth-first
+        for gval in generators:
             y = multiply(x, gval)
             if y not in index:
                 index[y] = len(elements)
                 elements.append(y)
-                facts.append(facts[i] + (g,))
                 if len(elements) > limit:
                     raise CapacityError("closure limit exceeded", count=len(elements))
-        i += 1
     S = EnumeratedSemigroup(elements, multiply, index)
-    S.gen_indices, S.factorizations = gen_indices, facts
+    S.gen_indices = gen_indices
     return S
 
 

@@ -33,11 +33,9 @@ class EnumeratedSemigroup:
     given.
 
     Built directly from a complete element list, deriving ``index``, or by
-    ``close`` from a generating set.  Only ``close`` fills the closure data,
-    which is None otherwise: gen_indices[g] is the element index of input
-    generator g, and factorizations[i] is a shortest generator word for
-    elements[i] (ties lexicographic), the list being in shortlex discovery
-    order.
+    ``close`` from a generating set, in shortlex discovery order.  Only
+    ``close`` fills ``gen_indices``, which is None otherwise: gen_indices[g]
+    is the element index of input generator g.
     """
 
     def __init__(self, elements, multiply, index=None, labels=None, name=""):
@@ -46,7 +44,7 @@ class EnumeratedSemigroup:
         self.index = {x: i for i, x in enumerate(elements)} if index is None else index
         self.labels = labels
         self.name = name
-        self.gen_indices = self.factorizations = None
+        self.gen_indices = None
 
     def __len__(self):
         return len(self.elements)

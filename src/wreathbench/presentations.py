@@ -17,18 +17,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .enumeration import close
 from .errors import CapacityError, PreconditionError
 from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain
 from .monoids import EnumeratedSemigroup, inverse_of, is_group, submonoid, units
-from .todd_coxeter import todd_coxeter
 from .transformations import compose, epsilon, identity, index_pairs
 from .wreath import WreathContext, eps_a, eps_ab, eps_elem
 from .wreath import power_with_shuffle, validate_letter_action
 
 ALPHABET_LIMIT = 4096
-# node budget for certifying the base presentation of <E(M)>
-BASE_NODE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -495,7 +491,7 @@ def emit_semidirect(base: Presentation, M: EnumeratedSemigroup, action) -> Prese
 
 
 # ---------------------------------------------------------------------------
-# multiplication-table presentations (used as base input for the monoid build)
+# multiplication-table presentations (the base of the Emonoid presentation)
 
 def table_presentation(N: EnumeratedSemigroup) -> tuple[Presentation, list[int]]:
     """Monoid presentation of N on its non-identity elements with all
@@ -519,17 +515,15 @@ def table_presentation(N: EnumeratedSemigroup) -> tuple[Presentation, list[int]]
 # ---------------------------------------------------------------------------
 # the idempotent-generated monoid presentation
 
-def emit_E_wreath_monoid(
-    M: EnumeratedSemigroup, n: int, base: Presentation, base_images
-) -> Presentation:
+def emit_E_wreath_monoid(M: EnumeratedSemigroup, n: int) -> Presentation:
     """Monoid presentation for the idempotent-generated part of the full
-    wreath product, stitched from a per-coordinate copy of the base
-    presentation (for the idempotent-generated part of M), the group-base
-    presentation over the units, and the mixing relations between the two.
+    wreath product, stitched from a per-coordinate copy of the table
+    presentation of <E(M)>, the group-base presentation over the units, and
+    the mixing relations between the two.
 
-    ``base_images`` gives, per base letter, the M-index of its value; the
-    base must be a certified monoid presentation of <E(M)> with no letter
-    mapping to the identity.
+    Requires <E(M)> = {1} u (M \\ G).  The table presentation has one letter
+    per non-identity element of <E(M)>, so the word h_a of an element a is
+    its letter, and the empty word for the identity.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -538,42 +532,11 @@ def emit_E_wreath_monoid(
         raise PreconditionError(
             f"<E(M)> != {{1}} u (M \\ G); witness element {M.labels[wit]!r}", witness=wit
         )
-    if base.kind != "monoid":
-        raise PreconditionError("base presentation must be a monoid presentation")
-    base_images = list(base_images)
-    if len(base_images) != len(base.letters):
-        raise ValueError("one image per base letter required")
-    if any(m == M.identity for m in base_images):
-        raise PreconditionError("a base letter maps to the identity")
-
     G_mon, unit_list = submonoid(M, units(M))
     E_mon, carrier = submonoid(M, {M.identity} | (set(range(M.order)) - set(unit_list)), name="E")
-    pos_in_E = {m: k for k, m in enumerate(carrier)}
-    for m in base_images:
-        if m not in pos_in_E:
-            raise PreconditionError(f"base letter image {M.labels[m]!r} is a unit")
-
-    base_map = EvaluationMap(
-        tuple(pos_in_E[m] for m in base_images), E_mon.multiply, identity=E_mon.identity
-    )
-    failures = soundness(base, base_map)
-    if failures:
-        raise PreconditionError(f"base presentation unsound: {failures[0]}")
-    tc = todd_coxeter(base, node_limit=BASE_NODE_LIMIT)
-    if tc.status != "certified" or tc.class_count != E_mon.order:
-        raise PreconditionError(
-            f"base presentation not certified for <E(M)> "
-            f"(got {tc.status}/{tc.class_count}, want {E_mon.order})"
-        )
-
-    # shortest factorizations h_a over the base letters, ties lexicographic:
-    # the closure's own words, since no product of non-units is the identity
-    h_word = {E_mon.identity: ()}
-    if base_images:
-        S = close([pos_in_E[m] for m in base_images], E_mon.multiply)
-        h_word.update(zip(S.elements, S.factorizations))
-    if len(h_word) != E_mon.order:
-        raise PreconditionError("base letter images do not generate <E(M)>")
+    base, gens = table_presentation(E_mon)
+    base_images = [carrier[m] for m in gens]  # the M-index of each base letter
+    letter_of = {m: y for y, m in enumerate(base_images)}
 
     letters = []
     index = {}
@@ -595,7 +558,7 @@ def emit_E_wreath_monoid(
             )
 
     def h_at(m_idx, coord):
-        return tuple(index[("y", y, coord)] for y in h_word[pos_in_E[m_idx]])
+        return () if m_idx == M.identity else (index[("y", letter_of[m_idx], coord)],)
 
     rels = []
     add = rels.append
@@ -709,9 +672,4 @@ def standard_map(p: Presentation, M: EnumeratedSemigroup | None = None) -> Evalu
         ctx = WreathContext(M, n, "full")
         images = tuple(_letter_wreath_image(lt, ctx) for lt in p.letters)
         return EvaluationMap(images, ctx.multiply, identity=ctx.identity_element())
-    if family == "table":
-        if M is None:
-            raise ValueError("monoid required to build the evaluation map")
-        images = tuple(lt.param("m") for lt in p.letters)
-        return EvaluationMap(images, M.multiply, identity=M.identity)
     raise ValueError(f"no canonical map for family {family!r}")

@@ -145,6 +145,28 @@ def word_E_X1(M, n, i, j, a, b, omega, xwit):
     return (L[(i, j, xwit[(b, a)])], L[(j, i, a)], L[(i, j, M.identity)])
 
 
+def shortlex_closure(generators, multiply):
+    """Reference closure that records words: the elements generated, in
+    shortlex order of their shortest generator words (length first, then
+    generator index), and each element's word, ties lexicographic."""
+    elements, words, index = [], [], {}
+    for g, val in enumerate(generators):
+        if val not in index:
+            index[val] = len(elements)
+            elements.append(val)
+            words.append((g,))
+    i = 0
+    while i < len(elements):
+        for g, gval in enumerate(generators):
+            y = multiply(elements[i], gval)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+                words.append(words[i] + (g,))
+        i += 1
+    return elements, words
+
+
 def semidirect_multiply(M, S, action, x, y):
     """Product in the semidirect product M x| S: (a,s)(b,t) = (a(s.b), st),
     for pairs (monoid index, S index) and a left action of S on M."""

@@ -33,15 +33,12 @@ from wreathbench import (
     sing_target,
     soundness,
     standard_map,
-    submonoid,
-    table_presentation,
     todd_coxeter,
     tournament_check,
     verify,
     wreath_sing_target,
 )
 from wreathbench.certify import e_wreath_target
-from wreathbench.green import e_part_indices
 from wreathbench.presentations import Presentation
 
 from conftest import (
@@ -55,12 +52,6 @@ def _finish(num, name, failures):
     status = "PASS" if not failures else "FAIL"
     print(f"ACCEPTANCE {num} ({name}): {status}")
     assert not failures, failures
-
-
-def _emonoid_setup(M, n):
-    E_mon, carrier = submonoid(M, sorted(e_part_indices(M)), name="E")
-    base, base_gens = table_presentation(E_mon)
-    return emit_E_wreath_monoid(M, n, base, [carrier[m] for m in base_gens])
 
 
 def _matrix():
@@ -85,8 +76,8 @@ def _matrix():
         for n in (2, 3):
             size = M.order**n * (n**n - factorial(n))
             rows.append(("R1p", name, n, emit_R1p(M, n), size))
-    rows.append(("Emonoid", "@Z2", 2, _emonoid_setup(fixture("@Z2"), 2), 9))
-    rows.append(("Emonoid", "@T2", 2, _emonoid_setup(fixture("@T2"), 2), 41))
+    rows.append(("Emonoid", "@Z2", 2, emit_E_wreath_monoid(fixture("@Z2"), 2), 9))
+    rows.append(("Emonoid", "@T2", 2, emit_E_wreath_monoid(fixture("@T2"), 2), 41))
     return rows
 
 
@@ -222,7 +213,7 @@ def test_criterion_6_soundness_and_mutations():
         (emit_R2(Z2, 2), Z2),
         (emit_R1(B01, 2), B01),
         (emit_R1p(Z2, 2), Z2),
-        (_emonoid_setup(fixture("@T2"), 2), fixture("@T2")),
+        (emit_E_wreath_monoid(fixture("@T2"), 2), fixture("@T2")),
     ]
     for p, M in per_family:
         try:

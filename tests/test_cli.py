@@ -69,6 +69,16 @@ class TestVerifyCommand:
         assert code == 0
         assert report["result"]["verdict"]["class_count"] == 41
 
+    def test_emonoid_t2_degree3(self, capsys):
+        # the Emonoid presentation above n = 2: 1,371 elements of <E(T2 wr T_3)>
+        code, report = run_json(
+            capsys, "verify", "--family", "Emonoid", "--monoid", "@T2", "-n", "3"
+        )
+        assert code == 0
+        verdict = report["result"]["verdict"]
+        assert verdict["status"] == "certified"
+        assert verdict["class_count"] == verdict["target_size"] == 1371
+
     def test_limit_elements_bounds_wreath_target(self, capsys):
         code, report = run_json(
             capsys,
@@ -413,13 +423,25 @@ class TestGensCommand:
         assert code == 2
         assert report == {"error": "ValueError", "message": f"image {image} out of range 1..3"}
 
-    @pytest.mark.parametrize("elements", ["[[1,1]]", "[[1,2,3]]"], ids=["degree", "permutation"])
+    @pytest.mark.parametrize("elements", ["[[1,2,3]]"], ids=["permutation"])
     def test_foreign_element_refused(self, capsys, elements):
-        # a map of another degree, and a permutation, are not in Sing_3
+        # a permutation of degree 3 is not in Sing_3
         code, report = run_json(capsys, "gens", "-n", "3", "--elements", elements)
         assert code == 2
         assert report["error"] == "ForeignElementError"
         assert report["message"].endswith(" is not an element of the target")
+
+    @pytest.mark.parametrize(
+        "elements, degree",
+        [("[[1,1]]", 2), ("[[1,1,1,4]]", 4), ("[[1,1,3],[1,2,2,4]]", 4)],
+        ids=["degree2", "degree4", "second"],
+    )
+    def test_degree_mismatch_refused(self, capsys, elements, degree):
+        # an image list of another length than -n is refused by its degree,
+        # not as a foreign element or by an image out of its own range
+        code, report = run_json(capsys, "gens", "-n", "3", "--elements", elements)
+        assert code == 2
+        assert report == {"error": "DegreeMismatch", "message": f"degree mismatch: {degree} vs 3"}
 
     def test_empty_element_list_is_negative(self, capsys):
         code, report = run_json(capsys, "gens", "-n", "3", "--elements", "[]")
@@ -528,6 +550,40 @@ class TestMalformedValues:
         assert report["error"] == "ValueError"
         assert report["message"].startswith(option + " ")
         assert text in report["message"]
+
+
+class TestDegreeBound:
+    """A degree above 10,000 is refused where -n is read, before any
+    closed-form size is computed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "R", "-n", "1000000"],
+            ["rank", "--monoid", "@Z2", "-n", "1000000", "--mode", "brute"],
+            ["idempotents", "--monoid", "@Z2", "-n", "2,1000000", "--method", "brute"],
+            ["gens", "-n", "1000000", "--edges", "1:2"],
+        ],
+        ids=["verify", "rank", "idempotents", "gens"],
+    )
+    def test_refused(self, capsys, monkeypatch, argv):
+        from wreathbench import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("size computed")
+
+        monkeypatch.setattr(cli, "target_size", refuse)
+        monkeypatch.setattr(cli, "WreathContext", refuse)
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report == {"error": "ValueError",
+                          "message": "-n must be at most 10000, got 1000000"}
+
+    def test_bound_itself_is_a_degree(self, capsys):
+        code, report = run_json(capsys, "verify", "--family", "R", "-n", "10000")
+        assert code == 2
+        assert report["error"] == "CapacityError"
+        assert report["message"].startswith("the target's size, a 40000-digit number")
 
 
 class TestSizesPastTheDigitLimit:

@@ -19,7 +19,7 @@ from wreathbench import (
 from wreathbench import wreath
 from wreathbench.errors import CapacityError, ForeignElementError, PreconditionError
 
-from conftest import gen_family, rank_one_less_idempotents
+from conftest import gen_family, rank_one_less_idempotents, shortlex_closure
 
 
 def sing(n):
@@ -46,6 +46,12 @@ def _brute_rank_by_values(target, pool, idempotents_only=False):
     return None
 
 
+def _shortlex_cases(Z2):
+    """Sing_3 over its rank 2 idempotents, and Z2 wr Sing_2 over X2."""
+    ctx = WreathContext(Z2, 2, "singular")
+    return [(rank_one_less_idempotents(3), compose), (gen_family(ctx, "X2"), ctx.multiply)]
+
+
 class TestClose:
     def test_sing2(self):
         assert len(sing(2)) == 2
@@ -57,22 +63,26 @@ class TestClose:
         ctx = WreathContext(Z2, 2, "singular")
         assert len(close(gen_family(ctx, "X2"), ctx.multiply)) == 8
 
-    def test_shortlex_element_order(self):
-        s = sing(2)
+    def test_shortlex_element_order(self, Z2):
         # generators first, then products in word-length order
-        assert s.elements == [(1, 1), (2, 2)]
-        s3 = sing(3)
-        lengths = [len(w) for w in s3.factorizations]
-        assert lengths == sorted(lengths)
+        assert sing(2).elements == [(1, 1), (2, 2)]
+        for gens, multiply in _shortlex_cases(Z2):
+            elements, words = shortlex_closure(gens, multiply)
+            assert close(gens, multiply).elements == elements
+            lengths = [len(w) for w in words]
+            assert lengths == sorted(lengths)
 
-    def test_factorizations_evaluate(self):
-        s = sing(3)
-        gens = rank_one_less_idempotents(3)
-        for idx, word in enumerate(s.factorizations):
-            val = gens[word[0]]
-            for g in word[1:]:
-                val = compose(val, gens[g])
-            assert val == s.elements[idx]
+    def test_factorizations_evaluate(self, Z2):
+        # the reference's words evaluate to its elements, which close lists
+        # in the same order
+        for gens, multiply in _shortlex_cases(Z2):
+            elements, words = shortlex_closure(gens, multiply)
+            assert close(gens, multiply).elements == elements
+            for word, x in zip(words, elements):
+                val = gens[word[0]]
+                for g in word[1:]:
+                    val = multiply(val, gens[g])
+                assert val == x
 
     def test_product_table_consistent(self):
         s = sing(3)

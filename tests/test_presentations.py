@@ -26,10 +26,9 @@ from wreathbench import (
     wreath_sing_target,
 )
 from wreathbench.errors import PreconditionError
-from wreathbench.monoids import full_transformation_monoid, submonoid
+from wreathbench.monoids import submonoid
 from wreathbench.green import e_part_indices
-from wreathbench.presentations import Letter, Presentation, Relation
-from wreathbench.transformations import epsilon
+from wreathbench.presentations import EvaluationMap, Presentation, Relation
 
 from conftest import gen_family, monoid_census, omega_witnesses, word_E_X1, word_E_X2
 
@@ -354,7 +353,7 @@ class TestEvaluate:
 
     def test_empty_word_monoid(self, B01):
         base, gens = table_presentation(B01)
-        emap = standard_map(base, B01)
+        emap = EvaluationMap(tuple(gens), B01.multiply, identity=B01.identity)
         assert evaluate((), emap) == B01.identity
 
     def test_empty_word_semigroup_rejected(self):
@@ -375,7 +374,8 @@ class TestTablePresentation:
         p, gens = table_presentation(B01)
         assert p.kind == "monoid"
         assert len(p.letters) == 1
-        assert soundness(p, standard_map(p, B01)) == []
+        emap = EvaluationMap(tuple(gens), B01.multiply, identity=B01.identity)
+        assert soundness(p, emap) == []
 
     def test_images_avoid_identity(self, T2):
         E_mon, carrier = submonoid(T2, sorted(e_part_indices(T2)))
@@ -384,19 +384,14 @@ class TestTablePresentation:
 
 
 class TestEmitEMonoid:
-    def _auto(self, M, n):
-        E_mon, carrier = submonoid(M, sorted(e_part_indices(M)), name="E")
-        base, base_gens = table_presentation(E_mon)
-        return emit_E_wreath_monoid(M, n, base, [carrier[m] for m in base_gens])
-
     def test_group_base_degenerates(self, Z2):
-        p = self._auto(Z2, 2)
+        p = emit_E_wreath_monoid(Z2, 2)
         assert p.kind == "monoid"
         assert len(p.letters) == 4  # only the unit-entry generators
         assert set(p.family_counts()) == {"R1a'_1", "R1b_1"}
 
     def test_t2_shape(self, T2):
-        p = self._auto(T2, 2)
+        p = emit_E_wreath_monoid(T2, 2)
         assert len(p.letters) == 8
         counts = p.family_counts()
         assert counts["RC"] == 8 and counts["Qbar"] == 8
@@ -404,7 +399,7 @@ class TestEmitEMonoid:
 
     def test_absorb_instance(self, T2):
         # the coordinate copy at the collapsed position is absorbed
-        p = self._auto(T2, 2)
+        p = emit_E_wreath_monoid(T2, 2)
         L = name_index(p)
         found = [
             r
@@ -415,91 +410,24 @@ class TestEmitEMonoid:
 
     def test_sound(self, Z2, T2):
         for M in (Z2, T2):
-            p = self._auto(M, 2)
+            p = emit_E_wreath_monoid(M, 2)
             assert soundness(p, standard_map(p, M)) == []
 
-    def test_spec_style_two_generator_base(self, T2):
-        # hand-built base: two letters, the chained idempotency/absorption
-        # relations of the two singular maps
-        y1, y2 = 0, 1
-        base = Presentation(
-            "monoid",
-            (Letter("y1", (("m", T2.labels.index("11")),)), Letter("y2", (("m", T2.labels.index("22")),))),
-            (
-                Relation((y1, y1), (y1,), "Q"),
-                Relation((y1,), (y2, y1), "Q"),
-                Relation((y2, y2), (y2,), "Q"),
-                Relation((y2,), (y1, y2), "Q"),
-            ),
-            {"family": "table", "monoid": "E"},
-        )
-        p = emit_E_wreath_monoid(T2, 2, base, [T2.labels.index("11"), T2.labels.index("22")])
-        assert soundness(p, standard_map(p, T2)) == []
-
     def test_hypothesis_failure(self, N3):
-        base = Presentation("monoid", (), (), {"family": "table"})
         with pytest.raises(PreconditionError):
-            emit_E_wreath_monoid(N3, 2, base, [])
-
-    def test_base_letter_mapping_to_identity_rejected(self, T2):
-        base = Presentation(
-            "monoid", (Letter("y", (("m", T2.identity),)),), (), {"family": "table"}
-        )
-        with pytest.raises(PreconditionError):
-            emit_E_wreath_monoid(T2, 2, base, [T2.identity])
-
-    def test_uncertified_base_rejected(self, T2):
-        # a free letter on one idempotent never presents the 3-element part
-        base = Presentation(
-            "monoid", (Letter("y", (("m", T2.labels.index("11")),)),), (), {"family": "table"}
-        )
-        with pytest.raises(PreconditionError):
-            emit_E_wreath_monoid(T2, 2, base, [T2.labels.index("11")])
-
-    def test_non_generating_base_rejected(self, T2):
-        # x^3 = x^2 presents a 3-element monoid, as many as <E(T2)> has, but
-        # x -> 11 generates only {1, 11}
-        base = Presentation(
-            "monoid",
-            (Letter("x", (("m", T2.labels.index("11")),)),),
-            (Relation((0, 0, 0), (0, 0), "Q"),),
-            {"family": "table"},
-        )
-        with pytest.raises(PreconditionError, match="do not generate"):
-            emit_E_wreath_monoid(T2, 2, base, [T2.labels.index("11")])
+            emit_E_wreath_monoid(N3, 2)
 
     def test_mutation_detected(self, T2):
-        p = self._auto(T2, 2)
+        p = emit_E_wreath_monoid(T2, 2)
         corrupt_and_detect(p, standard_map(p, T2))
 
 
 # ---------------------------------------------------------------------------
 # ordered emissions
 
-def _emonoid_over_table(M, n):
-    E_mon, carrier = submonoid(M, sorted(e_part_indices(M)), name="E")
-    base, base_gens = table_presentation(E_mon)
-    return emit_E_wreath_monoid(M, n, base, [carrier[m] for m in base_gens])
-
-
-def _emonoid_t3_over_R(n):
-    # <E(T3)> = {1} u Sing_3 presented as a monoid by R(3): the shortest
-    # factorizations h_a are words of length up to three, not single letters
-    T3 = full_transformation_monoid(3)
-    R3 = emit_R(3)
-    base = Presentation("monoid", R3.letters, R3.relations, {"family": "R", "n": 3})
-    images = []
-    for lt in R3.letters:
-        e = epsilon(3, lt.param("i"), lt.param("j"))
-        images.append(T3.labels.index("".join(map(str, e))))
-    return emit_E_wreath_monoid(T3, n, base, images)
-
-
 def _emit(family, name, n):
     if family == "R":
         return emit_R(n)
-    if name == "T3/R":
-        return _emonoid_t3_over_R(n)
     M = fixture(name)
     if family == "Rn":
         return emit_Rn(M, n)
@@ -509,15 +437,15 @@ def _emit(family, name, n):
         return emit_R1(M, n, force=True)
     if family == "R1p":
         return emit_R1p(M, n)
-    return _emonoid_over_table(M, n)
+    return emit_E_wreath_monoid(M, n)
 
 
 # (family, monoid, n, letter digest, ordered-relation digest, relation count),
 # recorded before the relation families shared by R, R2, R1 and R1p were
 # factored into one helper each.  The relation order fixes Todd-Coxeter's
 # node and coincidence counts, so relations are compared in emission order.
-# R1 is emitted with force=True, R1p on the groups, Emonoid over the table
-# presentation of <E(M)> wherever <E(M)> = {1} u (M \ G), and for T3 over R(3).
+# R1 is emitted with force=True, R1p on the groups, and Emonoid wherever
+# <E(M)> = {1} u (M \ G).
 ORDERED_EMISSIONS = (
     ("R", None, 3, "1ed27ff2cf7c556c", "5ae25653916f6c35", 36),
     ("R", None, 4, "de9faf41908c9f15", "c3715d32401d419d", 168),
@@ -582,8 +510,6 @@ ORDERED_EMISSIONS = (
     ("Emonoid", "@RZ1", 3, "9bcddf3a0983a7a7", "45cfe2511bfc29ec", 150),
     ("Emonoid", "@T2", 2, "aae89e1214927d08", "7152de6c16301f92", 76),
     ("Emonoid", "@T2", 3, "7f1d4dc2302b7e25", "fd2435c52792836c", 354),
-    ("Emonoid", "T3/R", 2, "20efa8c8b61c54ea", "9b4646bdfebbc139", 948),
-    ("Emonoid", "T3/R", 3, "fbdf87749062894f", "ed0e92d09edf721c", 3858),
 )
 
 
