@@ -96,7 +96,15 @@ def _as_table(report):
 
 def _degree(text):
     """``text`` as a degree, an integer of at most MAX_DEGREE, refused before
-    any size is computed; a refusal names -n and quotes the text."""
+    any size is computed; a refusal names -n and quotes the text.  A number
+    of more than 100 digits is refused by its digit count before ``int``,
+    which will not convert more than 4,300, and named as format_count names
+    a count."""
+    digits = text.strip().removeprefix("+")
+    if digits.isdecimal():
+        text = digits.lstrip("0") or "0"
+        if len(text) > 100:
+            raise ValueError(f"-n must be at most {MAX_DEGREE}, got a {len(text)}-digit number")
     try:
         n = int(text)
     except ValueError:

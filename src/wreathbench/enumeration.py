@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import CapacityError, ForeignElementError, PreconditionError
-from .green import is_L_chain
+from .green import green_cached, is_L_chain
 from .monoids import EnumeratedSemigroup, units
 
 CLOSURE_LIMIT = 10**6
@@ -109,6 +109,25 @@ def tournament_check(n: int, edges) -> tuple[bool, bool, bool]:
     return (sc and complete, sc, complete)
 
 
+def _cover_bits(target: EnumeratedSemigroup) -> tuple[list[int], int]:
+    """One bit for each R-class and each L-class of a maximal J-class of
+    ``target``; returns each position's OR of the bits of its classes, and
+    the OR of them all."""
+    g = green_cached(target)
+    leq = g.leq_J
+    top = set()
+    for cls in g.classes_J:
+        j = cls[0]
+        if not any(leq[j][x] and not leq[x][j] for x in range(len(leq))):
+            top.update(cls)
+    cover = [cls for cls in g.classes_R + g.classes_L if cls[0] in top]
+    bits = [0] * len(target)
+    for b, cls in enumerate(cover):
+        for i in cls:
+            bits[i] |= 1 << b
+    return bits, (1 << len(cover)) - 1
+
+
 def brute_rank(
     target: EnumeratedSemigroup,
     pool,
@@ -121,7 +140,17 @@ def brute_rank(
 
     The candidates are closed over element positions through the target's
     Cayley table, built once (|S|^2 products) before the first subset and
-    refused with a CapacityError when it would exceed TABLE_LIMIT entries."""
+    refused with a CapacityError when it would exceed TABLE_LIMIT entries.
+
+    A candidate that misses an R-class or an L-class of a maximal J-class
+    is skipped without a closure, since it cannot generate (the cover
+    constraint of Gray & Ruskuc, Comm. Algebra 33, 2005).  Let J be a
+    J-class with nothing strictly J-above it and x in J.  In a factorisation
+    x = a_1...a_k over a generating set every a_i >=_J x, so every a_i is
+    in J.  Then x <=_R a_1 inside one J-class, which in a finite semigroup
+    forces x R a_1; in the same way x L a_k.  A skipped candidate still
+    counts against ``budget``, so the answer and every refusal are those of
+    the search that closes them all."""
     positions = []
     for x in pool:
         i = target.index.get(x)
@@ -134,6 +163,7 @@ def brute_rank(
     table = target.table
     if idempotents_only:
         dedup = [i for i in dedup if table[i][i] == i]
+    bits, full = _cover_bits(target)
     searched = 0
     want = len(target)
     for k in range(1, len(dedup) + 1):
@@ -141,6 +171,11 @@ def brute_rank(
             searched += 1
             if searched > budget:
                 raise CapacityError("subset search budget exceeded", count=searched - 1)
+            cover = 0
+            for i in subset:
+                cover |= bits[i]
+            if cover != full:
+                continue
             sub = close(subset, lambda a, b: table[a][b], limit=want)
             if len(sub) == want:
                 return k, tuple(target.elements[i] for i in subset)

@@ -579,6 +579,21 @@ class TestDegreeBound:
         assert report == {"error": "ValueError",
                           "message": "-n must be at most 10000, got 1000000"}
 
+    @pytest.mark.parametrize("prefix", ["", "+", "000"])
+    def test_past_the_digit_limit(self, capsys, prefix):
+        # int() refuses more than 4,300 digits; the bound is the reason, and
+        # the value is named by its digit count, not quoted
+        code, out = run(capsys, "verify", "--family", "R", "-n", prefix + "1" * 5000)
+        assert code == 2
+        assert json.loads(out) == {"error": "ValueError",
+                                   "message": "-n must be at most 10000, got a 5000-digit number"}
+        assert len(out) < 100
+
+    def test_leading_zeros_are_not_digits(self, capsys):
+        code, report = run_json(capsys, "rank", "--monoid", "@Z2", "-n", "0" * 5000 + "2")
+        assert code == 0
+        assert report["parameters"]["n"] == 2
+
     def test_bound_itself_is_a_degree(self, capsys):
         code, report = run_json(capsys, "verify", "--family", "R", "-n", "10000")
         assert code == 2

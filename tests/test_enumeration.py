@@ -1,4 +1,6 @@
 import itertools
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from wreathbench import (
     tournament_check,
     wreath_sing_target,
 )
-from wreathbench import wreath
+from wreathbench import enumeration, wreath
 from wreathbench.errors import CapacityError, ForeignElementError, PreconditionError
 
 from conftest import gen_family, rank_one_less_idempotents, shortlex_closure
@@ -28,7 +30,9 @@ def sing(n):
 
 def _brute_rank_by_values(target, pool, idempotents_only=False):
     """Reference for ``brute_rank``: the same search, closing each candidate
-    subset over element values with the target's own product."""
+    subset over element values with the target's own product.  It closes
+    every candidate, with no cover skip, so it is independent of the rule
+    that lets ``brute_rank`` pass a subset by without closing it."""
     seen = set()
     dedup = []
     for x in pool:
@@ -205,7 +209,7 @@ class TestBruteRank:
         assert exc.value.count == 2
 
     @pytest.mark.parametrize("idempotents_only", [False, True])
-    @pytest.mark.parametrize("name", ["@Z2", "@B01", "@RZ1", "Sing_3"])
+    @pytest.mark.parametrize("name", ["@Z2", "@B01", "@RZ1", "@N3", "Sing_3"])
     def test_positions_agree_with_values(self, name, idempotents_only):
         target = sing(3) if name == "Sing_3" else wreath_sing_target(fixture(name), 2)
         pool = list(target.elements)
@@ -228,6 +232,27 @@ class TestBruteRank:
         assert k == 7
         assert len(calls) <= len(target) ** 2
 
+    def test_skipped_subsets_count_against_the_budget(self, RZ1):
+        # the first 500 candidates of RZ1 wr Sing_2 hold no generating subset
+        target = wreath_sing_target(RZ1, 2)
+        with pytest.raises(CapacityError) as exc:
+            brute_rank(target, list(target.elements), budget=500)
+        assert exc.value.count == 500
+
+    def test_skipped_subsets_are_not_closed(self, N3, monkeypatch):
+        # closing every candidate up to the answer takes 4,182 closures
+        target = wreath_sing_target(N3, 2)
+        calls = []
+        close_ = enumeration.close
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return close_(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "close", counted)
+        assert brute_rank(target, list(target.elements))[0] == 5
+        assert len(calls) < 10
+
     def test_first_witness_deterministic(self):
         target = sing(3)
         pool = rank_one_less_idempotents(3)
@@ -239,6 +264,24 @@ class TestBruteRank:
         target = sing(3)
         # a single idempotent never generates 21 elements
         assert brute_rank(target, [epsilon(3, 1, 2)]) is None
+
+
+class TestCoverSkip:
+    """The subsets that ``brute_rank`` skips cannot generate: a subset that
+    misses an R- or an L-class of a maximal J-class is closed here and
+    falls short of the target."""
+
+    @pytest.mark.parametrize("name, largest", [("@Z2", 8), ("@B01", 8), ("Sing_3", 3)])
+    def test_no_skipped_subset_generates(self, name, largest):
+        target = sing(3) if name == "Sing_3" else wreath_sing_target(fixture(name), 2)
+        bits, full = enumeration._cover_bits(target)
+        skipped = 0
+        for k in range(1, largest + 1):
+            for subset in itertools.combinations(range(len(target)), k):
+                if reduce(or_, (bits[i] for i in subset)) != full:
+                    skipped += 1
+                    assert not generates([target.elements[i] for i in subset], target)
+        assert skipped > 0
 
 
 class TestRankFormulas:
