@@ -28,7 +28,7 @@ from .enumeration import (
     rank_formulas,
     tournament_check,
 )
-from .errors import CapacityError, DegreeMismatch, PreconditionError
+from .errors import CapacityError, DegreeMismatch, PreconditionError, format_count
 from .monoids import FIXTURES, resolve_monoid
 from .presentations import (
     emit_E_wreath_monoid,
@@ -96,21 +96,26 @@ def _as_table(report):
 
 def _degree(text):
     """``text`` as a degree, an integer of at most MAX_DEGREE, refused before
-    any size is computed; a refusal names -n and quotes the text.  A number
-    of more than 100 digits is refused by its digit count before ``int``,
-    which will not convert more than 4,300, and named as format_count names
-    a count."""
-    digits = text.strip().removeprefix("+")
+    any size is computed; a refusal names -n and quotes at most 100
+    characters of the text.  A number of either sign past 100 digits is
+    refused by its digit count before ``int``, which will not convert more
+    than 4,300, and named as format_count names a count."""
+    sign = "-" if text.strip().startswith("-") else ""
+    digits = text.strip().removeprefix(sign or "+")
     if digits.isdecimal():
-        text = digits.lstrip("0") or "0"
-        if len(text) > 100:
-            raise ValueError(f"-n must be at most {MAX_DEGREE}, got a {len(text)}-digit number")
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > 100 and sign:
+            raise ValueError(f"-n must be positive, got a {len(digits)}-digit negative number")
+        if len(digits) > 100:
+            raise ValueError(f"-n must be at most {MAX_DEGREE}, got a {len(digits)}-digit number")
+        text = sign + digits
     try:
         n = int(text)
     except ValueError:
-        raise ValueError(f"-n must be an integer, got {text!r}") from None
+        quoted = repr(text) if len(text) <= 100 else f"{len(text)} characters starting {text[:100]!r}"
+        raise ValueError(f"-n must be an integer, got {quoted}") from None
     if n > MAX_DEGREE:
-        raise ValueError(f"-n must be at most {MAX_DEGREE}, got {n}")
+        raise ValueError(f"-n must be at most {MAX_DEGREE}, got {format_count(n)}")
     return n
 
 

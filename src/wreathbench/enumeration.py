@@ -114,11 +114,11 @@ def _cover_bits(target: EnumeratedSemigroup) -> tuple[list[int], int]:
     ``target``; returns each position's OR of the bits of its classes, and
     the OR of them all."""
     g = green_cached(target)
-    leq = g.leq_J
+    ideals = set(g.two)
     top = set()
-    for cls in g.classes_J:
-        j = cls[0]
-        if not any(leq[j][x] and not leq[x][j] for x in range(len(leq))):
+    for cls in g.classes_J:  # maximal: no two-sided ideal strictly contains its own
+        j = g.two[cls[0]]
+        if not any(i != j and i & j == j for i in ideals):
             top.update(cls)
     cover = [cls for cls in g.classes_R + g.classes_L if cls[0] in top]
     bits = [0] * len(target)

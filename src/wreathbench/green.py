@@ -1,7 +1,8 @@
-"""Green's preorders and relations, and the idempotent-generated part, of
-any ``EnumeratedSemigroup``.  Preorders are computed from principal ideals
-over S^1, where an identity is adjoined only when the semigroup has no
-two-sided identity element.
+"""Green's preorders and classes, and the idempotent-generated part, of any
+``EnumeratedSemigroup``.  Each principal ideal over S^1 is one ``int``
+bitset over element positions, and the ideals are the preorders: a <=_L b
+iff bit a of the left ideal of b is set.  S^1 adjoins an identity only when
+the semigroup has no two-sided identity element.
 """
 
 from __future__ import annotations
@@ -14,63 +15,55 @@ from .monoids import EnumeratedSemigroup, units
 
 @dataclass(frozen=True)
 class GreenData:
-    leq_L: tuple[tuple[bool, ...], ...]
-    leq_R: tuple[tuple[bool, ...], ...]
-    leq_J: tuple[tuple[bool, ...], ...]
+    """Bit a of ``left[b]`` is set iff a <=_L b, that is a is in S^1 b; bit a
+    of ``two[b]`` is set iff a <=_J b, that is a is in S^1 b S^1.  The classes
+    group the elements with equal left (L), right (R) or two-sided (J)
+    ideals, each class listed by least element and the classes by their
+    least elements; D = J, as in every finite semigroup."""
+
+    left: tuple[int, ...]
+    two: tuple[int, ...]
     classes_L: tuple[tuple[int, ...], ...]
     classes_R: tuple[tuple[int, ...], ...]
-    classes_H: tuple[tuple[int, ...], ...]
-    classes_D: tuple[tuple[int, ...], ...]
     classes_J: tuple[tuple[int, ...], ...]
 
 
 def green(S) -> GreenData:
-    """Preorders via principal-ideal membership; classes group the elements
-    with equal right (R), left (L), two-sided (J), or right and left (H)
-    ideals, listed by least element; D = J, as in every finite semigroup."""
+    """The principal ideals from the rows (right) and the columns (left) of
+    the Cayley table, and the two-sided ideal of a as the union of the left
+    ideals of its right ideal's elements; that union holds the right and
+    left ideals of a, since every ideal over S^1 holds its generator."""
     prod = S.table
-    n = len(prod)
-    has_one = S.identity is not None
+    adjoin = S.identity is None  # S^1 adjoins an identity: a is in its own ideals
 
-    # principal ideals; S^1 adjoins the element itself when S lacks an identity
-    right = []
-    left = []
-    for a in range(n):
-        ra = set(prod[a])
-        la = set(prod[x][a] for x in range(n))
-        if not has_one:
-            ra.add(a)
-            la.add(a)
-        right.append(frozenset(ra))
-        left.append(frozenset(la))
-    two = []
-    for a in range(n):
-        ja = set()
-        for b in right[a]:
+    def ideal(a, members):
+        bits = 1 << a if adjoin else 0
+        for b in members:
+            bits |= 1 << b
+        return bits
+
+    left = tuple(ideal(a, set(col)) for a, col in enumerate(zip(*prod)))
+    right, two = [], []
+    for a, row in enumerate(prod):
+        members = set(row)
+        right.append(ideal(a, members))
+        ja = left[a]
+        for b in members:
             ja |= left[b]
-        ja |= right[a] | left[a]
-        two.append(frozenset(ja))
-
-    leq_R = tuple(tuple(a in right[b] for b in range(n)) for a in range(n))
-    leq_L = tuple(tuple(a in left[b] for b in range(n)) for a in range(n))
-    leq_J = tuple(tuple(a in two[b] for b in range(n)) for a in range(n))
+        two.append(ja)
 
     def classes(ideals):
         by_ideal = {}
-        for a, ideal in enumerate(ideals):
-            by_ideal.setdefault(ideal, []).append(a)
+        for a, bits in enumerate(ideals):
+            by_ideal.setdefault(bits, []).append(a)
         return tuple(tuple(cls) for cls in by_ideal.values())
 
-    classes_J = classes(two)
     return GreenData(
-        leq_L=leq_L,
-        leq_R=leq_R,
-        leq_J=leq_J,
+        left=left,
+        two=tuple(two),
         classes_L=classes(left),
         classes_R=classes(right),
-        classes_H=classes(zip(right, left)),
-        classes_D=classes_J,
-        classes_J=classes_J,
+        classes_J=classes(two),
     )
 
 
@@ -98,7 +91,7 @@ def incomparable_L_witness(M: EnumeratedSemigroup) -> tuple[int, int] | None:
     reps = [cls[0] for cls in g.classes_L]
     for idx, a in enumerate(reps):
         for b in reps[idx + 1 :]:
-            if not (g.leq_L[a][b] or g.leq_L[b][a]):
+            if not (g.left[b] >> a & 1 or g.left[a] >> b & 1):
                 return (a, b)
     return None
 

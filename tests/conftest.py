@@ -93,9 +93,9 @@ def sigma_membership(ctx, x):
     tup, im = x[:n], x[n:]
     if is_permutation(im):
         raise PreconditionError("element's transformation is invertible")
-    leq_L = green_cached(ctx.base).leq_L
+    left = green_cached(ctx.base).left
     return any(
-        i != j and im[i] == im[j] and leq_L[tup[i]][tup[j]] for i in range(n) for j in range(n)
+        i != j and im[i] == im[j] and left[tup[j]] >> tup[i] & 1 for i in range(n) for j in range(n)
     )
 
 
@@ -103,7 +103,7 @@ def l_chain_element_order(M):
     """All element indices sorted bottom-up along the L-chain, ties within an
     L-class broken by index; a linear order only when M/L is a chain."""
     g = green_cached(M)
-    below = lambda rep: sum(1 for b in range(M.order) if g.leq_L[b][rep])  # noqa: E731
+    below = lambda rep: bin(g.left[rep]).count("1")  # noqa: E731
     return [a for cls in sorted(g.classes_L, key=lambda cls: below(cls[0])) for a in sorted(cls)]
 
 

@@ -589,6 +589,22 @@ class TestDegreeBound:
                                    "message": "-n must be at most 10000, got a 5000-digit number"}
         assert len(out) < 100
 
+    def test_negative_past_the_digit_limit(self, capsys):
+        # a negative number is named by its digit count too, and the reason
+        # is its sign, not the bound above
+        code, out = run(capsys, "verify", "--family", "R", "-n=-" + "1" * 5000)
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert message == "-n must be positive, got a 5000-digit negative number"
+        assert len(message.encode()) < 200
+
+    def test_long_text_quoted_in_part(self, capsys):
+        code, out = run(capsys, "verify", "--family", "R", "-n", "x" * 5000)
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert message == "-n must be an integer, got 5000 characters starting " + repr("x" * 100)
+        assert len(message.encode()) < 200
+
     def test_leading_zeros_are_not_digits(self, capsys):
         code, report = run_json(capsys, "rank", "--monoid", "@Z2", "-n", "0" * 5000 + "2")
         assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import fields
 
 from wreathbench import close, compose, enumerate_Tn, full_transformation_monoid, green, idempotent_generated_part, is_L_chain
@@ -30,9 +31,8 @@ def _classes_by_relation(n, related):
     return tuple(classes)
 
 
-def _green_by_relations(S):
-    """Reference: the same preorders, with every class found by pairwise
-    tests of its relation and D built as the composite of R and L."""
+def _reference_ideals(S):
+    """The principal right, left and two-sided ideals over S^1, as sets."""
     prod = S.table
     n = len(prod)
     has_one = S.identity is not None
@@ -51,38 +51,45 @@ def _green_by_relations(S):
         for b in right[a]:
             ja |= left[b]
         two.append(ja | right[a] | left[a])
-    leq_R = tuple(tuple(a in right[b] for b in range(n)) for a in range(n))
-    leq_L = tuple(tuple(a in left[b] for b in range(n)) for a in range(n))
-    leq_J = tuple(tuple(a in two[b] for b in range(n)) for a in range(n))
-    rel_r = lambda a, b: leq_R[a][b] and leq_R[b][a]
-    rel_l = lambda a, b: leq_L[a][b] and leq_L[b][a]
-    rel_j = lambda a, b: leq_J[a][b] and leq_J[b][a]
+    return right, left, two
+
+
+def _related(ideals):
+    """a and b are related when each is in the other's ideal."""
+    return lambda a, b: a in ideals[b] and b in ideals[a]
+
+
+def _green_by_relations(S):
+    """Reference: the same ideals as sets, with every class found by pairwise
+    tests of its relation; the ideals become bitsets only to compare."""
+    right, left, two = _reference_ideals(S)
+    n = len(right)
     return GreenData(
-        leq_L=leq_L,
-        leq_R=leq_R,
-        leq_J=leq_J,
-        classes_L=_classes_by_relation(n, rel_l),
-        classes_R=_classes_by_relation(n, rel_r),
-        classes_H=_classes_by_relation(n, lambda a, b: rel_r(a, b) and rel_l(a, b)),
-        classes_D=_classes_by_relation(
-            n, lambda a, b: any(rel_r(a, c) and rel_l(c, b) for c in range(n))
-        ),
-        classes_J=_classes_by_relation(n, rel_j),
+        left=tuple(sum(1 << a for a in ideal) for ideal in left),
+        two=tuple(sum(1 << a for a in ideal) for ideal in two),
+        classes_L=_classes_by_relation(n, _related(left)),
+        classes_R=_classes_by_relation(n, _related(right)),
+        classes_J=_classes_by_relation(n, _related(two)),
     )
 
 
-def _d_classes_by_composite(g):
-    """The D-classes as the composite of R and L: a D b iff a R c L b for
-    some c."""
-    n = len(g.leq_R)
-    rel_r = lambda a, b: g.leq_R[a][b] and g.leq_R[b][a]
-    rel_l = lambda a, b: g.leq_L[a][b] and g.leq_L[b][a]
+def _d_classes_by_composite(S):
+    """The D-classes of S as the composite of R and L of the reference: a D b
+    iff a R c L b for some c."""
+    right, left, _ = _reference_ideals(S)
+    n = len(right)
+    rel_r, rel_l = _related(right), _related(left)
     return sorted(
         {
             tuple(b for b in range(n) if any(rel_r(a, c) and rel_l(c, b) for c in range(n)))
             for a in range(n)
         }
     )
+
+
+def _below(ideals, a, b):
+    """a lies below b in the preorder whose principal ideals are ``ideals``."""
+    return bool(ideals[b] >> a & 1)
 
 
 def _reference_semigroups():
@@ -109,45 +116,46 @@ class TestPreorders:
         # oracle: M.0 = {0}, M.1 = M
         g = green(B01)
         one, zero = B01.labels.index("1"), B01.labels.index("0")
-        assert g.leq_L[zero][one] and not g.leq_L[one][zero]
+        assert _below(g.left, zero, one) and not _below(g.left, one, zero)
         assert g.classes_L == ((0,), (1,))
 
     def test_group_single_classes(self, Z3):
         g = green(Z3)
-        for classes in (g.classes_L, g.classes_R, g.classes_J, g.classes_H, g.classes_D):
+        for classes in (g.classes_L, g.classes_R, g.classes_J):
             assert classes == ((0, 1, 2),)
 
     def test_t3_epsilon_L_related_iff_same_target(self):
         # oracle on T_3: a <=_L b iff im(a) is a subset of im(b),
-        # a <=_R b iff ker(a) contains ker(b), a <=_J b iff rank(a) <= rank(b)
+        # a <=_J b iff rank(a) <= rank(b), a R b iff ker(a) = ker(b)
         T3 = full_transformation_monoid(3)
         elems = enumerate_Tn(3)
         g = green(T3)
         for a, x in enumerate(elems):
             for b, y in enumerate(elems):
-                assert g.leq_L[a][b] == (set(x) <= set(y))
-                assert g.leq_R[a][b] == (kernel_pairs(x) >= kernel_pairs(y))
-                assert g.leq_J[a][b] == (rank(x) <= rank(y))
+                assert _below(g.left, a, b) == (set(x) <= set(y))
+                assert _below(g.two, a, b) == (rank(x) <= rank(y))
+        by_kernel = {}
+        for a, x in enumerate(elems):
+            by_kernel.setdefault(frozenset(kernel_pairs(x)), []).append(a)
+        assert g.classes_R == tuple(tuple(cls) for cls in by_kernel.values())
         # eps maps with the same moved point are L-related
         from wreathbench import epsilon
 
         i12 = elems.index(epsilon(3, 1, 2))
         i32 = elems.index(epsilon(3, 3, 2))
-        assert g.leq_L[i12][i32] and g.leq_L[i32][i12]
+        assert _below(g.left, i12, i32) and _below(g.left, i32, i12)
         i21 = elems.index(epsilon(3, 2, 1))
-        assert not (g.leq_L[i12][i21] and g.leq_L[i21][i12])
+        assert not (_below(g.left, i12, i21) and _below(g.left, i21, i12))
 
     def test_d_equals_j_on_finite_carriers(self, Z2, B01, RZ1, T2):
         from wreathbench import WreathContext
 
-        carriers = [green(M) for M in (Z2, B01, RZ1, T2)]
+        carriers = [Z2, B01, RZ1, T2]
         ctx = WreathContext(Z2, 2, "singular")
-        wreath = close(gen_family(ctx, "X2"), ctx.multiply)
-        carriers.append(green(wreath))
-        sing3 = close(rank_one_less_idempotents(3), compose)
-        carriers.append(green(sing3))
-        for g in carriers:
-            assert sorted(g.classes_D) == _d_classes_by_composite(g)
+        carriers.append(close(gen_family(ctx, "X2"), ctx.multiply))
+        carriers.append(close(rank_one_less_idempotents(3), compose))
+        for S in carriers:
+            assert sorted(green(S).classes_J) == _d_classes_by_composite(S)
 
     def test_enumerated_semigroup_without_identity(self):
         sing2 = close(rank_one_less_idempotents(2), compose)
@@ -155,6 +163,21 @@ class TestPreorders:
         # right-zero semigroup: one L-class per element, all R-related
         assert len(g.classes_L) == 2
         assert g.classes_R == ((0, 1),)
+
+
+class TestFootprint:
+    def test_sing4_peak_under_a_mebibyte(self):
+        # the ideals are bitsets and no n x n matrix is built, so green on
+        # Sing_4 (232 elements) peaks near 0.05 MiB; the table is built first
+        S = sing_target(4)
+        S.table
+        tracemalloc.start()
+        try:
+            green(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestChain:

@@ -228,12 +228,12 @@ class TestEmitR1:
             omega, xwit = omega_witnesses(M)
             from wreathbench.green import green_cached
 
-            leq = green_cached(M).leq_L
+            left = green_cached(M).left
             for a in range(M.order):
                 for b in range(M.order):
                     assert ((a, b) in omega) != ((b, a) in omega) or a == b
             for a, b in omega:
-                assert leq[a][b]
+                assert left[b] >> a & 1
                 assert M.multiply(xwit[(a, b)], b) == a
 
     def test_sound(self, B01, T1):
