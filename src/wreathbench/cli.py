@@ -3,9 +3,10 @@
 Every run prints exactly one report (JSON by default), or one JSON error
 envelope ``{"error", "message"}`` when it is refused.  Exit codes: 0 when the
 mathematical verdict is positive (certified / true / match), 1 when it is
-negative, 2 for usage, validation, precondition and capacity problems, 70 for
-internal invariant violations.  Re-running a command with identical inputs
-produces a byte-identical report except for the wall-time field.
+negative, 2 for usage, validation, precondition and capacity problems and
+for running out of memory, 70 for internal invariant violations.  Re-running
+a command with identical inputs produces a byte-identical report except for
+the wall-time field.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from functools import cache
@@ -94,26 +96,41 @@ def _as_table(report):
     return "\n".join(lines)
 
 
+_INTEGER = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")  # what int() reads in base 10
+
+
+def _quote(text):
+    """``text`` quoted whole up to 100 characters, else its length and its
+    first 100 characters."""
+    return repr(text) if len(text) <= 100 else f"{len(text)} characters starting {text[:100]!r}"
+
+
+def _integer(text, name, most):
+    """``text`` read as int() reads it in base 10 (a sign, surrounding
+    whitespace, single underscores between digits), or None where int() would
+    refuse it.  A number past 100 significant digits is refused by its digit
+    count before ``int``, which will not convert more than 4,300: as over
+    ``most``, or as negative, with ``name`` as the subject."""
+    match = _INTEGER.fullmatch(text)
+    if not match:
+        return None
+    sign = match[1]
+    # int() reads every Unicode decimal digit: in ASCII, the leading zeros strip
+    digits = "".join(str(int(c)) for c in match[2] if c != "_").lstrip("0") or "0"
+    if len(digits) > 100 and sign == "-":
+        raise ValueError(f"{name} must be positive, got a {len(digits)}-digit negative number")
+    if len(digits) > 100:
+        raise ValueError(f"{name} must be at most {most}, got a {len(digits)}-digit number")
+    return int(sign + digits)
+
+
 def _degree(text):
     """``text`` as a degree, an integer of at most MAX_DEGREE, refused before
     any size is computed; a refusal names -n and quotes at most 100
-    characters of the text.  A number of either sign past 100 digits is
-    refused by its digit count before ``int``, which will not convert more
-    than 4,300, and named as format_count names a count."""
-    sign = "-" if text.strip().startswith("-") else ""
-    digits = text.strip().removeprefix(sign or "+")
-    if digits.isdecimal():
-        digits = digits.lstrip("0") or "0"
-        if len(digits) > 100 and sign:
-            raise ValueError(f"-n must be positive, got a {len(digits)}-digit negative number")
-        if len(digits) > 100:
-            raise ValueError(f"-n must be at most {MAX_DEGREE}, got a {len(digits)}-digit number")
-        text = sign + digits
-    try:
-        n = int(text)
-    except ValueError:
-        quoted = repr(text) if len(text) <= 100 else f"{len(text)} characters starting {text[:100]!r}"
-        raise ValueError(f"-n must be an integer, got {quoted}") from None
+    characters of the text."""
+    n = _integer(text, "-n", MAX_DEGREE)
+    if n is None:
+        raise ValueError("-n must be an integer, got " + _quote(text))
     if n > MAX_DEGREE:
         raise ValueError(f"-n must be at most {MAX_DEGREE}, got {format_count(n)}")
     return n
@@ -252,17 +269,21 @@ def cmd_rank(args):
     return (OK if verdict else NEGATIVE), parameters, result, {}
 
 
-def _parse_edges(text):
+def _parse_edges(text, n):
+    """The i:j pairs of ``text``, each endpoint read as -n is; a refusal
+    quotes at most 100 characters of the pair."""
     edges = []
     for chunk in text.replace(";", ",").split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         i, _, j = chunk.partition(":")
-        try:
-            edges.append((int(i), int(j)))
-        except ValueError:
-            raise ValueError(f"--edges must be i:j pairs, got {chunk!r}") from None
+        edge = (_integer(i, "--edges endpoints", n), _integer(j, "--edges endpoints", n))
+        if None in edge:
+            raise ValueError("--edges must be i:j pairs, got " + _quote(chunk))
+        if len(f"{edge[0]}{edge[1]}") > 100:  # tournament_check states a refused edge whole
+            raise ValueError(f"--edges endpoints must be in 1..{n}, got " + _quote(chunk))
+        edges.append(edge)
     return edges
 
 
@@ -280,7 +301,7 @@ def cmd_gens(args):
     parameters = {"n": n, "edges": args.edges, "elements": args.elements, "confirm": args.confirm}
     result = {"n": n}
     if args.edges is not None:
-        edges = _parse_edges(args.edges)
+        edges = _parse_edges(args.edges, n)
         gen, sc, complete = tournament_check(n, edges)
         result["criterion"] = {"generates": gen, "strongly_connected": sc, "complete": complete}
         answer = gen
@@ -368,8 +389,10 @@ def main(argv=None) -> int:
         code, parameters, result, counters = args.func(args)
         _emit_report(args, parameters, result, counters, started)
         return code
-    except (CapacityError, ValueError, OSError, KeyError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))
+    except (CapacityError, ValueError, OSError, KeyError, MemoryError) as exc:
+        # Python raises a MemoryError without a message
+        message = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+        print(json.dumps({"error": type(exc).__name__, "message": message}, sort_keys=True))
         return INVALID
 
 

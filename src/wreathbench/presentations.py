@@ -17,12 +17,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import CapacityError, PreconditionError
+from .errors import ActionError, CapacityError, PreconditionError
 from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain
 from .monoids import EnumeratedSemigroup, inverse_of, is_group, submonoid, units
 from .transformations import compose, epsilon, identity, index_pairs
-from .wreath import WreathContext, eps_a, eps_ab, eps_elem
-from .wreath import power_with_shuffle, validate_letter_action
+from .wreath import WreathContext, eps_a, eps_ab, eps_elem, power_with_shuffle
 
 ALPHABET_LIMIT = 4096
 
@@ -119,7 +118,10 @@ def _ordered_tuples(n, k):
 def _alphabet(n, M=None, entries=0):
     """The letters e(i,j) over the ordered pairs, each carrying ``entries``
     monoid elements (none, a, or a and b; odometer order), with the index of
-    each key (i, j, *entries)."""
+    each key (i, j, *entries).  Every emitter builds its alphabet here before
+    it checks anything else, so a degree n below 2 is refused here first."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
     decorations = [
         (ent, ";" + ",".join(M.labels[a] for a in ent) if ent else "", tuple(zip("ab", ent)))
         for ent in itertools.product(range(M.order) if entries else (), repeat=entries)
@@ -186,8 +188,6 @@ def emit_R(n: int) -> Presentation:
     """Defining relations of the singular part over its rank n-1 idempotents:
     idempotency/absorption, disjoint commutation, and the three- and
     four-index braid-like identities."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
     letters, L = _alphabet(n)
     rels = []
     for i, j in index_pairs(n):
@@ -210,8 +210,6 @@ def emit_Rn(M: EnumeratedSemigroup, n: int) -> Presentation:
     on its first letter (``Rk_n``), plus the tuple-collapse family that
     rewrites a product of two decorated letters into a single decorated
     letter (``R7_n``)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
     size = len(index_pairs(n)) * M.order**n
     if size > ALPHABET_LIMIT:
         raise CapacityError("tuple alphabet too large", count=size)
@@ -242,8 +240,6 @@ def emit_Rn(M: EnumeratedSemigroup, n: int) -> Presentation:
 def emit_R2(M: EnumeratedSemigroup, n: int) -> Presentation:
     """Presentation over the generators carrying two monoid entries.  Sound
     for every monoid; certifies the wreath product at desk scale."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
     letters, L = _alphabet(n, M, 2)
     mul = M.multiply
     one = M.identity
@@ -304,24 +300,18 @@ def emit_R2(M: EnumeratedSemigroup, n: int) -> Presentation:
 # ---------------------------------------------------------------------------
 # idempotent generators (L-chain case)
 
-def _chain_precondition(M: EnumeratedSemigroup):
-    wit = incomparable_L_witness(M)
-    raise PreconditionError(
-        "M/L is not a chain: L-classes of "
-        f"{M.labels[wit[0]]!r} and {M.labels[wit[1]]!r} are incomparable",
-        witness=wit,
-    )
-
-
 def emit_R1(M: EnumeratedSemigroup, n: int, force: bool = False) -> Presentation:
     """Presentation over the idempotent generators, valid when M/L is a
     chain.  ``force`` skips the hypothesis check (the emitted relations are
     still sound, but certification is expected to fail off-hypothesis)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not force and not is_L_chain(M):
-        _chain_precondition(M)
     letters, L = _alphabet(n, M, 1)
+    if not force and not is_L_chain(M):
+        wit = incomparable_L_witness(M)
+        raise PreconditionError(
+            "M/L is not a chain: L-classes of "
+            f"{M.labels[wit[0]]!r} and {M.labels[wit[1]]!r} are incomparable",
+            witness=wit,
+        )
     mul = M.multiply
     one = M.identity
     ms = range(M.order)
@@ -417,11 +407,9 @@ def emit_R1p(M: EnumeratedSemigroup, n: int) -> Presentation:
     """Group-base variant: the five chain-specific families are replaced by
     the inverse form of the idempotency relation plus the product-merging
     relation."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    letters, L = _alphabet(n, M, 1)
     if not is_group(M):
         raise PreconditionError(f"base monoid {M.name or M.labels} is not a group")
-    letters, L = _alphabet(n, M, 1)
     ms = range(M.order)
     rels = []
     add = rels.append
@@ -443,6 +431,31 @@ def emit_R1p(M: EnumeratedSemigroup, n: int) -> Presentation:
 
 # ---------------------------------------------------------------------------
 # general semidirect products
+
+def validate_letter_action(M: EnumeratedSemigroup, base: Presentation, action) -> None:
+    """Check that ``action(x, a)``, given on the letters x of the semigroup
+    presentation ``base``, extends to a left action by monoid endomorphisms
+    of the semigroup it presents: every letter acts by an endomorphism (s.1 =
+    1 and s.(ab) = (s.a)(s.b)) and both sides of every relation act alike.
+    The semigroup is not enumerated."""
+    one = M.identity
+    for x in range(len(base.letters)):
+        if action(x, one) != one:
+            raise ActionError("s.1 = 1", (x, one))
+        for a in range(M.order):
+            for b in range(M.order):
+                if action(x, M.table[a][b]) != M.table[action(x, a)][action(x, b)]:
+                    raise ActionError("s.(ab) = (s.a)(s.b)", (x, a, b))
+    for rel in base.relations:
+        for a in range(M.order):
+            u = v = a
+            for x in reversed(rel.lhs):
+                u = action(x, u)
+            for x in reversed(rel.rhs):
+                v = action(x, v)
+            if u != v:
+                raise ActionError("u.a = v.a", (rel.lhs, rel.rhs, a))
+
 
 def emit_semidirect(base: Presentation, M: EnumeratedSemigroup, action) -> Presentation:
     """Presentation of M x| S from a presentation ``base`` of S, where
@@ -521,110 +534,76 @@ def emit_E_wreath_monoid(M: EnumeratedSemigroup, n: int) -> Presentation:
     presentation of <E(M)>, the group-base presentation over the units, and
     the mixing relations between the two.
 
+    The unit letters and their relations are emit_R1p's over the group of
+    units G, in its order, with each letter's ``a`` moved from its position in
+    G to its index in M.
     Requires <E(M)> = {1} u (M \\ G).  The table presentation has one letter
     per non-identity element of <E(M)>, so the word h_a of an element a is
     its letter, and the empty word for the identity.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    G, unit_list = submonoid(M, units(M))
+    unit_part = emit_R1p(G, n)
     ok, wit = has_unit_complement_E(M)
     if not ok:
         raise PreconditionError(
             f"<E(M)> != {{1}} u (M \\ G); witness element {M.labels[wit]!r}", witness=wit
         )
-    G_mon, unit_list = submonoid(M, units(M))
     E_mon, carrier = submonoid(M, {M.identity} | (set(range(M.order)) - set(unit_list)), name="E")
     base, gens = table_presentation(E_mon)
     base_images = [carrier[m] for m in gens]  # the M-index of each base letter
     letter_of = {m: y for y, m in enumerate(base_images)}
+    nb = len(base.letters)
+    shift = n * nb  # the per-coordinate letters come first
 
-    letters = []
-    index = {}
-    for coord in range(1, n + 1):
-        for y, lt in enumerate(base.letters):
-            index[("y", y, coord)] = len(letters)
-            letters.append(
-                Letter(
-                    f"{lt.name}({coord})",
-                    (("y", lt.name), ("m", base_images[y]), ("coord", coord)),
-                )
-            )
-    # the unit letters in emit_R1p(G_mon, n)'s order: pair-major, then units
-    for i, j in index_pairs(n):
-        for a in unit_list:
-            index[("e", i, j, a)] = len(letters)
-            letters.append(
-                Letter(f"e({i},{j};{M.labels[a]})", (("i", i), ("j", j), ("a", a)))
-            )
+    def at(y, coord):  # the position of base letter y's copy at coordinate coord
+        return (coord - 1) * nb + y
+
+    letters = [
+        Letter(f"{lt.name}({coord})", (("y", lt.name), ("m", base_images[y]), ("coord", coord)))
+        for coord in range(1, n + 1)
+        for y, lt in enumerate(base.letters)
+    ]
+    e = {}  # (i, j, M-index of the unit) -> position of e(i,j;a)
+    for x, lt in enumerate(unit_part.letters):
+        i, j, a = lt.param("i"), lt.param("j"), unit_list[lt.param("a")]
+        e[i, j, a] = shift + x
+        letters.append(Letter(lt.name, (("i", i), ("j", j), ("a", a))))
 
     def h_at(m_idx, coord):
-        return () if m_idx == M.identity else (index[("y", letter_of[m_idx], coord)],)
+        return () if m_idx == M.identity else (at(letter_of[m_idx], coord),)
 
-    rels = []
+    rels = [
+        Relation(tuple(at(y, coord) for y in rel.lhs), tuple(at(y, coord) for y in rel.rhs), "Qbar")
+        for coord in range(1, n + 1)
+        for rel in base.relations
+    ]
+    rels += [
+        Relation((at(x, i), at(y, j)), (at(y, j), at(x, i)), "RC")
+        for x in range(nb)
+        for y in range(nb)
+        for i, j in index_pairs(n)
+    ]
     add = rels.append
-    for coord in range(1, n + 1):
-        for rel in base.relations:
-            add(
-                Relation(
-                    tuple(index[("y", y, coord)] for y in rel.lhs),
-                    tuple(index[("y", y, coord)] for y in rel.rhs),
-                    "Qbar",
-                )
-            )
-    nb = len(base.letters)
-    for x in range(nb):
-        for y in range(nb):
-            for i, j in index_pairs(n):
-                add(
-                    Relation(
-                        (index[("y", x, i)], index[("y", y, j)]),
-                        (index[("y", y, j)], index[("y", x, i)]),
-                        "RC",
-                    )
-                )
-    shift = n * nb  # the per-coordinate letters come first
-    for lhs, rhs, tag in emit_R1p(G_mon, n).relations:
+    for lhs, rhs, tag in unit_part.relations:
         add(Relation(tuple(l + shift for l in lhs), tuple(l + shift for l in rhs), tag))
-    one = M.identity
     mul = M.multiply
     for y in range(nb):
         ybar = base_images[y]
-        for i, j in index_pairs(n):
-            for a in unit_list:
-                e_ija = index[("e", i, j, a)]
-                e_ij1 = index[("e", i, j, one)]
+        for (i, j, a), e_ija in e.items():
+            y_i, y_j, e_ij1 = at(y, i), at(y, j), e[i, j, M.identity]
+            add(Relation((e_ija, y_i), (y_i,) + h_at(mul(a, ybar), j) + (e_ij1,), "nabla1a"))
+            add(Relation((e_ija, y_j), (e_ija,), "nabla1b"))
+            for k in range(1, n + 1):
+                if k != i and k != j:
+                    add(Relation((e_ija, at(y, k)), (at(y, k), e_ija), "nabla1c"))
+            add(Relation((y_j, e_ija), h_at(mul(ybar, a), j) + (e_ij1,), "nabla2"))
+            for b in unit_list:
+                e_ijb = e[i, j, b]
                 add(
                     Relation(
-                        (e_ija, index[("y", y, i)]),
-                        (index[("y", y, i)],) + h_at(mul(a, ybar), j) + (e_ij1,),
-                        "nabla1a",
+                        (y_i, e[j, i, a], e_ijb), h_at(mul(mul(ybar, a), b), i) + (e_ijb,), "nabla3"
                     )
                 )
-                add(Relation((e_ija, index[("y", y, j)]), (e_ija,), "nabla1b"))
-                for k in range(1, n + 1):
-                    if k != i and k != j:
-                        add(
-                            Relation(
-                                (e_ija, index[("y", y, k)]),
-                                (index[("y", y, k)], e_ija),
-                                "nabla1c",
-                            )
-                        )
-                add(
-                    Relation(
-                        (index[("y", y, j)], e_ija),
-                        h_at(mul(ybar, a), j) + (e_ij1,),
-                        "nabla2",
-                    )
-                )
-                for b in unit_list:
-                    add(
-                        Relation(
-                            (index[("y", y, i)], index[("e", j, i, a)], index[("e", i, j, b)]),
-                            h_at(mul(mul(ybar, a), b), i) + (index[("e", i, j, b)],),
-                            "nabla3",
-                        )
-                    )
     return Presentation(
         "monoid",
         tuple(letters),
@@ -647,9 +626,7 @@ def _letter_wreath_image(lt: Letter, ctx: WreathContext):
         return eps_elem(ctx, i, j, d["tup"])
     if "b" in d:
         return eps_ab(ctx, i, j, d["a"], d["b"])
-    if "a" in d:
-        return eps_a(ctx, i, j, d["a"])
-    return eps_a(ctx, i, j, ctx.base.identity)
+    return eps_a(ctx, i, j, d["a"])
 
 
 def standard_map(p: Presentation, M: EnumeratedSemigroup | None = None) -> EvaluationMap:

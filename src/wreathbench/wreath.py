@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ActionError, CapacityError, DegreeMismatch, format_count
+from .errors import CapacityError, DegreeMismatch, format_count
 from .monoids import EnumeratedSemigroup, power_monoid
 from .transformations import enumerate_Tn, epsilon, identity, is_idempotent, part_size
 
@@ -193,31 +193,6 @@ def _idempotent_pairs(ctx: WreathContext):
                     break
             else:
                 yield tup, t
-
-
-def validate_letter_action(M: EnumeratedSemigroup, base, action) -> None:
-    """Check that ``action(x, a)``, given on the letters x of the semigroup
-    presentation ``base``, extends to a left action by monoid endomorphisms
-    of the semigroup it presents: every letter acts by an endomorphism (s.1 =
-    1 and s.(ab) = (s.a)(s.b)) and both sides of every relation act alike.
-    The semigroup is not enumerated."""
-    one = M.identity
-    for x in range(len(base.letters)):
-        if action(x, one) != one:
-            raise ActionError("s.1 = 1", (x, one))
-        for a in range(M.order):
-            for b in range(M.order):
-                if action(x, M.table[a][b]) != M.table[action(x, a)][action(x, b)]:
-                    raise ActionError("s.(ab) = (s.a)(s.b)", (x, a, b))
-    for rel in base.relations:
-        for a in range(M.order):
-            u = v = a
-            for x in reversed(rel.lhs):
-                u = action(x, u)
-            for x in reversed(rel.rhs):
-                v = action(x, v)
-            if u != v:
-                raise ActionError("u.a = v.a", (rel.lhs, rel.rhs, a))
 
 
 def power_with_shuffle(M: EnumeratedSemigroup, n: int, transformations):

@@ -598,6 +598,14 @@ class TestDegreeBound:
         assert message == "-n must be positive, got a 5000-digit negative number"
         assert len(message.encode()) < 200
 
+    def test_underscores_past_the_digit_limit(self, capsys):
+        # int() reads single underscores between digits, so this is a number
+        # of 5,001 digits, refused by the bound, not text that fails to parse
+        code, out = run(capsys, "verify", "--family", "R", "-n", "1_" * 5000 + "1")
+        assert code == 2
+        assert json.loads(out) == {"error": "ValueError",
+                                   "message": "-n must be at most 10000, got a 5001-digit number"}
+
     def test_long_text_quoted_in_part(self, capsys):
         code, out = run(capsys, "verify", "--family", "R", "-n", "x" * 5000)
         assert code == 2
@@ -615,6 +623,42 @@ class TestDegreeBound:
         assert code == 2
         assert report["error"] == "CapacityError"
         assert report["message"].startswith("the target's size, a 40000-digit number")
+
+
+class TestEdgesPastOneHundredCharacters:
+    """--edges endpoints are read as -n is: a number past 100 digits is named
+    by its digit count, and unreadable text is quoted to 100 characters."""
+
+    def test_endpoint_past_the_digit_limit(self, capsys):
+        code, out = run(capsys, "gens", "-n", "3", "--edges", "1:" + "9" * 4000)
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "ValueError",
+            "message": "--edges endpoints must be at most 3, got a 4000-digit number",
+        }
+
+    def test_negative_endpoint_past_the_digit_limit(self, capsys):
+        code, out = run(capsys, "gens", "-n", "3", "--edges=-" + "1_" * 5000 + "1:2")
+        assert code == 2
+        assert json.loads(out)["message"] == (
+            "--edges endpoints must be positive, got a 5001-digit negative number"
+        )
+
+    def test_pair_past_100_digits_quoted_in_part(self, capsys):
+        # each endpoint is within 100 digits, but an out-of-range refusal
+        # would state both of them
+        chunk = "9" * 60 + ":" + "8" * 60
+        code, out = run(capsys, "gens", "-n", "3", "--edges", chunk)
+        assert code == 2
+        assert json.loads(out)["message"] == (
+            "--edges endpoints must be in 1..3, got 121 characters starting " + repr(chunk[:100])
+        )
+
+    def test_long_text_quoted_in_part(self, capsys):
+        code, out = run(capsys, "gens", "-n", "3", "--edges", "x" * 500)
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert message == "--edges must be i:j pairs, got 500 characters starting " + repr("x" * 100)
 
 
 class TestSizesPastTheDigitLimit:
@@ -666,6 +710,20 @@ class TestNegativeBudgets:
         assert code == 1
         assert report["result"]["verdict"]["status"] == "inconclusive"
         assert report["counters"]["nodes_allocated"] == 1
+
+
+def test_out_of_memory_is_one_envelope(capsys, monkeypatch):
+    from wreathbench import cli
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "brute_rank", exhaust)
+    code = main(["rank", "--monoid", "@Z2", "-n", "2", "--mode", "brute"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == ['{"error": "MemoryError", "message": "out of memory"}']
+    assert captured.err == ""
 
 
 class TestUsageErrors:

@@ -26,9 +26,9 @@ from wreathbench import (
     wreath_sing_target,
 )
 from wreathbench.errors import PreconditionError
-from wreathbench.monoids import submonoid
+from wreathbench.monoids import submonoid, units
 from wreathbench.green import e_part_indices
-from wreathbench.presentations import EvaluationMap, Presentation, Relation
+from wreathbench.presentations import EvaluationMap, Letter, Presentation, Relation
 
 from conftest import gen_family, monoid_census, omega_witnesses, word_E_X1, word_E_X2
 
@@ -420,6 +420,59 @@ class TestEmitEMonoid:
     def test_mutation_detected(self, T2):
         p = emit_E_wreath_monoid(T2, 2)
         corrupt_and_detect(p, standard_map(p, T2))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["@T1", "@Z2", "@Z3"])
+    def test_group_base_is_r1p(self, name, n):
+        # a group has no per-coordinate letters: the units are all of M
+        M = fixture(name)
+        p, q = emit_E_wreath_monoid(M, n), emit_R1p(M, n)
+        assert p.letters == q.letters
+        assert p.relations == q.relations
+        assert (p.kind, q.kind) == ("monoid", "semigroup")
+        assert (p.provenance["family"], q.provenance["family"]) == ("Emonoid", "R1p")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["@B01", "@RZ1", "@T2"])
+    def test_unit_part_is_r1p_over_the_units(self, name, n):
+        M = fixture(name)
+        G, unit_list = submonoid(M, units(M))
+        q = emit_R1p(G, n)
+        p = emit_E_wreath_monoid(M, n)
+        shift = sum("coord" in dict(lt.params) for lt in p.letters)
+        assert shift > 0 and all("coord" in dict(lt.params) for lt in p.letters[:shift])
+        # R1p's letters in order, with a taken from G's positions to M's
+        assert p.letters[shift:] == tuple(
+            Letter(lt.name, (("i", lt.param("i")), ("j", lt.param("j")),
+                             ("a", unit_list[lt.param("a")])))
+            for lt in q.letters
+        )
+        tags = q.family_counts()
+        assert [r for r in p.relations if r.tag in tags] == [
+            Relation(tuple(l + shift for l in r.lhs), tuple(l + shift for l in r.rhs), r.tag)
+            for r in q.relations
+        ]
+
+
+# every emitter refuses a degree below 2 first, also on a monoid that fails
+# its hypothesis (R1 on @RZ1, R1p on @B01, Emonoid on @N3)
+_LOW_DEGREE_EMITTERS = {
+    "R": lambda n: emit_R(n),
+    "Rn": lambda n: emit_Rn(fixture("@Z2"), n),
+    "R2": lambda n: emit_R2(fixture("@Z2"), n),
+    "R1": lambda n: emit_R1(fixture("@RZ1"), n),
+    "R1p": lambda n: emit_R1p(fixture("@B01"), n),
+    "Emonoid": lambda n: emit_E_wreath_monoid(fixture("@N3"), n),
+}
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+@pytest.mark.parametrize("family", list(_LOW_DEGREE_EMITTERS))
+def test_degree_below_two_refused_before_the_hypothesis(family, n):
+    with pytest.raises(ValueError) as exc:
+        _LOW_DEGREE_EMITTERS[family](n)
+    assert type(exc.value) is ValueError  # not its subclass PreconditionError
+    assert str(exc.value) == "n must be at least 2"
 
 
 # ---------------------------------------------------------------------------
