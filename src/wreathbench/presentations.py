@@ -119,9 +119,13 @@ def _alphabet(n, M=None, entries=0):
     """The letters e(i,j) over the ordered pairs, each carrying ``entries``
     monoid elements (none, a, or a and b; odometer order), with the index of
     each key (i, j, *entries).  Every emitter builds its alphabet here before
-    it checks anything else, so a degree n below 2 is refused here first."""
+    it checks anything else, so a degree n below 2 is refused here first, and
+    then an alphabet of more than ALPHABET_LIMIT letters, before any letter."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    size = n * (n - 1) * (M.order**entries if entries else 1)
+    if size > ALPHABET_LIMIT:
+        raise CapacityError("alphabet too large", count=size)
     decorations = [
         (ent, ";" + ",".join(M.labels[a] for a in ent) if ent else "", tuple(zip("ab", ent)))
         for ent in itertools.product(range(M.order) if entries else (), repeat=entries)

@@ -21,8 +21,10 @@ from .errors import CapacityError, DegreeMismatch, format_count
 from .monoids import EnumeratedSemigroup, power_monoid
 from .transformations import enumerate_Tn, epsilon, identity, is_idempotent, part_size
 
-# Brute force decides every element of the part, one table lookup per
-# coordinate, so this bounds its time; --list builds only the idempotents.
+# Brute force caps the part at this many elements, which bounds its worst
+# case: a monoid whose tuples all pass decides each of them coordinate by
+# coordinate.  A typical run drops most tuples at a short prefix, and --list
+# builds only the idempotents.
 BRUTE_ELEMENT_BOUND = 10**6
 # The formula's work grows about as n^3; at this degree the slowest fixture
 # takes about a second (2-core x86 VM, Python 3.11).
@@ -165,34 +167,47 @@ def _count_formula(ctx: WreathContext) -> int:
 
 
 def _count_brute(ctx: WreathContext) -> int:
-    return sum(1 for _ in _idempotent_pairs(ctx))
+    return sum(len(tuples) for _, tuples in _idempotent_pairs(ctx))
 
 
 def idempotent_elements(ctx: WreathContext) -> list[tuple[int, ...]]:
     """The idempotents in element order, built from the pairs that
     ``_idempotent_pairs`` decides."""
-    return [tup + t for tup, t in _idempotent_pairs(ctx)]
+    return [tup + t for t, tuples in _idempotent_pairs(ctx) for tup in tuples]
 
 
 def _idempotent_pairs(ctx: WreathContext):
-    """Yield (tuple, transformation) for every idempotent of the part, in
-    element order, deciding every element without building it: each
-    transformation is tested once, and each tuple over an idempotent
-    transformation s by a_k a_{ks} = a_k in every coordinate.  Refused with a
+    """Yield (t, tuples) for every idempotent transformation t of the part,
+    in element order, where ``tuples`` lists in ascending order every tuple a
+    with (a, t) idempotent, that is a_i a_{it} = a_i in every coordinate i.
+    No element is built: the tuples grow one coordinate at a time, each
+    surviving prefix extended by every element of M, and a new prefix is kept
+    only if it passes each pair (i, it) that its last coordinate completes,
+    so a tuple is dropped at its first failing pair.  Refused with a
     CapacityError when the part has more than BRUTE_ELEMENT_BOUND elements."""
     check_brute_size(ctx.size())  # sized before enumerating any of T_n
     table = ctx.base.table
-    tuples = list(itertools.product(range(ctx.base.order), repeat=ctx.degree))
-    for t in enumerate_Tn(ctx.degree, ctx.part):
+    ms = range(ctx.base.order)
+    n = ctx.degree
+    for t in enumerate_Tn(n, ctx.part):
         if not is_idempotent(t):
             continue
-        images = [v - 1 for v in t]
-        for tup in tuples:
-            for a, j in zip(tup, images):
-                if table[a][tup[j]] != a:
-                    break
-            else:
-                yield tup, t
+        completes = [[] for _ in range(n)]  # k -> the pairs (i, it) with max(i, it) = k
+        for i, v in enumerate(t):
+            completes[max(i, v - 1)].append((i, v - 1))
+        prefixes = [()]
+        for pairs in completes:
+            grown = []
+            for prefix in prefixes:
+                for a in ms:
+                    tup = prefix + (a,)
+                    for i, j in pairs:
+                        if table[tup[i]][tup[j]] != tup[i]:
+                            break
+                    else:
+                        grown.append(tup)
+            prefixes = grown
+        yield t, prefixes
 
 
 def power_with_shuffle(M: EnumeratedSemigroup, n: int, transformations):

@@ -475,6 +475,46 @@ def test_degree_below_two_refused_before_the_hypothesis(family, n):
     assert str(exc.value) == "n must be at least 2"
 
 
+# each emitter that builds its letters in _alphabet refuses the first degree
+# whose alphabet, n(n-1) |M|^entries letters, is over ALPHABET_LIMIT: before
+# any letter, and also on a monoid that fails its hypothesis (R1 on @RZ1, R1p
+# on @B01); Emonoid's unit letters are emit_R1p's over the group of units
+_WIDE_ALPHABETS = {  # family -> (emitter, first refused degree, alphabet size)
+    "R": (lambda n: emit_R(n), 65, 65 * 64),
+    "R2": (lambda n: emit_R2(fixture("@T2"), n), 17, 17 * 16 * 4**2),
+    "R1": (lambda n: emit_R1(fixture("@RZ1"), n), 38, 38 * 37 * 3),
+    "R1p": (lambda n: emit_R1p(fixture("@B01"), n), 46, 46 * 45 * 2),
+    "Emonoid": (lambda n: emit_E_wreath_monoid(fixture("@Z2"), n), 46, 46 * 45 * 2),
+}
+
+
+@pytest.mark.parametrize("family", list(_WIDE_ALPHABETS))
+def test_alphabet_over_the_limit_refused_before_any_letter(family, monkeypatch):
+    from wreathbench import presentations
+    from wreathbench.errors import CapacityError
+
+    def refuse(*args):
+        raise AssertionError("a letter built before the alphabet check")
+
+    monkeypatch.setattr(presentations, "Letter", refuse)
+    emit, n, size = _WIDE_ALPHABETS[family]
+    assert size > presentations.ALPHABET_LIMIT
+    with pytest.raises(CapacityError) as exc:
+        emit(n)
+    assert exc.value.count == size
+    assert str(exc.value) == f"alphabet too large (reached {size})"
+
+
+@pytest.mark.parametrize("name, entries, n", [(None, 0, 64), ("@T2", 2, 16), ("@RZ1", 1, 37)])
+def test_alphabet_at_the_limit_is_built(name, entries, n):
+    from wreathbench.presentations import ALPHABET_LIMIT, _alphabet
+
+    M = fixture(name) if name else None
+    letters, index = _alphabet(n, M, entries)
+    assert len(letters) == len(index) == n * (n - 1) * (M.order**entries if M else 1)
+    assert len(letters) <= ALPHABET_LIMIT
+
+
 # ---------------------------------------------------------------------------
 # ordered emissions
 

@@ -190,17 +190,38 @@ class TestIdempotents:
             assert exc.value.count == 4**7 * n_trans
 
     def test_formula_equals_brute_all_monoids_up_to_order4(self):
-        # exhaustive oracle over one representative per isomorphism class
+        # exhaustive oracle over one representative per isomorphism class, up
+        # to n = 4, the domain of the benchmark's --check jobs
         for table in monoid_census(4):
             m = len(table)
             M = validate_monoid([f"m{i}" for i in range(m)], 0, [list(r) for r in table])
-            for n in (2, 3):
+            for n in (2, 3, 4):
                 for part in ("full", "singular"):
                     ctx = WreathContext(M, n, part)
                     assert count_idempotents(ctx, "formula") == count_idempotents(
                         ctx, "brute"
                     )
 
+    @pytest.mark.parametrize("part", ["full", "singular"])
+    @pytest.mark.parametrize("name", ["@Z2", "@B01", "@Z3", "@N3", "@RZ1"])
+    def test_formula_equals_brute_at_degree5(self, name, part):
+        ctx = WreathContext(fixture(name), 5, part)
+        assert count_idempotents(ctx, "brute") == count_idempotents(ctx, "formula")
+
+    def test_brute_at_degree1_counts_the_base_idempotents(self):
+        for M in _census_monoids(4) + _fixtures():
+            ctx = WreathContext(M, 1, "full")
+            assert count_idempotents(ctx, "brute") == len(M.idempotents())
+
+    @pytest.mark.parametrize("part", ["full", "singular"])
+    def test_pairs_one_per_idempotent_transformation(self, T2, part):
+        # the all-identity tuple passes over every idempotent t, so each
+        # appears, in element order, with its tuples ascending
+        pairs = list(wreath._idempotent_pairs(WreathContext(T2, 3, part)))
+        assert [t for t, _ in pairs] == [t for t in enumerate_Tn(3, part) if is_idempotent(t)]
+        for _, tuples in pairs:
+            assert (T2.identity,) * 3 in tuples
+            assert tuples == sorted(set(tuples))
 
     def test_formula_degree_budget(self, Z2):
         n = MAX_FORMULA_DEGREE
@@ -230,7 +251,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("part", ["full", "singular"])
     def test_listing_equals_filter(self, part):
         for M in _census_monoids(3) + _fixtures():
-            for n in (2, 3):
+            for n in (2, 3, 4):
                 ctx = WreathContext(M, n, part)
                 listed = idempotent_elements(ctx)
                 assert listed == _idempotents_by_filter(ctx)
