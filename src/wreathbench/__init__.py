@@ -46,7 +46,6 @@ from .transformations import (
     enumerate_Tn,
     epsilon,
     identity,
-    is_idempotent,
     is_permutation,
     rank,
     transformation,

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 from .enumeration import CLOSURE_LIMIT, close
 from .errors import CapacityError, format_count
-from .green import idempotent_generated_part
 from .monoids import EnumeratedSemigroup
 from .presentations import EvaluationMap, Presentation, soundness
 from .todd_coxeter import NODE_LIMIT, TCResult, todd_coxeter
 from .transformations import compose, enumerate_Tn, part_size
-from .wreath import WreathContext
+from .wreath import WreathContext, idempotent_elements
 
 
 @dataclass
@@ -118,9 +117,9 @@ def wreath_sing_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemig
 
 
 def e_wreath_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
-    """The idempotent-generated part of M wr T_n, which contains the
-    identity.  Refused with a CapacityError when all of M wr T_n, which is
-    enumerated to find the idempotents, exceeds ``limit``."""
+    """The idempotent-generated part of M wr T_n, identity included: the
+    closure of brute force's idempotents.  Refused with a CapacityError when
+    all of M wr T_n exceeds ``limit`` or brute force's bound."""
     check_size(target_size(M, n, "full"), limit)
     ctx = WreathContext(M, n, "full")
-    return idempotent_generated_part(EnumeratedSemigroup(ctx.elements(), ctx.multiply))
+    return close(idempotent_elements(ctx), ctx.multiply, limit=ctx.size())

@@ -211,6 +211,8 @@ def cmd_verify(args):
     presentation, size, target = FAMILIES[args.family]
     if n < 2:  # the emitters' own refusal, ahead of the size check that needs a part
         raise ValueError("n must be at least 2")
+    if M is not None and args.family == "R":
+        raise PreconditionError("family R takes no monoid")
     # the target's own size check, ahead of the emitter: R emits Theta(n^4) relations
     check_size(size(M, n), args.limit_elements)
     p = presentation(M, n)

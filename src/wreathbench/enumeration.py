@@ -22,7 +22,7 @@ TABLE_LIMIT = 10**7
 
 
 def close(generators, multiply, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
-    """Froidure-Pin style breadth-first closure with duplicate elimination.
+    """Breadth-first closure that multiplies every element by every generator.
 
     Aborts with a CapacityError carrying the partial count once more than
     ``limit`` elements have been found.

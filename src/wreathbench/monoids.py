@@ -15,7 +15,7 @@ import json
 from functools import cached_property, lru_cache
 
 from .errors import MonoidValidationError
-from .transformations import compose, enumerate_Tn, identity
+from .transformations import compose, enumerate_Tn
 
 MONOID_FILE_KEYS = {"name", "elements", "identity", "table"}
 
@@ -212,23 +212,19 @@ def submonoid(M: EnumeratedSemigroup, indices, name="") -> tuple[EnumeratedSemig
 def power_monoid(M: EnumeratedSemigroup, n: int) -> EnumeratedSemigroup:
     """Direct power M^n with coordinatewise multiplication; elements ordered
     by index-tuple odometer."""
-    tuples = list(itertools.product(range(M.order), repeat=n))
-    pos = {t: i for i, t in enumerate(tuples)}
-    labels = tuple("(" + ",".join(M.labels[i] for i in t) + ")" for t in tuples)
-    table = tuple(
-        tuple(pos[tuple(M.table[a[i]][b[i]] for i in range(n))] for b in tuples) for a in tuples
-    )
-    return cayley_monoid(labels, pos[(M.identity,) * n], table, name=f"{M.name}^{n}")
+    table = M.table
+    S = EnumeratedSemigroup(list(itertools.product(range(M.order), repeat=n)),
+                            lambda a, b: tuple([table[x][y] for x, y in zip(a, b)]))
+    labels = tuple("(" + ",".join(M.labels[i] for i in t) + ")" for t in S.elements)
+    return cayley_monoid(labels, S.identity, S.table, name=f"{M.name}^{n}")
 
 
 def full_transformation_monoid(n: int) -> EnumeratedSemigroup:
     """T_n as a Cayley table; elements in lexicographic image order, labelled
     by their image strings."""
-    elems = enumerate_Tn(n, "full")
-    pos = {t: i for i, t in enumerate(elems)}
-    labels = tuple("".join(str(v) for v in t) for t in elems)
-    table = tuple(tuple(pos[compose(s, t)] for t in elems) for s in elems)
-    return cayley_monoid(labels, pos[identity(n)], table, name=f"T{n}")
+    S = EnumeratedSemigroup(enumerate_Tn(n, "full"), compose)
+    labels = tuple("".join(str(v) for v in t) for t in S.elements)
+    return cayley_monoid(labels, S.identity, S.table, name=f"T{n}")
 
 
 def _cyclic(k: int) -> EnumeratedSemigroup:

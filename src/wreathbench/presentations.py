@@ -635,22 +635,18 @@ def _letter_wreath_image(lt: Letter, ctx: WreathContext):
 
 def standard_map(p: Presentation, M: EnumeratedSemigroup | None = None) -> EvaluationMap:
     """The canonical evaluation map of an emitted presentation, reconstructed
-    from letter parameters."""
+    from letter parameters.  Emonoid's, the one monoid presentation, maps into
+    M wr T_n with its identity; the other wreath families into M wr Sing_n."""
     family = p.provenance.get("family")
     n = p.provenance.get("n")
     if family == "R":
         images = tuple(epsilon(n, lt.param("i"), lt.param("j")) for lt in p.letters)
         return EvaluationMap(images, compose)
-    if family in ("Rn", "R2", "R1", "R1p"):
+    if family in ("Rn", "R2", "R1", "R1p", "Emonoid"):
         if M is None:
             raise ValueError("monoid required to build the evaluation map")
-        ctx = WreathContext(M, n, "singular")
+        monoid = p.kind == "monoid"
+        ctx = WreathContext(M, n, "full" if monoid else "singular")
         images = tuple(_letter_wreath_image(lt, ctx) for lt in p.letters)
-        return EvaluationMap(images, ctx.multiply)
-    if family == "Emonoid":
-        if M is None:
-            raise ValueError("monoid required to build the evaluation map")
-        ctx = WreathContext(M, n, "full")
-        images = tuple(_letter_wreath_image(lt, ctx) for lt in p.letters)
-        return EvaluationMap(images, ctx.multiply, identity=ctx.identity_element())
+        return EvaluationMap(images, ctx.multiply, ctx.identity_element() if monoid else None)
     raise ValueError(f"no canonical map for family {family!r}")

@@ -35,11 +35,6 @@ def rank(t) -> int:
     return len(set(t))
 
 
-def is_idempotent(t) -> bool:
-    # idempotent iff every point of the image is fixed
-    return all(t[v - 1] == v for v in set(t))
-
-
 def is_permutation(t) -> bool:
     return rank(t) == len(t)
 

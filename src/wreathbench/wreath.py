@@ -19,7 +19,7 @@ from math import comb
 
 from .errors import CapacityError, DegreeMismatch, format_count
 from .monoids import EnumeratedSemigroup, power_monoid
-from .transformations import enumerate_Tn, epsilon, identity, is_idempotent, part_size
+from .transformations import enumerate_Tn, epsilon, identity, is_permutation, part_size
 
 # Brute force caps the part at this many elements, which bounds its worst
 # case: a monoid whose tuples all pass decides each of them coordinate by
@@ -180,18 +180,16 @@ def _idempotent_pairs(ctx: WreathContext):
     """Yield (t, tuples) for every idempotent transformation t of the part,
     in element order, where ``tuples`` lists in ascending order every tuple a
     with (a, t) idempotent, that is a_i a_{it} = a_i in every coordinate i.
-    No element is built: the tuples grow one coordinate at a time, each
-    surviving prefix extended by every element of M, and a new prefix is kept
-    only if it passes each pair (i, it) that its last coordinate completes,
-    so a tuple is dropped at its first failing pair.  Refused with a
-    CapacityError when the part has more than BRUTE_ELEMENT_BOUND elements."""
-    check_brute_size(ctx.size())  # sized before enumerating any of T_n
+    No other map is visited and no element is built: the tuples grow one
+    coordinate at a time like the maps, each surviving prefix extended by
+    every element of M, and a new prefix is kept only if it passes each pair
+    (i, it) that its last coordinate completes.  Refused with a CapacityError
+    when the part has more than BRUTE_ELEMENT_BOUND elements."""
+    check_brute_size(ctx.size())  # sized before any map is grown
     table = ctx.base.table
     ms = range(ctx.base.order)
     n = ctx.degree
-    for t in enumerate_Tn(n, ctx.part):
-        if not is_idempotent(t):
-            continue
+    for t in _idempotent_maps(n, ctx.part):
         completes = [[] for _ in range(n)]  # k -> the pairs (i, it) with max(i, it) = k
         for i, v in enumerate(t):
             completes[max(i, v - 1)].append((i, v - 1))
@@ -208,6 +206,18 @@ def _idempotent_pairs(ctx: WreathContext):
                         grown.append(tup)
             prefixes = grown
         yield t, prefixes
+
+
+def _idempotent_maps(n: int, part: str) -> list[tuple[int, ...]]:
+    """The idempotent maps of the part of T_n in lexicographic order, grown
+    point by point, so the n^n maps are never walked: k goes to itself, or,
+    while no smaller point goes to k, to a smaller fixed point or to a larger
+    point, which is then fixed in its turn."""
+    maps = [()]
+    for k in range(1, n + 1):
+        maps = [t + (v,) for t in maps for v in ((k,) if k in t else range(1, n + 1))
+                if v >= k or t[v - 1] == v]
+    return [t for t in maps if not is_permutation(t)] if part == "singular" else maps
 
 
 def power_with_shuffle(M: EnumeratedSemigroup, n: int, transformations):

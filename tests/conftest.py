@@ -45,6 +45,12 @@ def N3():
     return fixture("@N3")
 
 
+def is_idempotent(t):
+    """Whether the transformation ``t`` is idempotent: every point of its
+    image is fixed."""
+    return all(t[v - 1] == v for v in set(t))
+
+
 def rank_one_less_idempotents(n):
     """The rank n-1 idempotents of T_n, one per ordered pair (i, j)."""
     return [epsilon(n, i, j) for i, j in index_pairs(n)]

@@ -21,7 +21,6 @@ from wreathbench import (
     emit_R2,
     emit_Rn,
     enumerate_Tn,
-    is_idempotent,
     eps_ab,
     eps_elem,
     epsilon,
@@ -42,7 +41,8 @@ from wreathbench.certify import e_wreath_target
 from wreathbench.presentations import Presentation
 
 from conftest import (
-    gen_family, omega_witnesses, rank_one_less_idempotents, sigma_membership, word_E_X1, word_E_X2,
+    gen_family, is_idempotent, omega_witnesses, rank_one_less_idempotents, sigma_membership,
+    word_E_X1, word_E_X2,
 )
 
 FIXTURES = ("@T1", "@Z2", "@Z3", "@B01", "@RZ1", "@T2")

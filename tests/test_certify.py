@@ -180,6 +180,29 @@ class TestTargets:
         idem = [x for x in ctx.elements() if ctx.multiply(x, x) == x]
         assert e_wreath_target(M, n).elements == close(idem, ctx.multiply).elements
 
+    @pytest.mark.parametrize("name", ["@Z2", "@T2", "@N3"])
+    def test_e_wreath_target_enumerates_no_wreath_product(self, name, monkeypatch):
+        # the reference above, built before enumerating M wr T_n is refused
+        M = fixture(name)
+        ctx = WreathContext(M, 2, "full")
+        idem = [x for x in ctx.elements() if ctx.multiply(x, x) == x]
+        want = close(idem, ctx.multiply).elements
+
+        def refuse(self):
+            raise AssertionError("M wr T_n enumerated")
+
+        monkeypatch.setattr(WreathContext, "elements", refuse)
+        assert e_wreath_target(M, 2).elements == want
+
+    def test_standard_map_identity_only_for_emonoid(self, Z2):
+        for family, (presentation, _, _) in FAMILIES.items():
+            M = None if family == "R" else Z2
+            emap = standard_map(presentation(M, 2), M)
+            if family == "Emonoid":
+                assert emap.identity == (Z2.identity, Z2.identity, 1, 2)
+            else:
+                assert emap.identity is None, family
+
     def test_elements_are_plain_int_tuples(self, Z2, T2, N3):
         # the targets' elements, and the letter images of every family as
         # verify builds them

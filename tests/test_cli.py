@@ -153,6 +153,11 @@ class TestVerifyCommand:
         assert code == 2
         assert report == {"error": "ValueError", "message": "n must be at least 2"}
 
+    def test_monoid_refused_for_R(self, capsys):
+        code, report = run_json(capsys, "verify", "--family", "R", "--monoid", "@Z2", "-n", "2")
+        assert code == 2
+        assert report == {"error": "PreconditionError", "message": "family R takes no monoid"}
+
     def test_budget_exhaustion_is_negative(self, capsys):
         code, report = run_json(
             capsys, "verify", "--family", "R", "-n", "3", "--limit-nodes", "10"

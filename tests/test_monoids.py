@@ -1,10 +1,13 @@
+import itertools
 import json
 
 import pytest
 
 from wreathbench import fixture, full_transformation_monoid, power_monoid, submonoid, units, validate_monoid
+from wreathbench import compose, enumerate_Tn, identity
 from wreathbench.errors import MonoidValidationError
 from wreathbench.monoids import inverse_of, is_group, load_monoid, monoid_from_dict
+from wreathbench.monoids import FIXTURES
 
 
 class TestValidate:
@@ -122,3 +125,27 @@ class TestConstructions:
         T3 = full_transformation_monoid(3)
         assert T3.order == 27
         validate_monoid(T3.labels, T3.identity, T3.table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_transformation_monoid_by_compose(self, n):
+        # reference: positions in lexicographic image order, products by compose
+        elems = enumerate_Tn(n, "full")
+        pos = {t: i for i, t in enumerate(elems)}
+        T = full_transformation_monoid(n)
+        assert T.table == tuple(tuple(pos[compose(s, t)] for t in elems) for s in elems)
+        assert T.identity == pos[identity(n)]
+        assert T.labels == tuple("".join(str(v) for v in t) for t in elems)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_power_monoid_coordinatewise(self, name, n):
+        # reference: positions in odometer order, coordinatewise products
+        M = fixture(name)
+        tuples = list(itertools.product(range(M.order), repeat=n))
+        pos = {t: i for i, t in enumerate(tuples)}
+        P = power_monoid(M, n)
+        assert P.table == tuple(
+            tuple(pos[tuple(M.table[a[i]][b[i]] for i in range(n))] for b in tuples)
+            for a in tuples
+        )
+        assert P.identity == pos[(M.identity,) * n]

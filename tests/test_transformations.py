@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wreathbench import (
-    compose, enumerate_Tn, epsilon, identity, is_idempotent, is_permutation, rank, transformation,
+    compose, enumerate_Tn, epsilon, identity, is_permutation, rank, transformation,
 )
 from wreathbench.errors import CapacityError, DegreeMismatch
+
+from conftest import is_idempotent
 
 
 def t(*images):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 from math import comb
 
@@ -19,10 +20,10 @@ from wreathbench import (
 from wreathbench import wreath
 from wreathbench.errors import CapacityError, PreconditionError
 from wreathbench.monoids import FIXTURES
-from wreathbench.transformations import enumerate_Tn, identity, is_idempotent
+from wreathbench.transformations import enumerate_Tn, identity
 from wreathbench.wreath import MAX_FORMULA_DEGREE, idempotent_elements
 
-from conftest import gen_family, monoid_census, pair_multiply, sigma_membership
+from conftest import gen_family, is_idempotent, monoid_census, pair_multiply, sigma_membership
 
 
 def _count_formula_by_tuples(ctx):
@@ -222,6 +223,33 @@ class TestIdempotents:
         for _, tuples in pairs:
             assert (T2.identity,) * 3 in tuples
             assert tuples == sorted(set(tuples))
+
+    @pytest.mark.parametrize("part", ["full", "singular"])
+    def test_maps_equal_the_filtered_part(self, part):
+        for n in range(1, 7):
+            want = [t for t in enumerate_Tn(n, part) if is_idempotent(t)]
+            assert wreath._idempotent_maps(n, part) == want
+
+    def test_maps_at_degree7(self):
+        # an idempotent fixes its image, a set of k points, and sends each of
+        # the other 7 - k points into it; the identity is the one permutation
+        count = sum(comb(7, k) * k ** (7 - k) for k in range(1, 8))
+        assert count == 6322
+        assert len(wreath._idempotent_maps(7, "full")) == count
+        assert len(wreath._idempotent_maps(7, "singular")) == count - 1
+
+    def test_brute_count_at_degree7_holds_no_T7(self, T1):
+        # the maps are grown, so the 823,543 maps of T_7 are never held: the
+        # count peaks near 1 MiB, where materialising them peaks past 80 MiB
+        ctx = WreathContext(T1, 7, "full")
+        tracemalloc.start()
+        try:
+            count = count_idempotents(ctx, "brute")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 6322
+        assert peak < 8 * 2**20
 
     def test_formula_degree_budget(self, Z2):
         n = MAX_FORMULA_DEGREE
