@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 import time
@@ -77,7 +78,7 @@ def _emit_report(args, parameters, result, counters, started):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
-    print(text)
+    print(text, flush=True)  # a closed stdout fails here, not at exit
 
 
 def _as_table(report):
@@ -385,16 +386,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command line: one report, or one error envelope on refusal."""
     try:
-        args = build_parser().parse_args(argv)
-        _refuse_negative_budgets(args)
-        started = time.monotonic()
-        code, parameters, result, counters = args.func(args)
-        _emit_report(args, parameters, result, counters, started)
-        return code
-    except (CapacityError, ValueError, OSError, KeyError, MemoryError) as exc:
-        # Python raises a MemoryError without a message
-        message = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
-        print(json.dumps({"error": type(exc).__name__, "message": message}, sort_keys=True))
+        try:
+            args = build_parser().parse_args(argv)
+            _refuse_negative_budgets(args)
+            started = time.monotonic()
+            code, parameters, result, counters = args.func(args)
+            _emit_report(args, parameters, result, counters, started)
+            return code
+        except (CapacityError, ValueError, OSError, KeyError, MemoryError) as exc:
+            # Python raises a MemoryError without a message, and str() of a
+            # KeyError is the repr of its text
+            text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            message = str(text) or ("out of memory" if isinstance(exc, MemoryError) else "")
+            envelope = {"error": type(exc).__name__, "message": message}
+            print(json.dumps(envelope, sort_keys=True), flush=True)
+            return INVALID
+    except BrokenPipeError:
+        # stdout's reader is gone, so nothing can be reported; stdout goes to
+        # the null device, so that the flush at exit cannot fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return INVALID
 
 

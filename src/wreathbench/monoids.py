@@ -2,7 +2,9 @@
 
 One type, ``EnumeratedSemigroup``, holds every finite semigroup: its element
 values, their product and each value's position.  A Cayley-table monoid is
-the case whose values are the positions themselves.  The table convention is
+the case whose values are the positions themselves; powers and submonoids
+keep their own elements.  A product of positions is read from ``table``, and
+``multiply`` is applied only to element values.  The table convention is
 ``table[i][j] = index of element_i * element_j`` (left factor indexes rows).
 The identity must be two-sided; a merely right identity is rejected by
 validation.
@@ -28,9 +30,10 @@ class EnumeratedSemigroup:
     j)`` is the position of elements[i] * elements[j], computed on demand;
     ``table`` is the whole Cayley table of positions and ``identity`` the
     position of the two-sided identity, or None, both derived once on first
-    use.  ``cayley_monoid`` builds the case whose values are their own
-    positions, with ``multiply`` the table lookup and the table and identity
-    given.
+    use.  Code that multiplies positions reads ``table``; ``multiply`` takes
+    element values, which are their own positions only in the monoids that
+    ``cayley_monoid`` builds, with ``multiply`` the table lookup and the
+    table and identity given.
 
     Built directly from a complete element list, deriving ``index``, or by
     ``close`` from a generating set, in shortlex discovery order.  Only
@@ -182,41 +185,32 @@ def is_group(M: EnumeratedSemigroup) -> bool:
     return len(units(M)) == M.order
 
 
-def submonoid(M: EnumeratedSemigroup, indices, name="") -> tuple[EnumeratedSemigroup, list[int]]:
-    """Relabel a closed, identity-containing subset as a monoid of its own.
-
-    Returns (submonoid, carrier) where carrier[i] is the M-index of the
-    i-th submonoid element.
-    """
+def submonoid(M: EnumeratedSemigroup, indices, name="") -> EnumeratedSemigroup:
+    """The closed, identity-containing subset ``indices`` of M as a monoid
+    of its own: its elements are the sorted positions in M, multiplied
+    through M's table, with M's labels."""
     carrier = sorted(set(indices))
     if M.identity not in carrier:
         raise MonoidValidationError("subset does not contain the identity")
-    pos = {m: i for i, m in enumerate(carrier)}
-    table = []
+    table, members = M.table, set(carrier)
     for a in carrier:
-        row = []
         for b in carrier:
-            c = M.table[a][b]
-            if c not in pos:
+            if table[a][b] not in members:
                 raise MonoidValidationError(
                     f"subset not closed: {M.labels[a]}*{M.labels[b]} escapes", witness=(a, b)
                 )
-            row.append(pos[c])
-        table.append(tuple(row))
-    sub = cayley_monoid(
-        tuple(M.labels[m] for m in carrier), pos[M.identity], tuple(table), name or M.name
-    )
-    return sub, carrier
+    return EnumeratedSemigroup(carrier, lambda a, b: table[a][b],
+                               labels=tuple(M.labels[m] for m in carrier), name=name or M.name)
 
 
 def power_monoid(M: EnumeratedSemigroup, n: int) -> EnumeratedSemigroup:
-    """Direct power M^n with coordinatewise multiplication; elements ordered
-    by index-tuple odometer."""
+    """Direct power M^n over the tuples of positions of M, multiplied
+    coordinatewise; elements ordered by index-tuple odometer."""
     table = M.table
-    S = EnumeratedSemigroup(list(itertools.product(range(M.order), repeat=n)),
-                            lambda a, b: tuple([table[x][y] for x, y in zip(a, b)]))
-    labels = tuple("(" + ",".join(M.labels[i] for i in t) + ")" for t in S.elements)
-    return cayley_monoid(labels, S.identity, S.table, name=f"{M.name}^{n}")
+    tuples = list(itertools.product(range(M.order), repeat=n))
+    labels = tuple("(" + ",".join(M.labels[i] for i in t) + ")" for t in tuples)
+    return EnumeratedSemigroup(tuples, lambda a, b: tuple([table[x][y] for x, y in zip(a, b)]),
+                               labels=labels, name=f"{M.name}^{n}")
 
 
 def full_transformation_monoid(n: int) -> EnumeratedSemigroup:

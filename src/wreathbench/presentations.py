@@ -221,11 +221,10 @@ def emit_Rn(M: EnumeratedSemigroup, n: int) -> Presentation:
     Mn, action = power_with_shuffle(M, n, standard_map(base).images)
     p = emit_semidirect(base, Mn, action)
     # each letter is named from its own parameters: base letter e(i,j) and
-    # M^n index a, whose tuple is the a-th in M^n's odometer order
-    tuples = list(itertools.product(range(M.order), repeat=n))
+    # M^n position a, whose tuple is Mn.elements[a]
     letters = []
     for lt in p.letters:
-        i, j, tup = lt.param("i"), lt.param("j"), tuples[lt.param("a")]
+        i, j, tup = lt.param("i"), lt.param("j"), Mn.elements[lt.param("a")]
         name = ",".join(M.labels[a] for a in tup)
         letters.append(Letter(f"e({i},{j};[{name}])", (("i", i), ("j", j), ("tup", tup))))
     tags = {f"RM1:{t}": f"{t}_n" for t in base.family_counts()}
@@ -245,7 +244,7 @@ def emit_R2(M: EnumeratedSemigroup, n: int) -> Presentation:
     """Presentation over the generators carrying two monoid entries.  Sound
     for every monoid; certifies the wreath product at desk scale."""
     letters, L = _alphabet(n, M, 2)
-    mul = M.multiply
+    t = M.table
     one = M.identity
     ms = range(M.order)
     entries = list(itertools.product(ms, repeat=2))
@@ -256,7 +255,7 @@ def emit_R2(M: EnumeratedSemigroup, n: int) -> Presentation:
             rels += _chain(
                 "R1_2",
                 (L[(i, j, a, b)], L[(i, j, c, d)]),
-                (L[(i, j, mul(a, c), mul(b, c))],),
+                (L[(i, j, t[a][c], t[b][c])],),
                 (L[(j, i, b, a)], L[(i, j, d, c)]),
             )
     rels += _commuting(n, L, entries, "R2_2")
@@ -284,15 +283,15 @@ def emit_R2(M: EnumeratedSemigroup, n: int) -> Presentation:
             rels += _chain(
                 "R4a_2",
                 (L[(i, j, a, b)], L[(i, k, c, d)]),
-                (L[(i, k, mul(a, c), d)], L[(i, j, one, mul(b, c))]),
-                (L[(j, k, mul(b, c), d)], L[(i, j, mul(a, c), one)]),
+                (L[(i, k, t[a][c], d)], L[(i, j, one, t[b][c])]),
+                (L[(j, k, t[b][c], d)], L[(i, j, t[a][c], one)]),
             )
     for i, j, k in _ordered_tuples(n, 3):
         for a, b, c, d in itertools.product(ms, repeat=4):
             rels += _chain(
                 "R4b_2",
-                (L[(i, j, c, mul(a, d))], L[(i, k, one, mul(b, d))]),
-                (L[(i, k, c, mul(b, d))], L[(i, j, one, mul(a, d))]),
+                (L[(i, j, c, t[a][d])], L[(i, k, one, t[b][d])]),
+                (L[(i, k, c, t[b][d])], L[(i, j, one, t[a][d])]),
                 (L[(j, k, a, b)], L[(i, j, c, d)]),
             )
     rels += _braids(n, {(i, j): L[(i, j, one, one)] for i, j in index_pairs(n)}, "_2")
@@ -316,7 +315,7 @@ def emit_R1(M: EnumeratedSemigroup, n: int, force: bool = False) -> Presentation
             f"{M.labels[wit[0]]!r} and {M.labels[wit[1]]!r} are incomparable",
             witness=wit,
         )
-    mul = M.multiply
+    t = M.table
     one = M.identity
     ms = range(M.order)
     rels = []
@@ -327,7 +326,7 @@ def emit_R1(M: EnumeratedSemigroup, n: int, force: bool = False) -> Presentation
     rels += _r1b(M, n, L)
     for i, j in index_pairs(n):
         for a, b, c in itertools.product(ms, repeat=3):
-            if mul(a, c) == mul(b, c):
+            if t[a][c] == t[b][c]:
                 add(
                     Relation(
                         (L[(j, i, a)], L[(i, j, c)]), (L[(j, i, b)], L[(i, j, c)]), "R1c_1"
@@ -335,11 +334,11 @@ def emit_R1(M: EnumeratedSemigroup, n: int, force: bool = False) -> Presentation
                 )
     for i, j in index_pairs(n):
         for a, b, c in itertools.product(ms, repeat=3):
-            if mul(mul(a, b), c) == c:
+            if t[t[a][b]][c] == c:
                 add(
                     Relation(
                         (L[(i, j, b)], L[(j, i, c)], L[(i, j, one)]),
-                        (L[(j, i, a)], L[(i, j, mul(b, c))]),
+                        (L[(j, i, a)], L[(i, j, t[b][c])]),
                         "R1d_1",
                     )
                 )
@@ -358,7 +357,7 @@ def _r1b(M: EnumeratedSemigroup, n: int, L) -> list[Relation]:
     return [
         Relation(
             (L[(i, j, one)], L[(j, i, a)], L[(i, j, b)]),
-            (L[(j, i, one)], L[(i, j, M.multiply(a, b))]),
+            (L[(j, i, one)], L[(i, j, M.table[a][b])]),
             "R1b_1",
         )
         for i, j in index_pairs(n)
@@ -369,7 +368,6 @@ def _r1b(M: EnumeratedSemigroup, n: int, L) -> list[Relation]:
 def _r1_common(M: EnumeratedSemigroup, n: int, L) -> list[Relation]:
     """Families shared by the chain and group presentations over the
     idempotent generators."""
-    mul = M.multiply
     one = M.identity
     ms = range(M.order)
     entries = [(a,) for a in ms]
@@ -396,7 +394,7 @@ def _r1_common(M: EnumeratedSemigroup, n: int, L) -> list[Relation]:
             )
     for i, j, k in _ordered_tuples(n, 3):
         for a, b in itertools.product(ms, repeat=2):
-            ab = mul(a, b)
+            ab = M.table[a][b]
             rels += _chain(
                 "R4_1",
                 (L[(i, j, b)], L[(i, k, ab)]),
@@ -491,7 +489,7 @@ def emit_semidirect(base: Presentation, M: EnumeratedSemigroup, action) -> Prese
         for y in range(len(base.letters)):
             for a in range(M.order):
                 for b in range(M.order):
-                    c = M.multiply(a, action(x, b))
+                    c = M.table[a][action(x, b)]
                     rels.append(
                         Relation(
                             (index[(x, a)], index[(y, b)]),
@@ -520,7 +518,7 @@ def table_presentation(N: EnumeratedSemigroup) -> tuple[Presentation, list[int]]
     rels = []
     for x in gens:
         for y in gens:
-            p = N.multiply(x, y)
+            p = N.table[x][y]
             rhs = () if p == N.identity else (pos[p],)
             rels.append(Relation((pos[x], pos[y]), rhs, "table"))
     pres = Presentation(
@@ -540,21 +538,21 @@ def emit_E_wreath_monoid(M: EnumeratedSemigroup, n: int) -> Presentation:
 
     The unit letters and their relations are emit_R1p's over the group of
     units G, in its order, with each letter's ``a`` moved from its position in
-    G to its index in M.
+    G to its element of G, which is its index in M.
     Requires <E(M)> = {1} u (M \\ G).  The table presentation has one letter
     per non-identity element of <E(M)>, so the word h_a of an element a is
     its letter, and the empty word for the identity.
     """
-    G, unit_list = submonoid(M, units(M))
+    G = submonoid(M, units(M))
     unit_part = emit_R1p(G, n)
     ok, wit = has_unit_complement_E(M)
     if not ok:
         raise PreconditionError(
             f"<E(M)> != {{1}} u (M \\ G); witness element {M.labels[wit]!r}", witness=wit
         )
-    E_mon, carrier = submonoid(M, {M.identity} | (set(range(M.order)) - set(unit_list)), name="E")
+    E_mon = submonoid(M, {M.identity} | (set(range(M.order)) - set(G.elements)), name="E")
     base, gens = table_presentation(E_mon)
-    base_images = [carrier[m] for m in gens]  # the M-index of each base letter
+    base_images = [E_mon.elements[m] for m in gens]  # the M-index of each base letter
     letter_of = {m: y for y, m in enumerate(base_images)}
     nb = len(base.letters)
     shift = n * nb  # the per-coordinate letters come first
@@ -569,7 +567,7 @@ def emit_E_wreath_monoid(M: EnumeratedSemigroup, n: int) -> Presentation:
     ]
     e = {}  # (i, j, M-index of the unit) -> position of e(i,j;a)
     for x, lt in enumerate(unit_part.letters):
-        i, j, a = lt.param("i"), lt.param("j"), unit_list[lt.param("a")]
+        i, j, a = lt.param("i"), lt.param("j"), G.elements[lt.param("a")]
         e[i, j, a] = shift + x
         letters.append(Letter(lt.name, (("i", i), ("j", j), ("a", a))))
 
@@ -590,22 +588,22 @@ def emit_E_wreath_monoid(M: EnumeratedSemigroup, n: int) -> Presentation:
     add = rels.append
     for lhs, rhs, tag in unit_part.relations:
         add(Relation(tuple(l + shift for l in lhs), tuple(l + shift for l in rhs), tag))
-    mul = M.multiply
+    t = M.table
     for y in range(nb):
         ybar = base_images[y]
         for (i, j, a), e_ija in e.items():
             y_i, y_j, e_ij1 = at(y, i), at(y, j), e[i, j, M.identity]
-            add(Relation((e_ija, y_i), (y_i,) + h_at(mul(a, ybar), j) + (e_ij1,), "nabla1a"))
+            add(Relation((e_ija, y_i), (y_i,) + h_at(t[a][ybar], j) + (e_ij1,), "nabla1a"))
             add(Relation((e_ija, y_j), (e_ija,), "nabla1b"))
             for k in range(1, n + 1):
                 if k != i and k != j:
                     add(Relation((e_ija, at(y, k)), (at(y, k), e_ija), "nabla1c"))
-            add(Relation((y_j, e_ija), h_at(mul(ybar, a), j) + (e_ij1,), "nabla2"))
-            for b in unit_list:
+            add(Relation((y_j, e_ija), h_at(t[ybar][a], j) + (e_ij1,), "nabla2"))
+            for b in G.elements:
                 e_ijb = e[i, j, b]
                 add(
                     Relation(
-                        (y_i, e[j, i, a], e_ijb), h_at(mul(mul(ybar, a), b), i) + (e_ijb,), "nabla3"
+                        (y_i, e[j, i, a], e_ijb), h_at(t[t[ybar][a]][b], i) + (e_ijb,), "nabla3"
                     )
                 )
     return Presentation(

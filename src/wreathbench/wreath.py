@@ -222,17 +222,12 @@ def _idempotent_maps(n: int, part: str) -> list[tuple[int, ...]]:
 
 def power_with_shuffle(M: EnumeratedSemigroup, n: int, transformations):
     """Direct power M^n together with the coordinate-shuffle action of the
-    given transformation list: (alpha . a)_k = a_{k alpha}."""
+    given transformation list on its positions: (alpha . a)_k = a_{k alpha},
+    read off the tuples and positions of ``power_monoid(M, n)``."""
     Mn = power_monoid(M, n)
-    tuples = list(itertools.product(range(M.order), repeat=n))
-    pos = {t: i for i, t in enumerate(tuples)}
     # tabulated, since emission and its checks query each pair (s, a) many times
     table = [
-        [pos[tuple(tup[v - 1] for v in alpha)] for tup in tuples]
+        [Mn.index[tuple(tup[v - 1] for v in alpha)] for tup in Mn.elements]
         for alpha in transformations
     ]
-
-    def action(s_idx, a_idx):
-        return table[s_idx][a_idx]
-
-    return Mn, action
+    return Mn, lambda s_idx, a_idx: table[s_idx][a_idx]

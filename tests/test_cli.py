@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from wreathbench.cli import main
-from wreathbench.monoids import fixture
+from wreathbench.monoids import FIXTURES, fixture
 
 
 def run(capsys, *argv):
@@ -533,6 +533,30 @@ class TestReports:
     def test_unknown_fixture(self, capsys):
         code, report = run_json(capsys, "idempotents", "--monoid", "@NOPE", "-n", "2")
         assert code == 2
+        assert report == {
+            "error": "KeyError",
+            "message": f"unknown fixture '@NOPE'; known: {sorted(FIXTURES)}",
+        }
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--family", "R", "-n", "3"], ["idempotents", "--monoid", "@NOPE"]],
+        ids=["report", "refusal"],
+    )
+    def test_closed_stdout(self, argv, unbuffered):
+        # the read end is closed before the child starts, so its first write
+        # to stdout fails, whether it writes at print or at the flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wreathbench.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=_subprocess_env(PYTHONUNBUFFERED=unbuffered),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, b"")
 
 
 class TestMalformedValues:

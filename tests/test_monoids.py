@@ -7,7 +7,7 @@ from wreathbench import fixture, full_transformation_monoid, power_monoid, submo
 from wreathbench import compose, enumerate_Tn, identity
 from wreathbench.errors import MonoidValidationError
 from wreathbench.monoids import inverse_of, is_group, load_monoid, monoid_from_dict
-from wreathbench.monoids import FIXTURES
+from wreathbench.monoids import FIXTURES, cayley_monoid
 
 
 class TestValidate:
@@ -102,10 +102,10 @@ class TestUnits:
 
 class TestConstructions:
     def test_submonoid_of_units(self, T2):
-        sub, carrier = submonoid(T2, units(T2))
+        sub = submonoid(T2, units(T2))
         assert sub.order == 2
         assert is_group(sub)
-        assert [T2.labels[c] for c in carrier] == list(sub.labels)
+        assert [T2.labels[c] for c in sub.elements] == list(sub.labels)
 
     def test_submonoid_rejects_non_closed(self, T2):
         sigma = T2.labels.index("21")
@@ -118,7 +118,7 @@ class TestConstructions:
         g = Z2.labels.index("g")
         i = P.labels.index("(g,1)")
         j = P.labels.index("(g,g)")
-        assert P.multiply(i, j) == P.labels.index("(1,g)")
+        assert P.product(i, j) == P.labels.index("(1,g)")
         validate_monoid(P.labels, P.identity, P.table)
 
     def test_full_transformation_monoid(self):
@@ -144,8 +144,77 @@ class TestConstructions:
         tuples = list(itertools.product(range(M.order), repeat=n))
         pos = {t: i for i, t in enumerate(tuples)}
         P = power_monoid(M, n)
+        assert P.elements == tuples
         assert P.table == tuple(
             tuple(pos[tuple(M.table[a[i]][b[i]] for i in range(n))] for b in tuples)
             for a in tuples
         )
         assert P.identity == pos[(M.identity,) * n]
+
+
+def _relabelled_submonoid(M, indices, name=""):
+    """Reference: the subset relabelled onto the Cayley monoid on 0..k-1, in
+    the order of its sorted M-positions, refused as submonoid refuses it."""
+    carrier = sorted(set(indices))
+    if M.identity not in carrier:
+        raise MonoidValidationError("subset does not contain the identity")
+    pos = {m: i for i, m in enumerate(carrier)}
+    table = []
+    for a in carrier:
+        row = []
+        for b in carrier:
+            c = M.table[a][b]
+            if c not in pos:
+                raise MonoidValidationError(
+                    f"subset not closed: {M.labels[a]}*{M.labels[b]} escapes", witness=(a, b)
+                )
+            row.append(pos[c])
+        table.append(tuple(row))
+    labels = tuple(M.labels[m] for m in carrier)
+    return cayley_monoid(labels, pos[M.identity], tuple(table), name or M.name)
+
+
+def _refusal(build, M, indices):
+    with pytest.raises(MonoidValidationError) as exc:
+        build(M, indices)
+    return str(exc.value), exc.value.witness
+
+
+class TestSubmonoid:
+    """submonoid keeps M's positions as its elements; its table, identity,
+    labels and name are those of the relabel onto 0..k-1."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_every_subset_with_the_identity(self, name):
+        M = fixture(name)
+        others = [x for x in range(M.order) if x != M.identity]
+        for k in range(len(others) + 1):
+            for rest in itertools.combinations(others, k):
+                indices = list(rest) + [M.identity, M.identity]  # unsorted, repeated
+                try:
+                    ref = _relabelled_submonoid(M, indices)
+                except MonoidValidationError:
+                    assert (_refusal(submonoid, M, indices)
+                            == _refusal(_relabelled_submonoid, M, indices))
+                    continue
+                sub = submonoid(M, indices)
+                assert sub.elements == sorted(set(indices))
+                assert (sub.table, sub.identity) == (ref.table, ref.identity)
+                assert (sub.labels, sub.name) == (ref.labels, ref.name)
+                assert submonoid(M, indices, name="S").name == "S"
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_subset_without_the_identity(self, name):
+        M = fixture(name)
+        others = [x for x in range(M.order) if x != M.identity]
+        got = _refusal(submonoid, M, others)
+        assert got == _refusal(_relabelled_submonoid, M, others)
+        assert got == ("subset does not contain the identity", None)
+
+    def test_non_closed_witness(self, T2):
+        # 11*21 = 22 escapes {11, 12, 21}, and 11 and 21 are the first such pair
+        indices = [T2.identity, T2.labels.index("11"), T2.labels.index("21")]
+        got = _refusal(submonoid, T2, indices)
+        assert got == _refusal(_relabelled_submonoid, T2, indices)
+        assert got == ("subset not closed: 11*21 escapes",
+                       (T2.labels.index("11"), T2.labels.index("21")))

@@ -26,7 +26,8 @@ from wreathbench import (
     wreath_sing_target,
 )
 from wreathbench.errors import PreconditionError
-from wreathbench.monoids import submonoid, units
+from wreathbench.monoids import EnumeratedSemigroup, cayley_monoid, submonoid, units
+from wreathbench.transformations import compose, enumerate_Tn
 from wreathbench.green import e_part_indices
 from wreathbench.presentations import EvaluationMap, Letter, Presentation, Relation
 
@@ -378,7 +379,7 @@ class TestTablePresentation:
         assert soundness(p, emap) == []
 
     def test_images_avoid_identity(self, T2):
-        E_mon, carrier = submonoid(T2, sorted(e_part_indices(T2)))
+        E_mon = submonoid(T2, sorted(e_part_indices(T2)))
         p, gens = table_presentation(E_mon)
         assert all(m != E_mon.identity for m in gens)
 
@@ -436,7 +437,7 @@ class TestEmitEMonoid:
     @pytest.mark.parametrize("name", ["@B01", "@RZ1", "@T2"])
     def test_unit_part_is_r1p_over_the_units(self, name, n):
         M = fixture(name)
-        G, unit_list = submonoid(M, units(M))
+        G = submonoid(M, units(M))
         q = emit_R1p(G, n)
         p = emit_E_wreath_monoid(M, n)
         shift = sum("coord" in dict(lt.params) for lt in p.letters)
@@ -444,7 +445,7 @@ class TestEmitEMonoid:
         # R1p's letters in order, with a taken from G's positions to M's
         assert p.letters[shift:] == tuple(
             Letter(lt.name, (("i", lt.param("i")), ("j", lt.param("j")),
-                             ("a", unit_list[lt.param("a")])))
+                             ("a", G.elements[lt.param("a")])))
             for lt in q.letters
         )
         tags = q.family_counts()
@@ -452,6 +453,47 @@ class TestEmitEMonoid:
             Relation(tuple(l + shift for l in r.lhs), tuple(l + shift for l in r.rhs), r.tag)
             for r in q.relations
         ]
+
+
+def _by_values(elements, name):
+    """The monoid over the transformations ``elements``, multiplied by
+    ``compose`` and labelled by their image strings: its values are not its
+    positions."""
+    labels = tuple("".join(str(v) for v in t) for t in elements)
+    return EnumeratedSemigroup(list(elements), compose, labels=labels, name=name)
+
+
+def _relabelled(S):
+    return cayley_monoid(S.labels, S.identity, S.table, S.name)
+
+
+# each emitter reads positions through the table, so a monoid over its own
+# values emits what its Cayley relabel emits, letter for letter and in order
+_VALUE_EMITTERS = {  # family -> (emitter, elements of the monoid, its name)
+    "R2": (emit_R2, enumerate_Tn(2, "full"), "T2"),
+    "R1": (lambda M, n: emit_R1(M, n, force=True), enumerate_Tn(2, "full"), "T2"),
+    "Rn": (emit_Rn, enumerate_Tn(2, "full"), "T2"),
+    "Emonoid": (emit_E_wreath_monoid, enumerate_Tn(2, "full"), "T2"),
+    "R1p": (emit_R1p, [(1, 2), (2, 1)], "S2"),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", list(_VALUE_EMITTERS))
+def test_emitters_take_a_monoid_over_its_own_values(family, n):
+    emit, elements, name = _VALUE_EMITTERS[family]
+    S = _by_values(elements, name)
+    p, q = emit(S, n), emit(_relabelled(S), n)
+    assert p.letters == q.letters
+    assert p.relations == q.relations
+    assert (p.kind, p.provenance) == (q.kind, q.provenance)
+
+
+def test_table_presentation_of_a_monoid_over_its_own_values():
+    S = _by_values(enumerate_Tn(2, "full"), "T2")
+    (p, gens), (q, want) = table_presentation(S), table_presentation(_relabelled(S))
+    assert gens == want
+    assert (p.letters, p.relations, p.provenance) == (q.letters, q.relations, q.provenance)
 
 
 # every emitter refuses a degree below 2 first, also on a monoid that fails
