@@ -35,7 +35,6 @@ from .presentations import (
     emit_R2,
     emit_Rn,
     emit_semidirect,
-    evaluate,
     soundness,
     standard_map,
     table_presentation,

@@ -16,24 +16,26 @@ import itertools
 import json
 from functools import cached_property, lru_cache
 
-from .errors import MonoidValidationError
+from .errors import CapacityError, MonoidValidationError
 from .transformations import compose, enumerate_Tn
 
 MONOID_FILE_KEYS = {"name", "elements", "identity", "table"}
+# the largest order validate_monoid checks, that of T_4: associativity is
+# checked over all |M|^3 triples
+ORDER_LIMIT = 256
 
 
 class EnumeratedSemigroup:
     """A finite semigroup as the list of its element values, the value
     product ``multiply`` and ``index``, each value's position in the list.
 
-    Positions are what the rest of the package computes with: ``product(i,
-    j)`` is the position of elements[i] * elements[j], computed on demand;
-    ``table`` is the whole Cayley table of positions and ``identity`` the
-    position of the two-sided identity, or None, both derived once on first
-    use.  Code that multiplies positions reads ``table``; ``multiply`` takes
-    element values, which are their own positions only in the monoids that
-    ``cayley_monoid`` builds, with ``multiply`` the table lookup and the
-    table and identity given.
+    Positions are what the rest of the package computes with: ``table`` is
+    the Cayley table of positions and ``identity`` the position of the
+    two-sided identity, or None, both derived once on first use.  Code that
+    multiplies positions reads ``table``; ``multiply`` takes element values,
+    which are their own positions only in the monoids that ``cayley_monoid``
+    builds, with ``multiply`` the table lookup and the table and identity
+    given.
 
     Built directly from a complete element list, deriving ``index``, or by
     ``close`` from a generating set, in shortlex discovery order.  Only
@@ -56,9 +58,6 @@ class EnumeratedSemigroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def product(self, i: int, j: int) -> int:
-        return self.index[self.multiply(self.elements[i], self.elements[j])]
-
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
         index, mul, elems = self.index, self.multiply, self.elements
@@ -73,7 +72,7 @@ class EnumeratedSemigroup:
         return None
 
     def idempotents(self) -> list[int]:
-        return [i for i in range(len(self)) if self.product(i, i) == i]
+        return [i for i, x in enumerate(self.elements) if self.multiply(x, x) == x]
 
     def __repr__(self):
         return f"EnumeratedSemigroup({self.name or self.labels}, order={self.order})"
@@ -92,13 +91,17 @@ def cayley_monoid(labels, identity, table, name="") -> EnumeratedSemigroup:
 def validate_monoid(labels, identity, table, name="") -> EnumeratedSemigroup:
     """Check a raw table and wrap it.  Errors cite the first offending datum:
     the violating triple (i,j,k) for associativity, the violating element for
-    the identity law.  Lists may be tuples; a bool is not an index."""
+    the identity law.  Lists may be tuples; a bool is not an index.  An order
+    above ORDER_LIMIT is refused with a CapacityError as soon as the labels
+    are counted, before any row is read."""
     if not isinstance(name, str):
         raise MonoidValidationError(f"name must be a string, got {name!r}")
     if not isinstance(labels, (list, tuple)):
         raise MonoidValidationError(f"elements must be a list of labels, got {labels!r}")
     labels = tuple(str(x) for x in labels)
     m = len(labels)
+    if m > ORDER_LIMIT:
+        raise CapacityError(f"monoid order over the limit {ORDER_LIMIT}", count=m)
     if m == 0:
         raise MonoidValidationError("empty element list")
     if len(set(labels)) != m:

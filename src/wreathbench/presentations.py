@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ActionError, CapacityError, PreconditionError
@@ -41,8 +42,12 @@ class Relation(NamedTuple):
     tag: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Presentation:
+    """A presentation: its letters and relations, with the family parameters
+    in ``provenance``.  It is immutable, so its relations are compiled once,
+    into ``trie``, which ``soundness`` and ``todd_coxeter`` both read."""
+
     kind: str  # "semigroup" | "monoid"
     letters: tuple[Letter, ...]
     relations: tuple[Relation, ...]
@@ -60,6 +65,24 @@ class Presentation:
                     if not 0 <= l < na:
                         raise ValueError(f"relation {rel.tag} references missing letter {l}")
 
+    @cached_property
+    def trie(self) -> tuple[list[tuple[int, int]], list[tuple[int, int] | None]]:
+        """The prefix trie of the relation sides, as ``(steps, ends)``.  Step
+        ``k`` is ``(parent trie node, letter)`` and makes trie node ``k + 1``;
+        node 0 is the empty word, and words sharing a prefix share its steps.
+        ``ends[r]`` is the pair of trie nodes where the sides of relation ``r``
+        end, or None when they are equal: nothing is inserted for it."""
+        made = {}  # (parent trie node, letter) -> trie node, in creation order
+
+        def insert(word):
+            t = 0
+            for c in word:
+                t = made.setdefault((t, c), len(made) + 1)
+            return t
+
+        ends = [None if r.lhs == r.rhs else (insert(r.lhs), insert(r.rhs)) for r in self.relations]
+        return list(made), ends
+
     def family_counts(self) -> dict[str, int]:
         return dict(Counter(r.tag for r in self.relations))
 
@@ -74,37 +97,28 @@ class EvaluationMap:
     identity: object = None
 
 
-def evaluate(word, emap: EvaluationMap):
-    """Left-to-right fold of the letter images; the empty word is only legal
-    when the map carries an identity (monoid targets)."""
-    if not word:
-        if emap.identity is None:
-            raise ValueError("empty word evaluated against a semigroup target")
-        return emap.identity
-    val = emap.images[word[0]]
-    for l in word[1:]:
-        val = emap.multiply(val, emap.images[l])
-    return val
-
-
 def soundness(p: Presentation, emap: EvaluationMap) -> list[dict]:
     """The relations that the evaluation map does not preserve, in order;
-    the presentation is sound when the list is empty."""
+    the presentation is sound when the list is empty.  Each trie node's value
+    is computed once: the root's is the identity, a step from the root gives
+    its letter's image, and every other step is one product.  An empty word
+    is only legal when the map carries an identity (monoid targets)."""
+    steps, ends = p.trie
+    images, multiply = emap.images, emap.multiply
+    values = [emap.identity]
+    for t, c in steps:
+        values.append(images[c] if t == 0 else multiply(values[t], images[c]))
     failures = []
-    for idx, rel in enumerate(p.relations):
-        lv = evaluate(rel.lhs, emap)
-        rv = evaluate(rel.rhs, emap)
+    for idx, (rel, end) in enumerate(zip(p.relations, ends)):
+        if emap.identity is None and not (rel.lhs and rel.rhs):
+            raise ValueError("empty word evaluated against a semigroup target")
+        if end is None:
+            continue
+        lv, rv = values[end[0]], values[end[1]]
         if lv != rv:
-            failures.append(
-                {
-                    "index": idx,
-                    "tag": rel.tag,
-                    "lhs": p.word_str(rel.lhs),
-                    "rhs": p.word_str(rel.rhs),
-                    "lhs_value": repr(lv),
-                    "rhs_value": repr(rv),
-                }
-            )
+            lhs, rhs = p.word_str(rel.lhs), p.word_str(rel.rhs)
+            failures.append({"index": idx, "tag": rel.tag, "lhs": lhs, "rhs": rhs,
+                             "lhs_value": repr(lv), "rhs_value": repr(rv)})
     return failures
 
 
@@ -229,12 +243,8 @@ def emit_Rn(M: EnumeratedSemigroup, n: int) -> Presentation:
         letters.append(Letter(f"e({i},{j};[{name}])", (("i", i), ("j", j), ("tup", tup))))
     tags = {f"RM1:{t}": f"{t}_n" for t in base.family_counts()}
     tags["RM2"] = "R7_n"
-    # relabelled in place: the letter count and every relation word stay as
-    # emit_semidirect checked them
-    p.letters = tuple(letters)
-    p.relations = tuple(Relation(r.lhs, r.rhs, tags[r.tag]) for r in p.relations)
-    p.provenance = {"family": "Rn", "monoid": M.name, "n": n}
-    return p
+    rels = tuple(Relation(r.lhs, r.rhs, tags[r.tag]) for r in p.relations)
+    return Presentation(p.kind, tuple(letters), rels, {"family": "Rn", "monoid": M.name, "n": n})
 
 
 # ---------------------------------------------------------------------------

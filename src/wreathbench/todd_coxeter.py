@@ -1,13 +1,13 @@
 """Todd-Coxeter style congruence enumeration for finite presentations.
 
 Nodes are tentative congruence classes of the free monoid on the alphabet,
-arranged as a right Cayley table ``node x letter -> node``.  Before the
-enumeration starts, both sides of every non-trivial relation are compiled
-into one prefix trie, stored as a flat list of ``(parent trie node, letter)``
-steps in creation order, so that words sharing a prefix share its steps;
-each relation becomes the pair of trie nodes its two sides end at, and
-duplicate pairs are dropped.  The later-made end of each pair is partnered
-with the earlier end of the first pair it belongs to.
+arranged as a right Cayley table ``node x letter -> node``.  The relations
+are read from the presentation's prefix trie, ``Presentation.trie``: a flat
+list of ``(parent trie node, letter)`` steps in creation order, in which
+words sharing a prefix share their steps, and for each relation with unequal
+sides the pair of trie nodes its two sides end at.  Before the enumeration
+starts, duplicate pairs are dropped, and the later-made end of each pair is
+partnered with the earlier end of the first pair it belongs to.
 
 Each sweep visits every live node once.  The node walks the trie steps in
 order, following the table to find the node every trie node reaches.  An
@@ -57,33 +57,15 @@ class TCResult:
     coincidences_processed: int
 
 
-def _compile(relations):
-    """The prefix trie of the relation sides, as ``(parent, letter)`` steps
-    (trie node ``k + 1`` is made by step ``k``; node 0 is the empty word),
-    the distinct pairs of trie nodes where the two sides end, and ``partner``:
-    for the later-made end of each pair, the earlier end of the first pair it
-    closes.  Trivial relations (u, u) impose nothing and are dropped."""
-    steps = []
-    made = {}
-
-    def insert(word):
-        t = 0
-        for c in word:
-            nxt = made.get((t, c))
-            if nxt is None:
-                steps.append((t, c))
-                nxt = made[(t, c)] = len(steps)
-            t = nxt
-        return t
-
-    ends = {}
-    for r in relations:
-        if r.lhs != r.rhs:
-            ends[(insert(r.lhs), insert(r.rhs))] = None
+def _pairs(ends):
+    """The distinct pairs among a trie's relation ends, in first-seen order,
+    and ``partner``: for the later-made end of each pair, the earlier end of
+    the first pair it closes."""
+    pairs = list(dict.fromkeys(e for e in ends if e is not None))
     partner = {}
-    for a, b in ends:
+    for a, b in pairs:
         partner.setdefault(max(a, b), min(a, b))
-    return steps, list(ends), partner
+    return pairs, partner
 
 
 def _closed(parent, tab, na, steps, ends):
@@ -124,7 +106,8 @@ def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
     the allocation that takes the node count (the root included) past
     ``node_limit``."""
     na = len(p.letters)
-    steps, ends, partner = _compile(p.relations)
+    steps, relation_ends = p.trie
+    ends, partner = _pairs(relation_ends)
 
     parent = []
     tab = []

@@ -151,6 +151,34 @@ def word_E_X1(M, n, i, j, a, b, omega, xwit):
     return (L[(i, j, xwit[(b, a)])], L[(j, i, a)], L[(i, j, M.identity)])
 
 
+def evaluate(word, emap):
+    """Left-to-right fold of the letter images; the empty word is only legal
+    when the map carries an identity (monoid targets)."""
+    if not word:
+        if emap.identity is None:
+            raise ValueError("empty word evaluated against a semigroup target")
+        return emap.identity
+    val = emap.images[word[0]]
+    for l in word[1:]:
+        val = emap.multiply(val, emap.images[l])
+    return val
+
+
+def reference_soundness(p, emap):
+    """The failures ``soundness`` reports, found by folding both sides of
+    every relation from its first letter, with no shared prefixes."""
+    failures = []
+    for idx, rel in enumerate(p.relations):
+        lv, rv = evaluate(rel.lhs, emap), evaluate(rel.rhs, emap)
+        if lv != rv:
+            failures.append({
+                "index": idx, "tag": rel.tag,
+                "lhs": p.word_str(rel.lhs), "rhs": p.word_str(rel.rhs),
+                "lhs_value": repr(lv), "rhs_value": repr(rv),
+            })
+    return failures
+
+
 def shortlex_closure(generators, multiply):
     """Reference closure that records words: the elements generated, in
     shortlex order of their shortest generator words (length first, then
@@ -178,7 +206,7 @@ def semidirect_multiply(M, S, action, x, y):
     for pairs (monoid index, S index) and a left action of S on M."""
     a, s = x
     b, t = y
-    return (M.table[a][action(s, b)], S.product(s, t))
+    return (M.table[a][action(s, b)], S.table[s][t])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from wreathbench import (
     eps_ab,
     eps_elem,
     epsilon,
-    evaluate,
     fixture,
     generates,
     is_L_chain,
@@ -41,7 +40,7 @@ from wreathbench.certify import e_wreath_target
 from wreathbench.presentations import Presentation
 
 from conftest import (
-    gen_family, is_idempotent, omega_witnesses, rank_one_less_idempotents, sigma_membership,
+    evaluate, gen_family, is_idempotent, omega_witnesses, rank_one_less_idempotents, sigma_membership,
     word_E_X1, word_E_X2,
 )
 

@@ -230,8 +230,8 @@ class TestTargets:
         w = wreath_sing_target(Z2, 3)
         assert calls == []
         # the counter does see the products the targets are later asked for
-        s.product(0, 1)
-        w.product(0, 1)
+        s.multiply(s.elements[0], s.elements[1])
+        w.multiply(w.elements[0], w.elements[1])
         assert len(calls) == 2
 
     def test_size_checked_before_enumerating(self, T2, monkeypatch):

@@ -530,6 +530,17 @@ class TestReports:
         assert report["error"] == "MonoidValidationError"
         assert report["message"].startswith(key)
 
+    def test_monoid_file_over_the_order_limit(self, capsys, tmp_path):
+        # the cyclic group of order 257: refused before its table is checked
+        m = 257
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"elements": [str(i) for i in range(m)], "identity": 0,
+                                    "table": [[(i + j) % m for j in range(m)] for i in range(m)]}))
+        code, report = run_json(capsys, "idempotents", "--monoid", str(path), "-n", "2")
+        assert code == 2
+        assert report == {"error": "CapacityError",
+                          "message": "monoid order over the limit 256 (reached 257)"}
+
     def test_unknown_fixture(self, capsys):
         code, report = run_json(capsys, "idempotents", "--monoid", "@NOPE", "-n", "2")
         assert code == 2

@@ -92,7 +92,7 @@ class TestClose:
         s = sing(3)
         for i in range(len(s)):
             for j in range(len(s)):
-                assert s.elements[s.product(i, j)] == compose(s.elements[i], s.elements[j])
+                assert s.elements[s.table[i][j]] == compose(s.elements[i], s.elements[j])
 
     def test_order_insensitive(self):
         gens = rank_one_less_idempotents(3)

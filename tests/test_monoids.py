@@ -5,8 +5,8 @@ import pytest
 
 from wreathbench import fixture, full_transformation_monoid, power_monoid, submonoid, units, validate_monoid
 from wreathbench import compose, enumerate_Tn, identity
-from wreathbench.errors import MonoidValidationError
-from wreathbench.monoids import inverse_of, is_group, load_monoid, monoid_from_dict
+from wreathbench.errors import CapacityError, MonoidValidationError
+from wreathbench.monoids import ORDER_LIMIT, inverse_of, is_group, load_monoid, monoid_from_dict
 from wreathbench.monoids import FIXTURES, cayley_monoid
 
 
@@ -50,6 +50,23 @@ class TestValidate:
             validate_monoid(["1", "1"], 0, [[0, 1], [1, 0]])
         with pytest.raises(MonoidValidationError):
             validate_monoid(["1", "g"], 7, [[0, 1], [1, 0]])
+
+    def test_order_over_the_limit_refused_first(self):
+        # no row is read: a malformed identity or table is not reached
+        labels = [str(i) for i in range(ORDER_LIMIT + 1)]
+        for identity, table in ((0, [[0] * 3]), (-1, 5), (0, [[0] * 257] * 257)):
+            with pytest.raises(CapacityError) as exc:
+                validate_monoid(labels, identity, table)
+            assert exc.value.count == 257
+            assert str(exc.value) == "monoid order over the limit 256 (reached 257)"
+
+    def test_orders_up_to_the_limit_validate(self):
+        T4 = full_transformation_monoid(4)
+        assert T4.order == ORDER_LIMIT
+        M = validate_monoid(T4.labels, T4.identity, [list(row) for row in T4.table])
+        assert M.table == T4.table
+        with pytest.raises(MonoidValidationError):
+            validate_monoid(T4.labels, T4.identity, T4.table[:-1])
 
 
 def monoid_dict(M):
@@ -118,7 +135,7 @@ class TestConstructions:
         g = Z2.labels.index("g")
         i = P.labels.index("(g,1)")
         j = P.labels.index("(g,g)")
-        assert P.product(i, j) == P.labels.index("(1,g)")
+        assert P.table[i][j] == P.labels.index("(1,g)")
         validate_monoid(P.labels, P.identity, P.table)
 
     def test_full_transformation_monoid(self):

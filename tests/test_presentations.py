@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 from math import factorial
@@ -15,7 +16,6 @@ from wreathbench import (
     eps_a,
     eps_ab,
     eps_elem,
-    evaluate,
     fixture,
     is_L_chain,
     soundness,
@@ -31,7 +31,9 @@ from wreathbench.transformations import compose, enumerate_Tn
 from wreathbench.green import e_part_indices
 from wreathbench.presentations import EvaluationMap, Letter, Presentation, Relation
 
-from conftest import gen_family, monoid_census, omega_witnesses, word_E_X1, word_E_X2
+from conftest import (
+    evaluate, gen_family, monoid_census, omega_witnesses, reference_soundness, word_E_X1, word_E_X2,
+)
 
 
 def name_index(p):
@@ -39,21 +41,25 @@ def name_index(p):
 
 
 def corrupt_and_detect(p, emap):
-    """Find a single-letter corruption whose sides evaluate differently and
-    assert the soundness check reports exactly that relation."""
+    """Corrupt the first letter of one relation at a time until the sides
+    evaluate differently, and assert the soundness check reports that
+    relation.  On every corruption built, the check reports what the
+    reference fold does."""
     na = len(p.letters)
     for idx, rel in enumerate(p.relations):
         for shift in range(1, na):
             bad = (rel.lhs[0] + shift) % na
             mutated = Relation((bad,) + rel.lhs[1:], rel.rhs, rel.tag)
+            q = Presentation(
+                p.kind,
+                p.letters,
+                p.relations[:idx] + (mutated,) + p.relations[idx + 1 :],
+                dict(p.provenance),
+            )
+            failures = soundness(q, emap)
+            assert failures == reference_soundness(q, emap)
             if evaluate(mutated.lhs, emap) != evaluate(mutated.rhs, emap):
-                q = Presentation(
-                    p.kind,
-                    p.letters,
-                    p.relations[:idx] + (mutated,) + p.relations[idx + 1 :],
-                    dict(p.provenance),
-                )
-                assert any(f["index"] == idx for f in soundness(q, emap))
+                assert any(f["index"] == idx for f in failures)
                 return
     raise AssertionError("no effective corruption found")
 
@@ -368,6 +374,66 @@ class TestEvaluate:
         L = name_index(p)
         val = evaluate((L["e(1,2)"], L["e(2,1)"]), emap)
         assert val == (2, 2)
+
+
+class TestEvaluateThroughSoundness:
+    """The reference fold's behaviours, read off the trie that soundness
+    evaluates."""
+
+    def test_single_letter_and_two_letter_product(self):
+        p = emit_R(2)
+        L = name_index(p)
+        q = Presentation("semigroup", p.letters,
+                         (Relation((L["e(1,2)"], L["e(2,1)"]), (L["e(1,2)"],), "t"),))
+        assert soundness(q, standard_map(p)) == [{
+            "index": 0, "tag": "t", "lhs": "e(1,2)*e(2,1)", "rhs": "e(1,2)",
+            "lhs_value": "(2, 2)", "rhs_value": "(1, 1)",
+        }]
+
+    def test_empty_side_reads_as_the_identity(self, B01, Z2):
+        base, gens = table_presentation(B01)
+        assert soundness(base, EvaluationMap(tuple(gens), B01.multiply, B01.identity)) == []
+        base, gens = table_presentation(Z2)
+        assert () in [r.rhs for r in base.relations]
+        assert soundness(base, EvaluationMap(tuple(gens), Z2.multiply, Z2.identity)) == []
+        zero = B01.labels.index("0")
+        p = Presentation("monoid", (Letter("0"),), (Relation((0,), (), "unit"),))
+        emap = EvaluationMap((zero,), B01.multiply, B01.identity)
+        assert soundness(p, emap) == [{
+            "index": 0, "tag": "unit", "lhs": "0", "rhs": "1",
+            "lhs_value": repr(zero), "rhs_value": repr(B01.identity),
+        }]
+
+    def test_empty_side_without_an_identity_rejected(self, B01):
+        for rel in (Relation((0,), (), "unit"), Relation((), (), "trivial")):
+            p = Presentation("monoid", (Letter("0"),), (rel,))
+            with pytest.raises(ValueError, match="semigroup target"):
+                soundness(p, EvaluationMap((1,), B01.multiply))
+
+
+class TestSharedTrie:
+    def test_soundness_matches_the_reference_fold(self):
+        from test_acceptance import _matrix
+
+        still_sound = []
+        for fam, name, n, p, _ in _matrix():
+            M = fixture(name) if name else None
+            emap = standard_map(p, M)
+            assert soundness(p, emap) == reference_soundness(p, emap) == []
+            # every image moved to the next letter; on two letters this is the
+            # swap of e(1,2) and e(2,1), which preserves every relation
+            moved = EvaluationMap(emap.images[1:] + emap.images[:1], emap.multiply,
+                                  emap.identity)
+            failures = soundness(p, moved)
+            assert failures == reference_soundness(p, moved), (fam, name, n)
+            if not failures:
+                still_sound.append(len(p.letters))
+        assert still_sound == [2] * 4
+
+    def test_relations_cannot_be_reassigned(self):
+        p = emit_R(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.relations = ()
 
 
 class TestTablePresentation:

@@ -4,7 +4,7 @@ import pytest
 
 from wreathbench import emit_R, emit_R1p, emit_R2, table_presentation, todd_coxeter
 from wreathbench.presentations import Presentation, Relation, Letter
-from wreathbench.todd_coxeter import _closed, _compile
+from wreathbench.todd_coxeter import _closed, _pairs
 
 from test_acceptance import _matrix
 
@@ -211,7 +211,7 @@ class TestClosed:
     @staticmethod
     def closed(tab, parent=None):
         p = Presentation("monoid", (Letter("a"),), (Relation((0, 0), (), "inv"),), {})
-        steps, ends, _ = _compile(p.relations)
+        steps, ends = p.trie
         return _closed(parent or list(range(len(tab))), tab, 1, steps, ends)
 
     def test_complete_table_satisfying_the_relation(self):
@@ -246,11 +246,21 @@ class TestCompiledRelations:
         p = Presentation("monoid", (Letter("a"),), (
             Relation((0, 0), (), "inv"), Relation((0, 0, 0), (0,), "cube"),
         ), {})
-        steps, ends, partner = _compile(p.relations)
+        steps, ends = p.trie
+        pairs, partner = _pairs(ends)
         assert steps == [(0, 0), (1, 0), (2, 0)]
-        assert ends == [(2, 0), (3, 1)]
+        assert ends == pairs == [(2, 0), (3, 1)]
         assert partner == {2: 0, 3: 1}
 
+    def test_equal_sides_insert_nothing(self):
+        p = Presentation("monoid", (Letter("a"),), (
+            Relation((0, 0), (0, 0), "trivial"), Relation((0,), (), "unit"),
+            Relation((0,), (), "again"),
+        ), {})
+        steps, ends = p.trie
+        assert steps == [(0, 0)]
+        assert ends == [None, (1, 0), (1, 0)]
+        assert _pairs(ends) == ([(1, 0)], {1: 0})
 
     def test_duplicate_and_trivial_relations_change_nothing(self):
         p = emit_R(3)
