@@ -14,7 +14,6 @@ from .enumeration import (
 from .green import GreenData, green, idempotent_generated_part, is_L_chain
 from .monoids import (
     EnumeratedSemigroup,
-    cayley_monoid,
     fixture,
     full_transformation_monoid,
     load_monoid,

@@ -240,6 +240,8 @@ def cmd_verify(args):
 def cmd_rank(args):
     M = resolve_monoid(args.monoid)
     n = _degree(args.n)
+    if n < 2:  # every mode's refusal, ahead of the brute target's own
+        raise ValueError("n must be at least 2")
     result = {"monoid": M.name, "n": n, "mode": args.mode}
     verdict = True
     status = "ok"
@@ -311,7 +313,7 @@ def cmd_gens(args):
         if args.confirm:
             target = sing_target(n, limit=args.limit_elements)
             gens = [epsilon(n, i, j) for i, j in edges]
-            closure_answer = generates(gens, target) if gens else False
+            closure_answer = generates(gens, target)
             result["closure"] = {"generates": closure_answer}
             if closure_answer != gen:
                 result["error"] = "criterion and closure disagree"
@@ -323,7 +325,7 @@ def cmd_gens(args):
                 raise DegreeMismatch(len(images), n)
             gens.append(transformation(images))
         target = sing_target(n, limit=args.limit_elements)
-        answer = generates(gens, target) if gens else False
+        answer = generates(gens, target)
         result["closure"] = {"generates": answer}
     else:
         raise PreconditionError("either --edges or --elements is required")

@@ -1,13 +1,14 @@
 """Finite semigroups, and monoids given by explicit Cayley tables.
 
 One type, ``EnumeratedSemigroup``, holds every finite semigroup: its element
-values, their product and each value's position.  A Cayley-table monoid is
-the case whose values are the positions themselves; powers and submonoids
-keep their own elements.  A product of positions is read from ``table``, and
-``multiply`` is applied only to element values.  The table convention is
-``table[i][j] = index of element_i * element_j`` (left factor indexes rows).
-The identity must be two-sided; a merely right identity is rejected by
-validation.
+values, their product and each value's position.  Its ``table`` and
+``identity`` are derived from them, never handed in.  Values equal positions
+only in a monoid read from a table, whose product is the table lookup; T_n,
+powers and submonoids keep their own elements.  A product of positions is
+read from ``table``, and ``multiply`` is applied only to element values.  The
+table convention is ``table[i][j] = index of element_i * element_j`` (left
+factor indexes rows).  The identity must be two-sided; a merely right
+identity is rejected by validation.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ class EnumeratedSemigroup:
 
     Positions are what the rest of the package computes with: ``table`` is
     the Cayley table of positions and ``identity`` the position of the
-    two-sided identity, or None, both derived once on first use.  Code that
-    multiplies positions reads ``table``; ``multiply`` takes element values,
-    which are their own positions only in the monoids that ``cayley_monoid``
-    builds, with ``multiply`` the table lookup and the table and identity
-    given.
+    two-sided identity, or None, both derived once on first use and never
+    handed in.  Code that multiplies positions reads ``table``; ``multiply``
+    takes element values, which are their own positions only in a monoid
+    read from a table by ``validate_monoid``, where ``multiply`` is the
+    table lookup.
 
     Built directly from a complete element list, deriving ``index``, or by
     ``close`` from a generating set, in shortlex discovery order.  Only
@@ -78,22 +79,14 @@ class EnumeratedSemigroup:
         return f"EnumeratedSemigroup({self.name or self.labels}, order={self.order})"
 
 
-def cayley_monoid(labels, identity, table, name="") -> EnumeratedSemigroup:
-    """The monoid on positions 0..m-1 with the given (already checked) Cayley
-    table of position tuples; ``labels`` names the positions."""
-    M = EnumeratedSemigroup(
-        range(len(labels)), lambda a, b: table[a][b], labels=tuple(labels), name=name
-    )
-    M.table, M.identity = table, identity
-    return M
-
-
 def validate_monoid(labels, identity, table, name="") -> EnumeratedSemigroup:
-    """Check a raw table and wrap it.  Errors cite the first offending datum:
-    the violating triple (i,j,k) for associativity, the violating element for
-    the identity law.  Lists may be tuples; a bool is not an index.  An order
-    above ORDER_LIMIT is refused with a CapacityError as soon as the labels
-    are counted, before any row is read."""
+    """Check a raw table and return the monoid on positions 0..m-1 that it
+    multiplies, ``labels`` naming the positions; every table becomes a monoid
+    here.  Errors cite the first offending datum: the violating triple
+    (i,j,k) for associativity, the violating element for the identity law.
+    Lists may be tuples; a bool is not an index.  An order above ORDER_LIMIT
+    is refused with a CapacityError as soon as the labels are counted, before
+    any row is read."""
     if not isinstance(name, str):
         raise MonoidValidationError(f"name must be a string, got {name!r}")
     if not isinstance(labels, (list, tuple)):
@@ -144,7 +137,7 @@ def validate_monoid(labels, identity, table, name="") -> EnumeratedSemigroup:
                         f"({labels[i]}*{labels[j]})*{labels[k]} != {labels[i]}*({labels[j]}*{labels[k]})",
                         witness=(i, j, k),
                     )
-    return cayley_monoid(labels, identity, tab, name)
+    return EnumeratedSemigroup(range(m), lambda a, b: tab[a][b], labels=labels, name=name)
 
 
 def monoid_from_dict(data: dict) -> EnumeratedSemigroup:
@@ -176,18 +169,6 @@ def units(M: EnumeratedSemigroup) -> tuple[int, ...]:
     return tuple(out)
 
 
-def inverse_of(M: EnumeratedSemigroup, a: int) -> int:
-    e = M.identity
-    for b in range(M.order):
-        if M.table[a][b] == e and M.table[b][a] == e:
-            return b
-    raise ValueError(f"element {M.labels[a]!r} is not invertible")
-
-
-def is_group(M: EnumeratedSemigroup) -> bool:
-    return len(units(M)) == M.order
-
-
 def submonoid(M: EnumeratedSemigroup, indices, name="") -> EnumeratedSemigroup:
     """The closed, identity-containing subset ``indices`` of M as a monoid
     of its own: its elements are the sorted positions in M, multiplied
@@ -217,33 +198,33 @@ def power_monoid(M: EnumeratedSemigroup, n: int) -> EnumeratedSemigroup:
 
 
 def full_transformation_monoid(n: int) -> EnumeratedSemigroup:
-    """T_n as a Cayley table; elements in lexicographic image order, labelled
-    by their image strings."""
-    S = EnumeratedSemigroup(enumerate_Tn(n, "full"), compose)
-    labels = tuple("".join(str(v) for v in t) for t in S.elements)
-    return cayley_monoid(labels, S.identity, S.table, name=f"T{n}")
+    """T_n over its image tuples in lexicographic order, multiplied by
+    ``compose`` and labelled by their image strings."""
+    elements = enumerate_Tn(n, "full")
+    labels = tuple("".join(str(v) for v in t) for t in elements)
+    return EnumeratedSemigroup(elements, compose, labels=labels, name=f"T{n}")
 
 
 def _cyclic(k: int) -> EnumeratedSemigroup:
     labels = tuple("1" if i == 0 else ("g" if i == 1 else f"g{i}") for i in range(k))
     table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
-    return cayley_monoid(labels, 0, table, name=f"Z{k}")
+    return validate_monoid(labels, 0, table, name=f"Z{k}")
 
 
 def _b01() -> EnumeratedSemigroup:
     # {1, 0} with 0 a two-sided zero
-    return cayley_monoid(("1", "0"), 0, ((0, 1), (1, 1)), name="B01")
+    return validate_monoid(("1", "0"), 0, ((0, 1), (1, 1)), name="B01")
 
 
 def _rz1() -> EnumeratedSemigroup:
     # right-zero semigroup {x, y} with an identity adjoined: xy = y, yx = x
-    return cayley_monoid(("1", "x", "y"), 0, ((0, 1, 2), (1, 1, 2), (2, 1, 2)), name="RZ1")
+    return validate_monoid(("1", "x", "y"), 0, ((0, 1, 2), (1, 1, 2), (2, 1, 2)), name="RZ1")
 
 
 def _n3() -> EnumeratedSemigroup:
     # monogenic {1, a, a^2} with a^3 = a^2: the non-unit part is not
     # idempotent-generated, so <E(M)> is a proper subset of {1} u (M \ G)
-    return cayley_monoid(("1", "a", "a2"), 0, ((0, 1, 2), (1, 2, 2), (2, 2, 2)), name="N3")
+    return validate_monoid(("1", "a", "a2"), 0, ((0, 1, 2), (1, 2, 2), (2, 2, 2)), name="N3")
 
 
 FIXTURES = {

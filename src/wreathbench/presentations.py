@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import ActionError, CapacityError, PreconditionError
 from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain
-from .monoids import EnumeratedSemigroup, inverse_of, is_group, submonoid, units
+from .monoids import EnumeratedSemigroup, submonoid, units
 from .transformations import compose, epsilon, identity, index_pairs
 from .wreath import WreathContext, eps_a, eps_ab, eps_elem, power_with_shuffle
 
@@ -420,20 +420,18 @@ def emit_R1p(M: EnumeratedSemigroup, n: int) -> Presentation:
     the inverse form of the idempotency relation plus the product-merging
     relation."""
     letters, L = _alphabet(n, M, 1)
-    if not is_group(M):
+    if len(units(M)) != M.order:
         raise PreconditionError(f"base monoid {M.name or M.labels} is not a group")
     ms = range(M.order)
+    e = M.identity
+    inverse = {a: b for a, row in enumerate(M.table) for b, ab in enumerate(row) if ab == e}
     rels = []
     add = rels.append
     for i, j in index_pairs(n):
         for a, b in itertools.product(ms, repeat=2):
             add(Relation((L[(i, j, a)], L[(i, j, b)]), (L[(i, j, a)],), "R1a'_1"))
         for a in ms:
-            add(
-                Relation(
-                    (L[(i, j, a)],), (L[(j, i, inverse_of(M, a))], L[(i, j, a)]), "R1a'_1"
-                )
-            )
+            add(Relation((L[(i, j, a)],), (L[(j, i, inverse[a])], L[(i, j, a)]), "R1a'_1"))
     rels += _r1b(M, n, L)
     rels += _r1_common(M, n, L)
     return Presentation(

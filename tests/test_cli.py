@@ -365,6 +365,14 @@ class TestRankCommand:
         assert report == {"error": "CapacityError",
                           "message": "Cayley table limit exceeded (reached 13778944)"}
 
+    @pytest.mark.parametrize("mode", ["formula", "brute", "both"])
+    @pytest.mark.parametrize("degree", ["1", "0"])
+    def test_degree_below_two_refused(self, capsys, mode, degree):
+        # one refusal in every mode, ahead of the brute target's own
+        code, report = run_json(capsys, "rank", "--monoid", "@Z2", "-n", degree, "--mode", mode)
+        assert code == 2
+        assert report == {"error": "ValueError", "message": "n must be at least 2"}
+
     def test_non_chain_formula_bounds_status(self, capsys):
         code, report = run_json(capsys, "rank", "--monoid", "@RZ1", "-n", "2", "--mode", "formula")
         assert code == 0
@@ -452,6 +460,13 @@ class TestGensCommand:
         code, report = run_json(capsys, "gens", "-n", "3", "--elements", "[]")
         assert code == 1
         assert report["result"]["generates"] is False
+
+    def test_empty_edge_list_is_negative(self, capsys):
+        # the closure of no generators is not Sing_3, as the criterion says
+        code, report = run_json(capsys, "gens", "-n", "3", "--edges", "", "--confirm")
+        assert code == 1
+        assert report["result"]["generates"] is False
+        assert report["result"]["closure"]["generates"] is False
 
     def test_disagreement_is_internal_error(self, capsys, monkeypatch):
         # the criterion and the closure can only disagree through a bug;

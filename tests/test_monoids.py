@@ -4,10 +4,9 @@ import json
 import pytest
 
 from wreathbench import fixture, full_transformation_monoid, power_monoid, submonoid, units, validate_monoid
-from wreathbench import compose, enumerate_Tn, identity
+from wreathbench import EnumeratedSemigroup, compose, enumerate_Tn, identity, monoids
 from wreathbench.errors import CapacityError, MonoidValidationError
-from wreathbench.monoids import ORDER_LIMIT, inverse_of, is_group, load_monoid, monoid_from_dict
-from wreathbench.monoids import FIXTURES, cayley_monoid
+from wreathbench.monoids import FIXTURES, ORDER_LIMIT, load_monoid, monoid_from_dict
 
 
 class TestValidate:
@@ -105,23 +104,23 @@ class TestUnits:
 
     def test_group(self, Z2):
         assert units(Z2) == (0, 1)
-        assert is_group(Z2)
+        assert len(units(Z2)) == Z2.order
 
     def test_units_form_a_group(self, T2, B01, RZ1, N3):
         for M in (T2, B01, RZ1, N3):
             G = set(units(M))
             assert M.identity in G
             for a in G:
-                assert inverse_of(M, a) in G
+                assert any(M.table[a][b] == M.identity == M.table[b][a] for b in G)
                 for b in G:
-                    assert M.multiply(a, b) in G
+                    assert M.table[a][b] in G
 
 
 class TestConstructions:
     def test_submonoid_of_units(self, T2):
         sub = submonoid(T2, units(T2))
         assert sub.order == 2
-        assert is_group(sub)
+        assert len(units(sub)) == sub.order
         assert [T2.labels[c] for c in sub.elements] == list(sub.labels)
 
     def test_submonoid_rejects_non_closed(self, T2):
@@ -152,6 +151,35 @@ class TestConstructions:
         assert T.table == tuple(tuple(pos[compose(s, t)] for t in elems) for s in elems)
         assert T.identity == pos[identity(n)]
         assert T.labels == tuple("".join(str(v) for v in t) for t in elems)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_transformation_monoid_keeps_image_tuples(self, n):
+        # reference: T_n relabelled onto its positions 0..n^n-1 as a table
+        S = EnumeratedSemigroup(enumerate_Tn(n, "full"), compose)
+        labels = ["".join(str(v) for v in t) for t in S.elements]
+        ref = validate_monoid(labels, S.identity, S.table, name=f"T{n}")
+        T = full_transformation_monoid(n)
+        assert T.elements == sorted(itertools.product(range(1, n + 1), repeat=n))
+        assert (T.labels, T.name) == (ref.labels, ref.name)
+        assert (T.table, T.identity) == (ref.table, ref.identity)
+
+    def test_table_fixtures_are_validated(self, monkeypatch):
+        # every fixture given by a table is built through validate_monoid,
+        # once; T1 and T2 are built from their transformations
+        seen, validate = [], monoids.validate_monoid
+
+        def spy(labels, identity, table, name=""):
+            seen.append(name)
+            return validate(labels, identity, table, name)
+
+        monkeypatch.setattr(monoids, "validate_monoid", spy)
+        fixture.cache_clear()
+        try:
+            for key in sorted(FIXTURES):
+                fixture("@" + key)
+        finally:
+            fixture.cache_clear()
+        assert sorted(seen) == ["B01", "N3", "RZ1", "Z2", "Z3"]
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     @pytest.mark.parametrize("n", [1, 2])
@@ -188,7 +216,7 @@ def _relabelled_submonoid(M, indices, name=""):
             row.append(pos[c])
         table.append(tuple(row))
     labels = tuple(M.labels[m] for m in carrier)
-    return cayley_monoid(labels, pos[M.identity], tuple(table), name or M.name)
+    return validate_monoid(labels, pos[M.identity], tuple(table), name or M.name)
 
 
 def _refusal(build, M, indices):

@@ -26,7 +26,7 @@ from wreathbench import (
     wreath_sing_target,
 )
 from wreathbench.errors import PreconditionError
-from wreathbench.monoids import EnumeratedSemigroup, cayley_monoid, submonoid, units
+from wreathbench.monoids import EnumeratedSemigroup, submonoid, units
 from wreathbench.transformations import compose, enumerate_Tn
 from wreathbench.green import e_part_indices
 from wreathbench.presentations import EvaluationMap, Letter, Presentation, Relation
@@ -241,7 +241,7 @@ class TestEmitR1:
                     assert ((a, b) in omega) != ((b, a) in omega) or a == b
             for a, b in omega:
                 assert left[b] >> a & 1
-                assert M.multiply(xwit[(a, b)], b) == a
+                assert M.table[xwit[(a, b)]][b] == a
 
     def test_sound(self, B01, T1):
         for M in (B01, T1):
@@ -530,7 +530,7 @@ def _by_values(elements, name):
 
 
 def _relabelled(S):
-    return cayley_monoid(S.labels, S.identity, S.table, S.name)
+    return validate_monoid(S.labels, S.identity, S.table, S.name)
 
 
 # each emitter reads positions through the table, so a monoid over its own
