@@ -1,10 +1,18 @@
 """Machine certification of a presentation against a concrete finite target.
 
-Certification is the three-step check: the relations hold under the
-evaluation map (soundness), the letter images generate the target
-(surjectivity), and the enumerated congruence has exactly as many classes
-as the target; equal finite cardinalities then force the induced
-epimorphism to be an isomorphism.
+The checks run in order: the relations hold under the evaluation map
+(soundness); each letter image is in the target; Todd-Coxeter enumerates
+the presented monoid; and a breadth-first walk maps its word graph onto the
+target.  The walk maps the root to the identity (a semigroup's root to
+nothing) and node.c to the node's value times the image of c, and every
+edge must agree with the value already at its end; an edge that does not is
+a program fault, since Todd-Coxeter only identifies words that the
+relations, and so a sound map, identify.  The values are the products of
+the letter images, so when their number and the class count both equal the
+target's size, the map is a bijection onto the target and the presentation
+is certified.  Only where Todd-Coxeter hits its node limit are the letter
+images closed, so that a presentation that is not surjective is reported
+before it is reported inconclusive.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .enumeration import CLOSURE_LIMIT, close
-from .errors import CapacityError, format_count
+from .errors import CapacityError, InternalError, format_count
 from .monoids import EnumeratedSemigroup
 from .presentations import EvaluationMap, Presentation, soundness
 from .todd_coxeter import NODE_LIMIT, TCResult, todd_coxeter
@@ -58,22 +66,40 @@ def verify(p: Presentation, emap: EvaluationMap, target, node_limit: int = NODE_
     for img in emap.images:
         if img not in target.index:
             return Verdict("not_surjective", want, generated_size=0)
-    if p.letters:
-        sub = close(list(emap.images), target.multiply, limit=want)
-        generated = len(sub)
-        if p.kind == "monoid" and emap.identity not in sub.index:
-            generated += 1
-    else:
-        generated = 1 if p.kind == "monoid" else 0
-    if generated != want:
-        return Verdict("not_surjective", want, generated_size=generated)
 
     tc = todd_coxeter(p, node_limit=node_limit)
     if tc.status != "certified":
+        gens = list(emap.images) + ([emap.identity] if p.kind == "monoid" else [])
+        generated = len(close(gens, target.multiply, limit=want)) if gens else 0
+        if generated != want:
+            return Verdict("not_surjective", want, generated_size=generated)
         return Verdict("inconclusive", want, tc=tc)
+    generated = _walk(p, emap, tc.graph)
+    if generated != want:
+        return Verdict("not_surjective", want, generated_size=generated)
     if tc.class_count != want:
         return Verdict("size_mismatch", want, class_count=tc.class_count, tc=tc)
     return Verdict("certified", want, class_count=tc.class_count, generated_size=generated, tc=tc)
+
+
+def _walk(p: Presentation, emap: EvaluationMap, graph: list) -> int:
+    """The number of distinct values on the word graph's nodes, a semigroup's
+    root not counted; raises InternalError at an edge that disagrees."""
+    na, images = len(p.letters), emap.images
+    value = {0: emap.identity if p.kind == "monoid" else None}
+    queue = [0]
+    for node in queue:  # the queue grows as it is walked: breadth-first
+        here = value[node]
+        for c, end in enumerate(graph[node * na:node * na + na]):
+            there = images[c] if here is None else emap.multiply(here, images[c])
+            if end not in value:
+                value[end] = there
+                queue.append(end)
+            elif value[end] != there:
+                raise InternalError(f"word graph edge {node}.{c} -> {end} disagrees with the map")
+    if p.kind != "monoid":
+        del value[0]
+    return len(set(value.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .enumeration import (
     rank_formulas,
     tournament_check,
 )
-from .errors import CapacityError, DegreeMismatch, PreconditionError, format_count
+from .errors import CapacityError, DegreeMismatch, InternalError, PreconditionError, format_count
 from .monoids import FIXTURES, resolve_monoid
 from .presentations import (
     emit_E_wreath_monoid,
@@ -395,14 +395,14 @@ def main(argv=None) -> int:
             code, parameters, result, counters = args.func(args)
             _emit_report(args, parameters, result, counters, started)
             return code
-        except (CapacityError, ValueError, OSError, KeyError, MemoryError) as exc:
+        except (CapacityError, ValueError, OSError, KeyError, MemoryError, InternalError) as exc:
             # Python raises a MemoryError without a message, and str() of a
             # KeyError is the repr of its text
             text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
             message = str(text) or ("out of memory" if isinstance(exc, MemoryError) else "")
             envelope = {"error": type(exc).__name__, "message": message}
             print(json.dumps(envelope, sort_keys=True), flush=True)
-            return INVALID
+            return INTERNAL if isinstance(exc, InternalError) else INVALID
     except BrokenPipeError:
         # stdout's reader is gone, so nothing can be reported; stdout goes to
         # the null device, so that the flush at exit cannot fail again

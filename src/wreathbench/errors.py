@@ -34,6 +34,10 @@ class CapacityError(RuntimeError):
         super().__init__(message if count is None else f"{message} (reached {format_count(count)})")
 
 
+class InternalError(RuntimeError):
+    """An invariant of the package's own algorithms failed: a program fault."""
+
+
 class MonoidValidationError(ValueError):
     """A raw Cayley table failed validation; ``witness`` names the offending data."""
 

@@ -9,25 +9,24 @@ sides the pair of trie nodes its two sides end at.  Before the enumeration
 starts, duplicate pairs are dropped, and the later-made end of each pair is
 partnered with the earlier end of the first pair it belongs to.
 
-Each sweep visits every live node once.  The node walks the trie steps in
-order, following the table to find the node every trie node reaches.  An
-edge that points at a node merged away since it was written is resolved
-through the union-find and the representative is written back into that
-table slot.  A missing edge is filled as the walk goes: into a trie node
-with a partner it is deduced, set to the node the partner reached (the
-relation itself, applied at the walking node, so no node is allocated and
-no coincidence is queued); otherwise it gets a new node.  After the walk,
-the two ends of every relation are identified; identifications are
-processed to a fixpoint, merging table rows as classes collapse, and the
-node's remaining edges are then defined.
+The one sweep visits every live node once, in index order.  The node walks
+the trie steps in order, following the table to find the node every trie
+node reaches.  An edge that points at a node merged away since it was
+written is resolved through the union-find and the representative is
+written back into that table slot.  A missing edge is filled as the walk
+goes: into a trie node with a partner it is deduced, set to the node the
+partner reached (the relation itself, applied at the walking node, so no
+node is allocated and no coincidence is queued); otherwise it gets a new
+node.  After the walk, the two ends of every relation are identified;
+identifications are processed to a fixpoint, merging table rows as classes
+collapse, and the node's remaining edges are then defined.
 
-After each sweep the table is checked a column at a time: the live nodes
-are renumbered, each letter's edges become one column of representatives,
-and the trie is walked for 256 live nodes at once, one list per trie node,
-so that the two ends of every relation are compared as lists.  The run is
-finished when every live row is complete and every relation holds at every
-live node, at which point the live nodes are exactly the elements of the
-presented monoid; otherwise another sweep runs.
+One sweep is enough.  A merge keeps the smaller node, so a node live at the
+end was live when its turn came: its row was completed and every relation
+was traced from it.  A merge only identifies nodes that are already equal,
+so completed rows and traced relations survive every later merge.  The live
+rows are returned as the word graph ``graph``, renumbered in index order,
+root first, as one flat list of ``na`` edges per row.
 
 A semigroup presentation is enumerated as a monoid presentation whose root
 node (the empty word) can never coincide with a non-empty class, and the
@@ -55,6 +54,7 @@ class TCResult:
     class_count: int | None
     nodes_allocated: int
     coincidences_processed: int
+    graph: list | None = None  # on success: na edges per live row, the root's first
 
 
 def _pairs(ends):
@@ -66,39 +66,6 @@ def _pairs(ends):
     for a, b in pairs:
         partner.setdefault(max(a, b), min(a, b))
     return pairs, partner
-
-
-def _closed(parent, tab, na, steps, ends):
-    """Whether the table is finished: every live row is complete, and both
-    sides of every relation reach the same node from every live node.  The
-    live nodes are renumbered, each letter's edges become one column of
-    representatives, and the trie is walked for 256 live nodes at a time,
-    one list per trie node: all of them at once would hold a list as long as
-    the live nodes for every trie node."""
-    rep = []
-    live = []
-    for x, p in enumerate(parent):  # parent[x] <= x: a merge keeps the smaller node
-        if p == x:
-            rep.append(len(live))
-            live.append(x)
-        else:
-            rep.append(rep[p])
-    columns = []
-    for c in range(na):
-        column = tab[c::na]
-        column = [column[x] for x in live]
-        if -1 in column:
-            return False
-        columns.append([rep[v] for v in column])
-    steps = [(t, columns[c]) for t, c in steps]
-    for lo in range(0, len(live), 256):
-        reached = [list(range(lo, min(lo + 256, len(live))))]
-        for t, column in steps:
-            reached.append([column[v] for v in reached[t]])
-        for a, b in ends:
-            if reached[a] != reached[b]:
-                return False
-    return True
 
 
 def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
@@ -153,43 +120,45 @@ def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
 
     try:
         new_node()  # the root: the empty word
-        while True:
-            i = 0
-            while i < len(parent):
-                if parent[i] != i:
-                    i += 1
-                    continue
-                # reached[k] is the node that trie node k leads to from i
-                reached = [i]
-                for t, c in steps:
-                    slot = reached[t] * na + c
-                    nxt = tab[slot]
-                    # parent[-1] is never -1, so this also catches a missing edge
-                    if parent[nxt] != nxt:
-                        if nxt != -1:
-                            nxt = find(nxt)
-                        else:
-                            # the end of a relation side: the other side's node
-                            k = partner.get(len(reached))
-                            nxt = new_node() if k is None else reached[k]
-                        tab[slot] = nxt
-                    reached.append(nxt)
-                for a, b in ends:
-                    if reached[a] != reached[b]:
-                        pending.append((reached[a], reached[b]))
-                if pending:
-                    process_pending()
-                if parent[i] == i:
-                    base = i * na
-                    for c in range(na):
-                        if tab[base + c] == -1:
-                            tab[base + c] = new_node()
+        i = 0
+        while i < len(parent):
+            if parent[i] != i:
                 i += 1
-            if _closed(parent, tab, na, steps, ends):
-                break
+                continue
+            # reached[k] is the node that trie node k leads to from i
+            reached = [i]
+            for t, c in steps:
+                slot = reached[t] * na + c
+                nxt = tab[slot]
+                # parent[-1] is never -1, so this also catches a missing edge
+                if parent[nxt] != nxt:
+                    if nxt != -1:
+                        nxt = find(nxt)
+                    else:
+                        # the end of a relation side: the other side's node
+                        k = partner.get(len(reached))
+                        nxt = new_node() if k is None else reached[k]
+                    tab[slot] = nxt
+                reached.append(nxt)
+            for a, b in ends:
+                if reached[a] != reached[b]:
+                    pending.append((reached[a], reached[b]))
+            if pending:
+                process_pending()
+            if parent[i] == i:
+                base = i * na
+                for c in range(na):
+                    if tab[base + c] == -1:
+                        tab[base + c] = new_node()
+            i += 1
     except _BoundExceeded:
         return TCResult("bound_exceeded", None, len(parent), coinc)
 
-    live = sum(1 for i in range(len(parent)) if parent[i] == i)
-    count = live if p.kind == "monoid" else live - 1
-    return TCResult("certified", count, len(parent), coinc)
+    rep, live = [], []  # each node's live row, renumbered in index order
+    for x, q in enumerate(parent):  # q < x for a merged x: a merge keeps the smaller node
+        rep.append(len(live) if q == x else rep[q])
+        if q == x:
+            live.append(x)
+    graph = [rep[v] for x in live for v in tab[x * na:x * na + na]]
+    count = len(live) if p.kind == "monoid" else len(live) - 1
+    return TCResult("certified", count, len(parent), coinc, graph)

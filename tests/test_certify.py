@@ -110,6 +110,45 @@ class TestVerify:
         assert v.status != "certified"
         assert v.status == "not_surjective" and v.generated_size == 14
 
+    def test_not_surjective_before_inconclusive(self, RZ1):
+        # Todd-Coxeter stops at its node limit, and the closure of the letter
+        # images still reports the presentation as not surjective
+        from wreathbench import emit_R1
+
+        p = emit_R1(RZ1, 2, force=True)
+        v = verify(p, standard_map(p, RZ1), wreath_sing_target(RZ1, 2), node_limit=1)
+        assert v.status == "not_surjective" and v.generated_size == 14
+        assert "nodes_allocated" not in v.to_dict()
+
+    @pytest.mark.parametrize("images, relations, status, generated", [
+        # x -> 1, y -> 0: both elements, the identity among them
+        ((0, 1), [((0, 0), (0,)), ((0, 1), (1,)), ((1, 0), (1,)), ((1, 1), (1,))],
+         "certified", 2),
+        # x -> 1 alone: the identity, as a letter's value
+        ((0,), [((0, 0), (0,))], "not_surjective", 1),
+        # y -> 0 alone: the root's identity is no value of a semigroup
+        ((1,), [((0, 0), (0,))], "not_surjective", 1),
+    ])
+    def test_semigroup_root_has_no_value(self, B01, images, relations, status, generated):
+        # a semigroup presentation over the monoid {1, 0}, whose evaluation
+        # map carries the identity
+        letters = tuple(Letter(name) for name in "xy"[:len(images)])
+        p = Presentation("semigroup", letters,
+                         tuple(Relation(u, v, "r") for u, v in relations), {})
+        emap = EvaluationMap(images, B01.multiply, identity=B01.identity)
+        v = verify(p, emap, B01)
+        assert (v.status, v.generated_size) == (status, generated)
+
+    @pytest.mark.parametrize("kind, status, generated", [
+        ("monoid", "certified", 1), ("semigroup", "not_surjective", 0),
+    ])
+    def test_empty_alphabet(self, kind, status, generated):
+        # one root node and no edges: the trivial monoid, or the empty semigroup
+        T1 = fixture("@T1")
+        p = Presentation(kind, (), (), {})
+        v = verify(p, EvaluationMap((), T1.multiply, identity=T1.identity), T1)
+        assert (v.status, v.generated_size) == (status, generated)
+
     def test_inconclusive_on_tiny_budget(self):
         p = emit_R(3)
         v = verify(p, standard_map(p), sing_target(3), node_limit=10)

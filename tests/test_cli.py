@@ -166,6 +166,28 @@ class TestVerifyCommand:
         assert report["result"]["verdict"]["status"] == "inconclusive"
         assert report["counters"]["nodes_allocated"] == 11
 
+    def test_word_graph_edge_against_the_map_is_internal_error(self, capsys, monkeypatch):
+        # Todd-Coxeter only identifies words that a sound map also identifies,
+        # so an edge that disagrees with the map is a program fault: force one
+        # by pointing the last edge of R's word graph at the root, which has no
+        # value in a semigroup
+        from wreathbench import certify
+
+        original = certify.todd_coxeter
+
+        def corrupted(p, node_limit):
+            res = original(p, node_limit=node_limit)
+            res.graph[-1] = 0
+            return res
+
+        monkeypatch.setattr(certify, "todd_coxeter", corrupted)
+        code = main(["verify", "--family", "R", "-n", "3"])
+        captured = capsys.readouterr()
+        assert code == 70
+        assert len(captured.out.splitlines()) == 1
+        assert json.loads(captured.out)["error"] == "InternalError"
+        assert captured.err == ""
+
 
 class TestIdempotentsCommand:
     def test_check_match(self, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from wreathbench import emit_R, emit_R1p, emit_R2, table_presentation, todd_coxeter
 from wreathbench.presentations import Presentation, Relation, Letter
-from wreathbench.todd_coxeter import _closed, _pairs
+from wreathbench.todd_coxeter import _pairs
 
 from test_acceptance import _matrix
 
@@ -24,6 +24,38 @@ def shuffled(p, seed):
 
 def with_relations(p, relations):
     return Presentation(p.kind, p.letters, tuple(relations), dict(p.provenance))
+
+
+def _closed(parent, tab, na, steps, ends):
+    """Reference finishing check: whether every live row of the table is
+    complete, and both sides of every relation reach the same node from
+    every live node.  The live nodes are renumbered, each letter's edges
+    become one column of representatives, and the trie is walked for 256
+    live nodes at a time, one list per trie node."""
+    rep = []
+    live = []
+    for x, p in enumerate(parent):  # parent[x] <= x: a merge keeps the smaller node
+        if p == x:
+            rep.append(len(live))
+            live.append(x)
+        else:
+            rep.append(rep[p])
+    columns = []
+    for c in range(na):
+        column = tab[c::na]
+        column = [column[x] for x in live]
+        if -1 in column:
+            return False
+        columns.append([rep[v] for v in column])
+    steps = [(t, columns[c]) for t, c in steps]
+    for lo in range(0, len(live), 256):
+        reached = [list(range(lo, min(lo + 256, len(live))))]
+        for t, column in steps:
+            reached.append([column[v] for v in reached[t]])
+        for a, b in ends:
+            if reached[a] != reached[b]:
+                return False
+    return True
 
 
 def _todd_coxeter_by_relations(p):
@@ -122,6 +154,7 @@ class TestCounts:
         p = Presentation("monoid", (), (), {})
         res = todd_coxeter(p)
         assert res.status == "certified" and res.class_count == 1
+        assert res.graph == []  # one root row of no edges
 
     def test_monoid_table_presentation(self, B01):
         p, _ = table_presentation(B01)
@@ -193,20 +226,27 @@ class TestAgainstReference:
     """The trie walk certifies the same count as tracing every relation
     word separately, on every presentation of acceptance criterion 8, with
     the relations as given, with every side reversed and under two shuffles:
-    the trie, and so which edges are deduced, depends on that order."""
+    the trie, and so which edges are deduced, depends on that order.  Its one
+    sweep leaves a finished word graph: the reference finishing check holds
+    on every graph it returns."""
 
     @pytest.mark.parametrize("p", [p for _, p in REFERENCE_CASES],
                              ids=[name for name, _ in REFERENCE_CASES])
     def test_same_count(self, p):
         want = _todd_coxeter_by_relations(p)
         reversed_sides = with_relations(p, [Relation(r.rhs, r.lhs, r.tag) for r in p.relations])
+        na = len(p.letters)
         for q in (p, reversed_sides, shuffled(p, 0), shuffled(p, 1)):
             res = todd_coxeter(q)
             assert (res.status, res.class_count) == want
+            rows = res.class_count + (q.kind != "monoid")
+            assert len(res.graph) == rows * na
+            steps, ends = q.trie
+            assert _closed(list(range(rows)), res.graph, na, steps, _pairs(ends)[0])
 
 
 class TestClosed:
-    """The finishing check on hand-built tables of <a | a^2 = 1>."""
+    """The reference finishing check on hand-built tables of <a | a^2 = 1>."""
 
     @staticmethod
     def closed(tab, parent=None):
