@@ -1,18 +1,18 @@
-"""Machine certification of a presentation against a concrete finite target.
+"""Machine certification of a presentation against a finite target, given
+by its size and a membership test for the letter images.
 
 The checks run in order: the relations hold under the evaluation map
 (soundness); each letter image is in the target; Todd-Coxeter enumerates
 the presented monoid; and a breadth-first walk maps its word graph onto the
 target.  The walk maps the root to the identity (a semigroup's root to
-nothing) and node.c to the node's value times the image of c, and every
-edge must agree with the value already at its end; an edge that does not is
-a program fault, since Todd-Coxeter only identifies words that the
-relations, and so a sound map, identify.  The values are the products of
-the letter images, so when their number and the class count both equal the
-target's size, the map is a bijection onto the target and the presentation
-is certified.  Only where Todd-Coxeter hits its node limit are the letter
-images closed, so that a presentation that is not surjective is reported
-before it is reported inconclusive.
+nothing) and node.c to the node's value times the image of c; an edge that
+disagrees with the value already at its end is a program fault, since
+Todd-Coxeter only identifies words that a sound map identifies.  The values
+are the products of the letter images, so they lie in the target, and when
+their number and the class count both equal its size the presentation is
+certified.  Only at Todd-Coxeter's node limit are the letter images closed,
+so that a presentation that is not surjective is reported before it is
+reported inconclusive.  Sing_n and M wr Sing_n come in closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import CapacityError, InternalError, format_count
 from .monoids import EnumeratedSemigroup
 from .presentations import EvaluationMap, Presentation, soundness
 from .todd_coxeter import NODE_LIMIT, TCResult, todd_coxeter
-from .transformations import compose, enumerate_Tn, part_size
+from .transformations import MAX_ENUM_DEGREE, compose, enumerate_Tn, part_size
 from .wreath import WreathContext, idempotent_elements
 
 
@@ -55,31 +55,31 @@ class Verdict:
         return out
 
 
-def verify(p: Presentation, emap: EvaluationMap, target, node_limit: int = NODE_LIMIT) -> Verdict:
+def verify(p: Presentation, emap: EvaluationMap, size: int, contains,
+           node_limit: int = NODE_LIMIT) -> Verdict:
     if p.kind == "monoid" and emap.identity is None:
         raise ValueError("monoid presentation needs an evaluation map with an identity")
-    want = len(target.elements)
     failures = soundness(p, emap)
     if failures:
-        return Verdict("unsound", want, failures=failures)
+        return Verdict("unsound", size, failures=failures)
 
     for img in emap.images:
-        if img not in target.index:
-            return Verdict("not_surjective", want, generated_size=0)
+        if not contains(img):
+            return Verdict("not_surjective", size, generated_size=0)
 
     tc = todd_coxeter(p, node_limit=node_limit)
     if tc.status != "certified":
         gens = list(emap.images) + ([emap.identity] if p.kind == "monoid" else [])
-        generated = len(close(gens, target.multiply, limit=want)) if gens else 0
-        if generated != want:
-            return Verdict("not_surjective", want, generated_size=generated)
-        return Verdict("inconclusive", want, tc=tc)
+        generated = len(close(gens, emap.multiply, limit=size)) if gens else 0
+        if generated != size:
+            return Verdict("not_surjective", size, generated_size=generated)
+        return Verdict("inconclusive", size, tc=tc)
     generated = _walk(p, emap, tc.graph)
-    if generated != want:
-        return Verdict("not_surjective", want, generated_size=generated)
-    if tc.class_count != want:
-        return Verdict("size_mismatch", want, class_count=tc.class_count, tc=tc)
-    return Verdict("certified", want, class_count=tc.class_count, generated_size=generated, tc=tc)
+    if generated != size:
+        return Verdict("not_surjective", size, generated_size=generated)
+    if tc.class_count != size:
+        return Verdict("size_mismatch", size, class_count=tc.class_count, tc=tc)
+    return Verdict("certified", size, class_count=tc.class_count, generated_size=generated, tc=tc)
 
 
 def _walk(p: Presentation, emap: EvaluationMap, graph: list) -> int:
@@ -127,17 +127,31 @@ def check_size(size: int, limit: int) -> None:
         raise error
 
 
+def singular_part(M, n: int, limit: int):
+    """(size, membership test) of Sing_n when M is None, else of M wr Sing_n,
+    with no element built: an element holds n indices of M (none for Sing_n),
+    then a map whose image set is a proper subset of 1..n."""
+    size = target_size(M, n)
+    check_size(size, limit)
+    if n > MAX_ENUM_DEGREE:  # enumerate_Tn's refusal: no work at degree 8 would finish
+        raise CapacityError(f"degree {n} outside supported range 1..{MAX_ENUM_DEGREE}")
+    k, order = (0, 0) if M is None else (n, M.order)  # the monoid indices ahead of the map
+    points = set(range(1, n + 1))
+    return size, lambda x: (len(x) == k + n and all(0 <= a < order for a in x[:k])
+                            and set(x[k:]) < points)
+
+
 def sing_target(n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
-    """The singular part of T_n, enumerated directly; refused with a
-    CapacityError when its closed-form size exceeds ``limit``."""
-    check_size(target_size(None, n), limit)
+    """The singular part of T_n, enumerated directly; refused as
+    ``singular_part`` refuses it, before any element is built."""
+    singular_part(None, n, limit)
     return EnumeratedSemigroup(enumerate_Tn(n, "singular"), compose)
 
 
 def wreath_sing_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
     """All of M wr Sing_n, enumerated directly (not via any generating set);
-    refused with a CapacityError when its closed-form size exceeds ``limit``."""
-    check_size(target_size(M, n), limit)
+    refused as ``singular_part`` refuses it, before any element is built."""
+    singular_part(M, n, limit)
     ctx = WreathContext(M, n, "singular")
     return EnumeratedSemigroup(ctx.elements(), ctx.multiply)
 

@@ -21,7 +21,7 @@ import time
 from functools import cache
 
 from .certify import (
-    check_size, e_wreath_target, sing_target, target_size, verify, wreath_sing_target,
+    check_size, e_wreath_target, singular_part, target_size, verify, wreath_sing_target,
 )
 from .enumeration import (
     CLOSURE_LIMIT,
@@ -43,7 +43,7 @@ from .presentations import (
     standard_map,
 )
 from .todd_coxeter import NODE_LIMIT
-from .transformations import epsilon, transformation
+from .transformations import compose, epsilon, transformation
 from .wreath import (
     WreathContext, check_brute_size, check_formula_degrees, count_idempotents, idempotent_elements,
 )
@@ -187,20 +187,23 @@ def cmd_idempotents(args):
     return (OK if verdict else NEGATIVE), parameters, result, {}
 
 
-# family -> (presentation of M and n, closed-form size of the target of M and
-# n, target of M, n and the element limit); only R takes no monoid.  Each
-# entry looks its functions up by module name when called, so that a rebound
-# module attribute (a tracer's wrapper) runs.
-_WREATH_SING = (target_size, lambda M, n, limit: wreath_sing_target(M, n, limit))
+def _e_wreath(M, n, limit):
+    target = e_wreath_target(M, n, limit)  # a closure: it has no closed form yet
+    return len(target), target.index.__contains__
+
+
+# family -> (presentation of M and n, closed-form size of its target, (size,
+# membership test) of its target under the element limit); only R takes no
+# monoid.  Entries look functions up by name when called, so a tracer's wrapper runs.
+_SINGULAR = (target_size, lambda M, n, limit: singular_part(M, n, limit))
 FAMILIES = {
-    "R": (lambda M, n: emit_R(n), lambda M, n: target_size(None, n),
-          lambda M, n, limit: sing_target(n, limit)),
-    "Rn": (lambda M, n: emit_Rn(M, n), *_WREATH_SING),
-    "R2": (lambda M, n: emit_R2(M, n), *_WREATH_SING),
-    "R1": (lambda M, n: emit_R1(M, n), *_WREATH_SING),
-    "R1p": (lambda M, n: emit_R1p(M, n), *_WREATH_SING),
+    "R": (lambda M, n: emit_R(n), *_SINGULAR),
+    "Rn": (lambda M, n: emit_Rn(M, n), *_SINGULAR),
+    "R2": (lambda M, n: emit_R2(M, n), *_SINGULAR),
+    "R1": (lambda M, n: emit_R1(M, n), *_SINGULAR),
+    "R1p": (lambda M, n: emit_R1p(M, n), *_SINGULAR),
     "Emonoid": (lambda M, n: emit_E_wreath_monoid(M, n), lambda M, n: target_size(M, n, "full"),
-                lambda M, n, limit: e_wreath_target(M, n, limit)),
+                _e_wreath),
 }
 
 
@@ -218,7 +221,7 @@ def cmd_verify(args):
     check_size(size(M, n), args.limit_elements)
     p = presentation(M, n)
     emap = standard_map(p, M)
-    v = verify(p, emap, target(M, n, args.limit_elements), node_limit=args.limit_nodes)
+    v = verify(p, emap, *target(M, n, args.limit_elements), node_limit=args.limit_nodes)
     verdict = v.to_dict()
     result = {
         "family": args.family,
@@ -311,9 +314,8 @@ def cmd_gens(args):
         result["criterion"] = {"generates": gen, "strongly_connected": sc, "complete": complete}
         answer = gen
         if args.confirm:
-            target = sing_target(n, limit=args.limit_elements)
             gens = [epsilon(n, i, j) for i, j in edges]
-            closure_answer = generates(gens, target)
+            closure_answer = generates(gens, compose, *singular_part(None, n, args.limit_elements))
             result["closure"] = {"generates": closure_answer}
             if closure_answer != gen:
                 result["error"] = "criterion and closure disagree"
@@ -324,8 +326,7 @@ def cmd_gens(args):
             if len(images) != n:
                 raise DegreeMismatch(len(images), n)
             gens.append(transformation(images))
-        target = sing_target(n, limit=args.limit_elements)
-        answer = generates(gens, target)
+        answer = generates(gens, compose, *singular_part(None, n, args.limit_elements))
         result["closure"] = {"generates": answer}
     else:
         raise PreconditionError("either --edges or --elements is required")
@@ -378,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gens", cmd_gens, "generation tests for the singular part")
     p.add_argument("-n", default="3")
-    p.add_argument("--edges", default=None, help='idempotent edges "i:j,k:l,..."')
-    p.add_argument("--elements", default=None, help="JSON list of image lists")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--edges", default=None, help='idempotent edges "i:j,k:l,..."')
+    given.add_argument("--elements", default=None, help="JSON list of image lists")
     p.add_argument("--confirm", action="store_true", help="also run the closure check")
     p.add_argument("--limit-elements", type=int, default=CLOSURE_LIMIT)
     return parser

@@ -53,15 +53,14 @@ def close(generators, multiply, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigro
     return S
 
 
-def generates(gens, target: EnumeratedSemigroup) -> bool:
-    """Whether the closure of ``gens`` inside ``target`` is all of it."""
+def generates(gens, multiply, size: int, contains) -> bool:
+    """Whether ``gens``, each passing ``contains``, generate a target of ``size`` elements."""
     for g in gens:
-        if g not in target.index:
+        if not contains(g):
             raise ForeignElementError(f"{g!r} is not an element of the target")
     if not gens:
-        return len(target) == 0
-    sub = close(list(gens), target.multiply, limit=len(target))
-    return len(sub) == len(target)
+        return size == 0
+    return len(close(list(gens), multiply, limit=size)) == size
 
 
 def _strongly_connected(n: int, adj: dict[int, set[int]]) -> bool:

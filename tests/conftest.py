@@ -51,6 +51,12 @@ def is_idempotent(t):
     return all(t[v - 1] == v for v in set(t))
 
 
+def sized(S):
+    """An enumerated target as ``verify`` and ``generates`` take one: its size
+    and its membership test."""
+    return len(S), S.index.__contains__
+
+
 def rank_one_less_idempotents(n):
     """The rank n-1 idempotents of T_n, one per ordered pair (i, j)."""
     return [epsilon(n, i, j) for i, j in index_pairs(n)]

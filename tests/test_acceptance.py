@@ -41,7 +41,7 @@ from wreathbench.presentations import Presentation
 
 from conftest import (
     evaluate, gen_family, is_idempotent, omega_witnesses, rank_one_less_idempotents, sigma_membership,
-    word_E_X1, word_E_X2,
+    sized, word_E_X1, word_E_X2,
 )
 
 FIXTURES = ("@T1", "@Z2", "@Z3", "@B01", "@RZ1", "@T2")
@@ -114,7 +114,7 @@ def test_criterion_2_generation():
         target = close(gens, compose)
         if len(target) != n**n - factorial(n):
             failures.append(f"closure of the idempotent family at n={n}: {len(target)}")
-        if not generates(gens, target):
+        if not generates(gens, target.multiply, *sized(target)):
             failures.append(f"family does not generate at n={n}")
     target3 = close(rank_one_less_idempotents(3), compose)
     pairs = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
@@ -122,7 +122,7 @@ def test_criterion_2_generation():
         edges = [pairs[b] for b in range(6) if mask >> b & 1]
         by_graph, _, _ = tournament_check(3, edges)
         gens = [epsilon(3, i, j) for i, j in edges]
-        by_closure = generates(gens, target3) if gens else False
+        by_closure = generates(gens, target3.multiply, *sized(target3)) if gens else False
         if by_graph != by_closure:
             failures.append(f"criterion mismatch on subset {edges}")
     _finish(2, "generation", failures)
@@ -187,7 +187,7 @@ def test_criterion_5_certification():
     failures = []
     for fam, name, n, p, want in _matrix():
         M = fixture(name) if name else None
-        v = verify(p, standard_map(p, M), _target_for(fam, name, n))
+        v = verify(p, standard_map(p, M), *sized(_target_for(fam, name, n)))
         if v.status != "certified" or v.class_count != want:
             failures.append(f"{fam} {name} n={n}: {v.status} {v.class_count} want {want}")
     _finish(5, "presentation certification", failures)

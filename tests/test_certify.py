@@ -8,6 +8,7 @@ from wreathbench import (
     emit_R,
     emit_R1p,
     emit_R2,
+    enumerate_Tn,
     epsilon,
     fixture,
     sing_target,
@@ -16,23 +17,24 @@ from wreathbench import (
     wreath_sing_target,
 )
 from wreathbench import certify, wreath
+from wreathbench.certify import singular_part
 from wreathbench.errors import CapacityError
 from wreathbench.cli import FAMILIES
 from wreathbench.monoids import FIXTURES
 from wreathbench.presentations import EvaluationMap, Letter, Presentation, Relation
 
-from conftest import gen_family, rank_one_less_idempotents
+from conftest import gen_family, rank_one_less_idempotents, sized
 
 
 class TestVerify:
     def test_r2_z2(self, Z2):
         p = emit_R2(Z2, 2)
-        v = verify(p, standard_map(p, Z2), wreath_sing_target(Z2, 2))
+        v = verify(p, standard_map(p, Z2), *sized(wreath_sing_target(Z2, 2)))
         assert v.status == "certified" and v.class_count == 8
 
     def test_r1p_z2(self, Z2):
         p = emit_R1p(Z2, 2)
-        v = verify(p, standard_map(p, Z2), wreath_sing_target(Z2, 2))
+        v = verify(p, standard_map(p, Z2), *sized(wreath_sing_target(Z2, 2)))
         assert v.status == "certified" and v.class_count == 8
 
     def test_dropping_relations_never_falsely_certifies(self):
@@ -48,7 +50,7 @@ class TestVerify:
             q = Presentation(
                 p.kind, p.letters, p.relations[:idx] + p.relations[idx + 1 :], dict(p.provenance)
             )
-            v = verify(q, standard_map(q), target, node_limit=3000)
+            v = verify(q, standard_map(q), *sized(target), node_limit=3000)
             if v.status == "certified":
                 assert v.class_count == 21
             else:
@@ -64,7 +66,7 @@ class TestVerify:
                 tuple(r for r in p.relations if r.tag != fam),
                 dict(p.provenance),
             )
-            v = verify(q, standard_map(q), target, node_limit=5000)
+            v = verify(q, standard_map(q), *sized(target), node_limit=5000)
             assert v.status in ("size_mismatch", "inconclusive")
 
     def test_unsound_reported(self):
@@ -75,7 +77,7 @@ class TestVerify:
             p.relations + (Relation((0,), (1,), "forged"),),
             dict(p.provenance),
         )
-        v = verify(bad, standard_map(bad), sing_target(2))
+        v = verify(bad, standard_map(bad), *sized(sing_target(2)))
         assert v.status == "unsound"
         assert any(f["tag"] == "forged" for f in v.failures)
 
@@ -88,7 +90,7 @@ class TestVerify:
             {"family": "custom"},
         )
         emap = EvaluationMap((epsilon(2, 1, 2),), compose)
-        v = verify(p, emap, sing_target(2))
+        v = verify(p, emap, *sized(sing_target(2)))
         assert v.status == "not_surjective"
         assert v.generated_size == 1
 
@@ -97,7 +99,7 @@ class TestVerify:
             "semigroup", (Letter("x"),), (Relation((0, 0), (0,), "sq"),), {}
         )
         emap = EvaluationMap((epsilon(3, 1, 2),), compose)
-        v = verify(p, emap, sing_target(2))
+        v = verify(p, emap, *sized(sing_target(2)))
         assert v.status == "not_surjective"
 
     def test_forced_chain_presentation_never_certifies_off_hypothesis(self, RZ1):
@@ -106,7 +108,7 @@ class TestVerify:
         from wreathbench import emit_R1
 
         p = emit_R1(RZ1, 2, force=True)
-        v = verify(p, standard_map(p, RZ1), wreath_sing_target(RZ1, 2))
+        v = verify(p, standard_map(p, RZ1), *sized(wreath_sing_target(RZ1, 2)))
         assert v.status != "certified"
         assert v.status == "not_surjective" and v.generated_size == 14
 
@@ -116,7 +118,7 @@ class TestVerify:
         from wreathbench import emit_R1
 
         p = emit_R1(RZ1, 2, force=True)
-        v = verify(p, standard_map(p, RZ1), wreath_sing_target(RZ1, 2), node_limit=1)
+        v = verify(p, standard_map(p, RZ1), *sized(wreath_sing_target(RZ1, 2)), node_limit=1)
         assert v.status == "not_surjective" and v.generated_size == 14
         assert "nodes_allocated" not in v.to_dict()
 
@@ -136,7 +138,7 @@ class TestVerify:
         p = Presentation("semigroup", letters,
                          tuple(Relation(u, v, "r") for u, v in relations), {})
         emap = EvaluationMap(images, B01.multiply, identity=B01.identity)
-        v = verify(p, emap, B01)
+        v = verify(p, emap, *sized(B01))
         assert (v.status, v.generated_size) == (status, generated)
 
     @pytest.mark.parametrize("kind, status, generated", [
@@ -146,17 +148,17 @@ class TestVerify:
         # one root node and no edges: the trivial monoid, or the empty semigroup
         T1 = fixture("@T1")
         p = Presentation(kind, (), (), {})
-        v = verify(p, EvaluationMap((), T1.multiply, identity=T1.identity), T1)
+        v = verify(p, EvaluationMap((), T1.multiply, identity=T1.identity), *sized(T1))
         assert (v.status, v.generated_size) == (status, generated)
 
     def test_inconclusive_on_tiny_budget(self):
         p = emit_R(3)
-        v = verify(p, standard_map(p), sing_target(3), node_limit=10)
+        v = verify(p, standard_map(p), *sized(sing_target(3)), node_limit=10)
         assert v.status == "inconclusive"
 
     def test_verdict_serialization(self, Z2):
         p = emit_R2(Z2, 2)
-        v = verify(p, standard_map(p, Z2), wreath_sing_target(Z2, 2))
+        v = verify(p, standard_map(p, Z2), *sized(wreath_sing_target(Z2, 2)))
         d = v.to_dict()
         assert d["status"] == "certified"
         assert d["class_count"] == d["target_size"] == 8
@@ -186,7 +188,7 @@ class TestRedundantPairExperiment:
             keep.append(rel)
         pruned = Presentation(p.kind, p.letters, tuple(keep), dict(p.provenance))
         assert len(pruned.relations) == len(p.relations) - 192
-        v = verify(pruned, standard_map(pruned, Z2), wreath_sing_target(Z2, 3))
+        v = verify(pruned, standard_map(pruned, Z2), *sized(wreath_sing_target(Z2, 3)))
         assert v.status == "certified" and v.class_count == 168
 
 
@@ -289,6 +291,59 @@ class TestTargets:
         with pytest.raises(CapacityError) as exc:
             e_wreath_target(T2, 5)
         assert exc.value.count == 3_200_000
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_singular_part_is_sing_target(self, n):
+        # the closed form against the enumerated target, on every map of T_n
+        target = sing_target(n)
+        size, contains = singular_part(None, n, limit=10**6)
+        assert size == len(target)
+        full = enumerate_Tn(n)
+        assert [contains(t) for t in full] == [t in target.index for t in full]
+
+    @pytest.mark.parametrize(
+        "name, n", [(f"@{k}", 2) for k in sorted(FIXTURES)] + [("@Z2", 3)]
+    )
+    def test_singular_part_is_wreath_sing_target(self, name, n):
+        # ... and on every element of M wr T_n
+        M = fixture(name)
+        target = wreath_sing_target(M, n)
+        size, contains = singular_part(M, n, limit=10**6)
+        assert size == len(target)
+        full = WreathContext(M, n, "full").elements()
+        assert [contains(x) for x in full] == [x in target.index for x in full]
+
+    def test_singular_part_rejects_wrong_degrees_and_indices(self, Z2):
+        _, sing = singular_part(None, 3, limit=21)
+        _, wr = singular_part(Z2, 2, limit=8)
+        assert sing((1, 1, 3)) and wr((0, 1, 1, 1))
+        # another degree, or a map of Sing_n where an element of Z2 wr Sing_n belongs
+        for x in ((), (1, 1), (1, 1, 1, 1), (0, 0, 1, 1)):
+            assert not sing(x), x
+        for x in ((1, 1), (0, 1, 1), (0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1)):
+            assert not wr(x), x
+        # images outside 1..n, and monoid indices outside 0..|M|-1
+        for x in ((0, 1, 1), (1, 1, 4), (-1, 1, 1)):
+            assert not sing(x), x
+        for x in ((0, 0, 1, 3), (0, 0, 0, 1), (2, 0, 1, 1), (0, -1, 1, 1)):
+            assert not wr(x), x
+
+    def test_singular_part_refusals(self, T1, Z2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(certify, "enumerate_Tn", refuse)
+        monkeypatch.setattr(WreathContext, "elements", refuse)
+        assert singular_part(Z2, 7, limit=10**10)[0] == 2**7 * (7**7 - 5040)
+        with pytest.raises(CapacityError) as exc:
+            singular_part(None, 3, limit=20)
+        assert exc.value.count == 21
+        # the degree refusal of the enumerated targets, after the size check
+        for M in (None, T1):
+            with pytest.raises(CapacityError, match=r"^degree 8 outside supported range 1\.\.7$"):
+                singular_part(M, 8, limit=20_000_000)
+        with pytest.raises(ValueError, match="empty below degree 2"):
+            singular_part(None, 1, limit=10)
 
     def test_limit_is_inclusive(self, Z2):
         assert len(sing_target(3, limit=21)) == 21

@@ -373,6 +373,21 @@ class TestRankCommand:
         assert report["error"] == "CapacityError"
         assert report["message"] == "the target's size, 3077120, is over the element limit 1000000"
 
+    def test_brute_degree_refused_before_enumerating(self, capsys, monkeypatch):
+        # within a limit of 10^40, degree 20 is refused as the enumerated
+        # targets refuse it, before the 4^20 tuples of T2 are built
+        from wreathbench.wreath import WreathContext
+
+        def refuse(self):
+            raise AssertionError("target enumerated")
+
+        monkeypatch.setattr(WreathContext, "elements", refuse)
+        code, report = run_json(capsys, "rank", "--monoid", "@T2", "-n", "20", "--mode", "brute",
+                                "--limit-elements", "1" + "0" * 40)
+        assert code == 2
+        assert report == {"error": "CapacityError",
+                          "message": "degree 20 outside supported range 1..7"}
+
     def test_brute_refused_over_table_limit(self, capsys, monkeypatch):
         # |Z2 wr Sing_4| = 3712 is within the element limit, but its Cayley
         # table is not, so the search refuses before its first product
@@ -502,6 +517,74 @@ class TestGensCommand:
         assert code == 70
         assert "disagree" in report["result"]["error"]
         assert report["parameters"]["confirm"] is True
+
+    def test_edges_with_elements_refused(self, capsys):
+        # one generating set per run: the pair is refused, not one of them dropped
+        code, report = run_json(capsys, "gens", "-n", "3", "--edges", "1:2,2:3,3:1",
+                                "--elements", "[[1,1,3]]")
+        assert code == 2
+        assert report["error"] == "UsageError"
+        assert "--edges" in report["message"] and "not allowed with" in report["message"]
+
+
+def _verdict(size, nodes, coincidences):
+    return {"class_count": size, "coincidences_processed": coincidences, "generated_size": size,
+            "nodes_allocated": nodes, "soundness_failures": [], "status": "certified",
+            "target_size": size}
+
+
+class TestNoTargetList:
+    """verify and gens put only letters or generators to Sing_n and M wr
+    Sing_n, by the closed form: with no element of either enumerable, the
+    reports are those of the enumerated targets."""
+
+    @pytest.mark.parametrize("argv, code, parameters, result, counters", [
+        (["verify", "--family", "R", "-n", "4"], 0,
+         {"family": "R", "monoid": None, "n": 4, "limit_nodes": 1_000_000},
+         {"alphabet": 12, "family": "R", "monoid": None, "n": 4, "relations": 168,
+          "relation_families": {"R1": 24, "R2": 24, "R3": 24, "R4": 48, "R5": 24, "R6": 24},
+          "verdict": _verdict(232, 863, 630)},
+         {"coincidences_processed": 630, "nodes_allocated": 863}),
+        (["verify", "--family", "R2", "--monoid", "@Z2", "-n", "2"], 0,
+         {"family": "R2", "monoid": "@Z2", "n": 2, "limit_nodes": 1_000_000},
+         {"alphabet": 8, "family": "R2", "monoid": "Z2", "n": 2, "relations": 64,
+          "relation_families": {"R1_2": 64}, "verdict": _verdict(8, 9, 0)},
+         {"coincidences_processed": 0, "nodes_allocated": 9}),
+        (["gens", "-n", "4", "--edges", "1:2,2:3,3:4,4:1,1:3,2:4", "--confirm"], 0,
+         {"n": 4, "edges": "1:2,2:3,3:4,4:1,1:3,2:4", "elements": None, "confirm": True},
+         {"closure": {"generates": True}, "generates": True, "n": 4,
+          "criterion": {"complete": True, "generates": True, "strongly_connected": True}},
+         {}),
+        (["gens", "-n", "3", "--elements", "[[1,1,3],[2,2,3]]"], 1,
+         {"n": 3, "edges": None, "elements": "[[1,1,3],[2,2,3]]", "confirm": False},
+         {"closure": {"generates": False}, "generates": False, "n": 3},
+         {}),
+    ], ids=["R", "R2", "edges", "elements"])
+    def test_reports_without_enumerating(self, capsys, monkeypatch, argv, code, parameters,
+                                         result, counters):
+        from wreathbench import certify, wreath
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a target enumerated")
+
+        monkeypatch.setattr(certify, "enumerate_Tn", refuse)
+        monkeypatch.setattr(wreath.WreathContext, "elements", refuse)
+        got, report = run_json(capsys, *argv)
+        del report["wall_time_s"]
+        assert (got, report) == (code, {"command": argv[0], "parameters": parameters,
+                                        "result": result, "counters": counters})
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "R2", "--monoid", "@T1", "-n", "8"],
+        ["gens", "-n", "8", "--elements", "[[1,1,3,4,5,6,7,8]]"],
+    ], ids=["verify", "gens"])
+    def test_degree_8_refused(self, capsys, argv):
+        # within the element limit, the degree is still refused as it is for
+        # the enumerated targets: certifying at degree 8 would not finish
+        code, report = run_json_subprocess(*argv, "--limit-elements", "20000000", timeout=60)
+        assert code == 2
+        assert report == {"error": "CapacityError",
+                          "message": "degree 8 outside supported range 1..7"}
 
 
 class TestReports:

@@ -21,7 +21,7 @@ from wreathbench import (
 from wreathbench import enumeration, wreath
 from wreathbench.errors import CapacityError, ForeignElementError, PreconditionError
 
-from conftest import gen_family, rank_one_less_idempotents, shortlex_closure
+from conftest import gen_family, rank_one_less_idempotents, shortlex_closure, sized
 
 
 def sing(n):
@@ -125,23 +125,23 @@ class TestClose:
 class TestGenerates:
     def test_howie_small(self):
         target = sing(3)
-        assert generates(rank_one_less_idempotents(3), target)
+        assert generates(rank_one_less_idempotents(3), target.multiply, *sized(target))
 
     def test_single_generator_fails(self):
         target = sing(2)
-        assert not generates([epsilon(2, 1, 2)], target)
+        assert not generates([epsilon(2, 1, 2)], target.multiply, *sized(target))
 
     def test_rank2_construction(self, Z2):
         ctx = WreathContext(Z2, 2, "singular")
         target = close(gen_family(ctx, "X2"), ctx.multiply)
         g = Z2.labels.index("g")
         gens = [eps_a(ctx, 1, 2, g), eps_a(ctx, 2, 1, Z2.identity)]
-        assert generates(gens, target)
+        assert generates(gens, target.multiply, *sized(target))
 
     def test_foreign_element(self):
         target = sing(2)
         with pytest.raises(ForeignElementError):
-            generates([epsilon(3, 1, 2)], target)
+            generates([epsilon(3, 1, 2)], target.multiply, *sized(target))
 
 
 class TestTournament:
@@ -169,7 +169,7 @@ class TestTournament:
         for mask in range(64):
             edges = [pairs[b] for b in range(6) if mask >> b & 1]
             gens = [epsilon(3, i, j) for i, j in edges]
-            by_closure = generates(gens, target) if gens else False
+            by_closure = generates(gens, target.multiply, *sized(target)) if gens else False
             by_graph, _, _ = tournament_check(3, edges)
             assert by_graph == by_closure
 
@@ -280,7 +280,8 @@ class TestCoverSkip:
             for subset in itertools.combinations(range(len(target)), k):
                 if reduce(or_, (bits[i] for i in subset)) != full:
                     skipped += 1
-                    assert not generates([target.elements[i] for i in subset], target)
+                    gens = [target.elements[i] for i in subset]
+                    assert not generates(gens, target.multiply, *sized(target))
         assert skipped > 0
 
 

@@ -32,7 +32,8 @@ from wreathbench.green import e_part_indices
 from wreathbench.presentations import EvaluationMap, Letter, Presentation, Relation
 
 from conftest import (
-    evaluate, gen_family, monoid_census, omega_witnesses, reference_soundness, word_E_X1, word_E_X2,
+    evaluate, gen_family, monoid_census, omega_witnesses, reference_soundness, sized, word_E_X1,
+    word_E_X2,
 )
 
 
@@ -156,7 +157,7 @@ class TestEmitRn:
             m = len(table)
             M = validate_monoid([f"m{i}" for i in range(m)], 0, [list(r) for r in table])
             p = emit_Rn(M, n)
-            v = verify(p, standard_map(p, M), wreath_sing_target(M, n))
+            v = verify(p, standard_map(p, M), *sized(wreath_sing_target(M, n)))
             assert v.status == "certified", table
             assert v.class_count == m**n * (n**n - factorial(n)), table
 
@@ -749,9 +750,9 @@ def test_census_r2_certifies_and_r1_exactly_on_L_chains():
         M = validate_monoid([f"m{i}" for i in range(m)], 0, [list(r) for r in table])
         target = wreath_sing_target(M, n)
         p = emit_R2(M, n)
-        assert verify(p, standard_map(p, M), target).status == "certified", table
+        assert verify(p, standard_map(p, M), *sized(target)).status == "certified", table
         p = emit_R1(M, n, force=True)
-        certified = verify(p, standard_map(p, M), target).status == "certified"
+        certified = verify(p, standard_map(p, M), *sized(target)).status == "certified"
         assert certified == is_L_chain(M), table
         chains += certified
     assert chains == 33

@@ -17,7 +17,7 @@ from wreathbench.errors import ActionError
 from wreathbench.presentations import EvaluationMap, soundness
 from wreathbench.wreath import power_with_shuffle
 
-from conftest import rank_one_less_idempotents, semidirect_multiply
+from conftest import rank_one_less_idempotents, semidirect_multiply, sized
 
 
 def saturating_pair_monoid(cap):
@@ -150,5 +150,5 @@ class TestEmitSemidirect:
         assert soundness(p, emap) == []
         elems = [(a, s) for a in range(M2.order) for s in range(len(S))]
         target = EnumeratedSemigroup(elems, lambda x, y: semidirect_multiply(M2, S, action, x, y))
-        v = verify(p, emap, target)
+        v = verify(p, emap, *sized(target))
         assert v.status == "certified" and v.class_count == 8
