@@ -12,7 +12,8 @@ are the products of the letter images, so they lie in the target, and when
 their number and the class count both equal its size the presentation is
 certified.  Only at Todd-Coxeter's node limit are the letter images closed,
 so that a presentation that is not surjective is reported before it is
-reported inconclusive.  Sing_n and M wr Sing_n come in closed form.
+reported inconclusive.  Sing_n and M wr Sing_n come in closed form, and
+every target is sized and refused by ``target_size`` alone, before it is built.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .monoids import EnumeratedSemigroup
 from .presentations import EvaluationMap, Presentation, soundness
 from .todd_coxeter import NODE_LIMIT, TCResult, todd_coxeter
 from .transformations import MAX_ENUM_DEGREE, compose, enumerate_Tn, part_size
-from .wreath import WreathContext, idempotent_elements
+from .wreath import WreathContext, check_brute_size, idempotent_elements
 
 
 @dataclass
@@ -105,36 +106,33 @@ def _walk(p: Presentation, emap: EvaluationMap, graph: list) -> int:
 # ---------------------------------------------------------------------------
 # standard verification targets
 
-def target_size(M, n: int, part: str = "singular") -> int:
-    """The closed-form size a standard target checks against its limit before
-    it enumerates anything: |Sing_n| when M is None, else |M wr Sing_n|, or
-    |M wr T_n| for the part "full" that the Emonoid target is drawn from."""
-    if M is None:
-        if n < 2:
-            raise ValueError("the singular part is empty below degree 2")
-        return part_size(n, "singular")
-    return WreathContext(M, n, part).size()
-
-
-def check_size(size: int, limit: int) -> None:
-    """Refuse a target by its closed-form size, before any element is built;
-    the error's ``count`` is that size."""
+def target_size(M, n: int, part: str, limit: int) -> int:
+    """The closed-form size of a standard target: |Sing_n| when M is None, else
+    |M wr Sing_n|, or |M wr T_n| for the Emonoid target's part "full".  Every
+    refusal of a target is made here, before anything is emitted or built, in
+    order: Sing_n below degree 2; a size over ``limit`` (the error's ``count``);
+    a singular part above degree 7, where Todd-Coxeter would not finish; a full
+    part over brute force's bound, whose idempotents the Emonoid target closes."""
+    if M is None and n < 2:
+        raise ValueError("the singular part is empty below degree 2")
+    size = part_size(n, "singular") if M is None else WreathContext(M, n, part).size()
     if size > limit:
-        error = CapacityError(
-            f"the target's size, {format_count(size)}, is over the element limit {limit}"
-        )
+        error = CapacityError(f"the target's size, {format_count(size)}, is over the "
+                              f"element limit {limit}")
         error.count = size
         raise error
+    if part == "singular" and n > MAX_ENUM_DEGREE:  # enumerate_Tn's refusal
+        raise CapacityError(f"degree {n} outside supported range 1..{MAX_ENUM_DEGREE}")
+    if part == "full":
+        check_brute_size(size)
+    return size
 
 
 def singular_part(M, n: int, limit: int):
     """(size, membership test) of Sing_n when M is None, else of M wr Sing_n,
     with no element built: an element holds n indices of M (none for Sing_n),
     then a map whose image set is a proper subset of 1..n."""
-    size = target_size(M, n)
-    check_size(size, limit)
-    if n > MAX_ENUM_DEGREE:  # enumerate_Tn's refusal: no work at degree 8 would finish
-        raise CapacityError(f"degree {n} outside supported range 1..{MAX_ENUM_DEGREE}")
+    size = target_size(M, n, "singular", limit)
     k, order = (0, 0) if M is None else (n, M.order)  # the monoid indices ahead of the map
     points = set(range(1, n + 1))
     return size, lambda x: (len(x) == k + n and all(0 <= a < order for a in x[:k])
@@ -143,23 +141,23 @@ def singular_part(M, n: int, limit: int):
 
 def sing_target(n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
     """The singular part of T_n, enumerated directly; refused as
-    ``singular_part`` refuses it, before any element is built."""
-    singular_part(None, n, limit)
+    ``target_size`` refuses it, before any element is built."""
+    target_size(None, n, "singular", limit)
     return EnumeratedSemigroup(enumerate_Tn(n, "singular"), compose)
 
 
 def wreath_sing_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
     """All of M wr Sing_n, enumerated directly (not via any generating set);
-    refused as ``singular_part`` refuses it, before any element is built."""
-    singular_part(M, n, limit)
+    refused as ``target_size`` refuses it, before any element is built."""
+    target_size(M, n, "singular", limit)
     ctx = WreathContext(M, n, "singular")
     return EnumeratedSemigroup(ctx.elements(), ctx.multiply)
 
 
 def e_wreath_target(M, n: int, limit: int = CLOSURE_LIMIT) -> EnumeratedSemigroup:
     """The idempotent-generated part of M wr T_n, identity included: the
-    closure of brute force's idempotents.  Refused with a CapacityError when
-    all of M wr T_n exceeds ``limit`` or brute force's bound."""
-    check_size(target_size(M, n, "full"), limit)
+    closure of brute force's idempotents; refused as ``target_size`` refuses
+    all of M wr T_n, before any idempotent is decided."""
+    size = target_size(M, n, "full", limit)
     ctx = WreathContext(M, n, "full")
-    return close(idempotent_elements(ctx), ctx.multiply, limit=ctx.size())
+    return close(idempotent_elements(ctx), ctx.multiply, limit=size)

@@ -20,9 +20,7 @@ import sys
 import time
 from functools import cache
 
-from .certify import (
-    check_size, e_wreath_target, singular_part, target_size, verify, wreath_sing_target,
-)
+from .certify import e_wreath_target, singular_part, target_size, verify, wreath_sing_target
 from .enumeration import (
     CLOSURE_LIMIT,
     SUBSET_BUDGET,
@@ -106,12 +104,12 @@ def _quote(text):
     return repr(text) if len(text) <= 100 else f"{len(text)} characters starting {text[:100]!r}"
 
 
-def _integer(text, name, most):
+def _integer(text, name, most, least="positive"):
     """``text`` read as int() reads it in base 10 (a sign, surrounding
     whitespace, single underscores between digits), or None where int() would
     refuse it.  A number past 100 significant digits is refused by its digit
     count before ``int``, which will not convert more than 4,300: as over
-    ``most``, or as negative, with ``name`` as the subject."""
+    ``most``, or as not ``least``, with ``name`` as the subject."""
     match = _INTEGER.fullmatch(text)
     if not match:
         return None
@@ -119,7 +117,7 @@ def _integer(text, name, most):
     # int() reads every Unicode decimal digit: in ASCII, the leading zeros strip
     digits = "".join(str(int(c)) for c in match[2] if c != "_").lstrip("0") or "0"
     if len(digits) > 100 and sign == "-":
-        raise ValueError(f"{name} must be positive, got a {len(digits)}-digit negative number")
+        raise ValueError(f"{name} must be {least}, got a {len(digits)}-digit negative number")
     if len(digits) > 100:
         raise ValueError(f"{name} must be at most {most}, got a {len(digits)}-digit number")
     return int(sign + digits)
@@ -137,12 +135,15 @@ def _degree(text):
     return n
 
 
-def _refuse_negative_budgets(args):
-    """A budget of 0 is kept (the run stops at once); a negative one is refused."""
-    for key in ("limit_nodes", "limit_elements", "limit_subsets"):
-        value = getattr(args, key, 0)
-        if value < 0:
-            raise ValueError(f"--{key.replace('_', '-')} must be at least 0, got {value}")
+def _budget(text, option):
+    """``text`` as a budget of at least 0 (at 0 the run stops at once), read as
+    -n is read: a refusal names ``option`` and quotes at most 100 characters."""
+    value = _integer(text, option, "a 100-digit number", "at least 0")
+    if value is None:
+        raise ValueError(f"{option} must be an integer, got " + _quote(text))
+    if value < 0:
+        raise ValueError(f"{option} must be at least 0, got {value}")
+    return value
 
 
 def _parse_n_list(text):
@@ -187,41 +188,40 @@ def cmd_idempotents(args):
     return (OK if verdict else NEGATIVE), parameters, result, {}
 
 
-def _e_wreath(M, n, limit):
-    target = e_wreath_target(M, n, limit)  # a closure: it has no closed form yet
-    return len(target), target.index.__contains__
-
-
-# family -> (presentation of M and n, closed-form size of its target, (size,
-# membership test) of its target under the element limit); only R takes no
-# monoid.  Entries look functions up by name when called, so a tracer's wrapper runs.
-_SINGULAR = (target_size, lambda M, n, limit: singular_part(M, n, limit))
+# family -> (presentation of M and n, the part of M wr T_n holding its target);
+# only R takes no monoid.  Emitters are looked up when called, so a tracer's wrapper runs.
 FAMILIES = {
-    "R": (lambda M, n: emit_R(n), *_SINGULAR),
-    "Rn": (lambda M, n: emit_Rn(M, n), *_SINGULAR),
-    "R2": (lambda M, n: emit_R2(M, n), *_SINGULAR),
-    "R1": (lambda M, n: emit_R1(M, n), *_SINGULAR),
-    "R1p": (lambda M, n: emit_R1p(M, n), *_SINGULAR),
-    "Emonoid": (lambda M, n: emit_E_wreath_monoid(M, n), lambda M, n: target_size(M, n, "full"),
-                _e_wreath),
+    "R": (lambda M, n: emit_R(n), "singular"),
+    "Rn": (lambda M, n: emit_Rn(M, n), "singular"),
+    "R2": (lambda M, n: emit_R2(M, n), "singular"),
+    "R1": (lambda M, n: emit_R1(M, n), "singular"),
+    "R1p": (lambda M, n: emit_R1p(M, n), "singular"),
+    "Emonoid": (lambda M, n: emit_E_wreath_monoid(M, n), "full"),
 }
 
 
 def cmd_verify(args):
+    node_limit = _budget(args.limit_nodes, "--limit-nodes")
+    limit = _budget(args.limit_elements, "--limit-elements")
     M = resolve_monoid(args.monoid) if args.monoid else None
     n = _degree(args.n)
     if M is None and args.family != "R":
         raise PreconditionError(f"family {args.family} needs a monoid")
-    presentation, size, target = FAMILIES[args.family]
-    if n < 2:  # the emitters' own refusal, ahead of the size check that needs a part
+    presentation, part = FAMILIES[args.family]
+    if n < 2:  # the emitters' own refusal, ahead of the target's
         raise ValueError("n must be at least 2")
     if M is not None and args.family == "R":
         raise PreconditionError("family R takes no monoid")
-    # the target's own size check, ahead of the emitter: R emits Theta(n^4) relations
-    check_size(size(M, n), args.limit_elements)
+    # every refusal of the target, ahead of the emitter: R emits Theta(n^4) relations
+    target_size(M, n, part, limit)
     p = presentation(M, n)
     emap = standard_map(p, M)
-    v = verify(p, emap, *target(M, n, args.limit_elements), node_limit=args.limit_nodes)
+    if part == "singular":
+        size, contains = singular_part(M, n, limit)
+    else:  # the Emonoid target is a closure: it has no closed form yet
+        target = e_wreath_target(M, n, limit)
+        size, contains = len(target), target.index.__contains__
+    v = verify(p, emap, size, contains, node_limit=node_limit)
     verdict = v.to_dict()
     result = {
         "family": args.family,
@@ -236,11 +236,13 @@ def cmd_verify(args):
     counters = {key: verdict[key] for key in ("nodes_allocated", "coincidences_processed")
                 if key in verdict}
     parameters = {"family": args.family, "monoid": args.monoid, "n": n,
-                  "limit_nodes": args.limit_nodes}
+                  "limit_nodes": node_limit}
     return (OK if v.ok else NEGATIVE), parameters, result, counters
 
 
 def cmd_rank(args):
+    limit = _budget(args.limit_elements, "--limit-elements")
+    budget = _budget(args.limit_subsets, "--limit-subsets")
     M = resolve_monoid(args.monoid)
     n = _degree(args.n)
     if n < 2:  # every mode's refusal, ahead of the brute target's own
@@ -255,9 +257,9 @@ def cmd_rank(args):
             status = "bounds"
     if args.mode in ("brute", "both"):
         ctx = WreathContext(M, n, "singular")
-        target = wreath_sing_target(M, n, limit=args.limit_elements)
-        found = brute_rank(target, target.elements, budget=args.limit_subsets)
-        idem = brute_rank(target, target.elements, idempotents_only=True, budget=args.limit_subsets)
+        target = wreath_sing_target(M, n, limit=limit)
+        found = brute_rank(target, target.elements, budget=budget)
+        idem = brute_rank(target, target.elements, idempotents_only=True, budget=budget)
         result["brute"] = {
             "rank": found[0] if found else None,
             "idrank": idem[0] if idem else None,
@@ -305,6 +307,7 @@ def _parse_elements(text):
 
 
 def cmd_gens(args):
+    limit = _budget(args.limit_elements, "--limit-elements")
     n = _degree(args.n)
     parameters = {"n": n, "edges": args.edges, "elements": args.elements, "confirm": args.confirm}
     result = {"n": n}
@@ -315,7 +318,7 @@ def cmd_gens(args):
         answer = gen
         if args.confirm:
             gens = [epsilon(n, i, j) for i, j in edges]
-            closure_answer = generates(gens, compose, *singular_part(None, n, args.limit_elements))
+            closure_answer = generates(gens, compose, *singular_part(None, n, limit))
             result["closure"] = {"generates": closure_answer}
             if closure_answer != gen:
                 result["error"] = "criterion and closure disagree"
@@ -326,7 +329,7 @@ def cmd_gens(args):
             if len(images) != n:
                 raise DegreeMismatch(len(images), n)
             gens.append(transformation(images))
-        answer = generates(gens, compose, *singular_part(None, n, args.limit_elements))
+        answer = generates(gens, compose, *singular_part(None, n, limit))
         result["closure"] = {"generates": answer}
     else:
         raise PreconditionError("either --edges or --elements is required")
@@ -367,15 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--monoid", default=None)
     p.add_argument("-n", default="3")
-    p.add_argument("--limit-nodes", type=int, default=NODE_LIMIT)
-    p.add_argument("--limit-elements", type=int, default=CLOSURE_LIMIT)
+    p.add_argument("--limit-nodes", default=str(NODE_LIMIT))
+    p.add_argument("--limit-elements", default=str(CLOSURE_LIMIT))
 
     p = command("rank", cmd_rank, "rank/idrank of M wr Sing_n by formula and brute force")
     p.add_argument("--monoid", required=True)
     p.add_argument("-n", default="2")
     p.add_argument("--mode", choices=("formula", "brute", "both"), default="formula")
-    p.add_argument("--limit-elements", type=int, default=CLOSURE_LIMIT)
-    p.add_argument("--limit-subsets", type=int, default=SUBSET_BUDGET)
+    p.add_argument("--limit-elements", default=str(CLOSURE_LIMIT))
+    p.add_argument("--limit-subsets", default=str(SUBSET_BUDGET))
 
     p = command("gens", cmd_gens, "generation tests for the singular part")
     p.add_argument("-n", default="3")
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     given.add_argument("--edges", default=None, help='idempotent edges "i:j,k:l,..."')
     given.add_argument("--elements", default=None, help="JSON list of image lists")
     p.add_argument("--confirm", action="store_true", help="also run the closure check")
-    p.add_argument("--limit-elements", type=int, default=CLOSURE_LIMIT)
+    p.add_argument("--limit-elements", default=str(CLOSURE_LIMIT))
     return parser
 
 
@@ -392,7 +395,6 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            _refuse_negative_budgets(args)
             started = time.monotonic()
             code, parameters, result, counters = args.func(args)
             _emit_report(args, parameters, result, counters, started)

@@ -151,6 +151,15 @@ class TestVerify:
         v = verify(p, EvaluationMap((), T1.multiply, identity=T1.identity), *sized(T1))
         assert (v.status, v.generated_size) == (status, generated)
 
+    def test_size_mismatch_reported(self, Z2):
+        # <g | g^4 = 1> onto Z2 by g -> g is sound and surjective, but it
+        # presents the cyclic group of order 4: 4 classes against 2 elements
+        g = Z2.labels.index("g")
+        p = Presentation("monoid", (Letter("g"),), (Relation((0,) * 4, (), "order"),), {})
+        v = verify(p, EvaluationMap((g,), Z2.multiply, Z2.identity), *sized(Z2))
+        assert (v.status, v.class_count, v.target_size) == ("size_mismatch", 4, 2)
+        assert v.to_dict()["soundness_failures"] == []
+
     def test_inconclusive_on_tiny_budget(self):
         p = emit_R(3)
         v = verify(p, standard_map(p), *sized(sing_target(3)), node_limit=10)
@@ -236,7 +245,7 @@ class TestTargets:
         assert e_wreath_target(M, 2).elements == want
 
     def test_standard_map_identity_only_for_emonoid(self, Z2):
-        for family, (presentation, _, _) in FAMILIES.items():
+        for family, (presentation, _) in FAMILIES.items():
             M = None if family == "R" else Z2
             emap = standard_map(presentation(M, 2), M)
             if family == "Emonoid":
@@ -252,7 +261,7 @@ class TestTargets:
 
         for target in (sing_target(3), wreath_sing_target(T2, 2), e_wreath_target(N3, 2)):
             assert all(map(plain, target.elements))
-        for family, (presentation, _, _) in FAMILIES.items():
+        for family, (presentation, _) in FAMILIES.items():
             M = None if family == "R" else Z2
             assert all(map(plain, standard_map(presentation(M, 2), M).images)), family
 

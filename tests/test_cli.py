@@ -128,6 +128,30 @@ class TestVerifyCommand:
             f"the target's size, {24**24 - factorial(24)}, is over the element limit 1000000"
         )
 
+    @pytest.mark.parametrize("emitter, argv, message", [
+        ("emit_R", ["--family", "R", "-n", "9"], "degree 9 outside supported range 1..7"),
+        ("emit_E_wreath_monoid", ["--family", "Emonoid", "--monoid", "@Z2", "-n", "12"],
+         f"the brute-force size, {2**12 * 12**12}, is over its bound 1000000"),
+        # the target's refusal comes ahead of the emitter's hypothesis: RZ1's
+        # L-classes form no chain, and <E(N3)> is not {1} u (N3 \ G)
+        ("emit_R1", ["--family", "R1", "--monoid", "@RZ1", "-n", "8"],
+         "degree 8 outside supported range 1..7"),
+        ("emit_E_wreath_monoid", ["--family", "Emonoid", "--monoid", "@N3", "-n", "6"],
+         f"the brute-force size, {3**6 * 6**6}, is over its bound 1000000"),
+    ], ids=["R", "Emonoid", "R1-off-chain", "Emonoid-off-hypothesis"])
+    def test_target_refused_before_emitting(self, capsys, monkeypatch, emitter, argv, message):
+        # a limit that admits the size leaves the degree and brute-force
+        # bounds, which verify checks before it emits
+        from wreathbench import cli
+
+        def refuse(*args):
+            raise AssertionError("presentation emitted")
+
+        monkeypatch.setattr(cli, emitter, refuse)
+        code, report = run_json(capsys, "verify", *argv, "--limit-elements", str(10**30))
+        assert code == 2
+        assert report == {"error": "CapacityError", "message": message}
+
     def test_emonoid_precondition_before_enumerating(self, capsys, monkeypatch):
         # |N3 wr T_4| is within the limit, so the emitter's precondition
         # refuses, and the target is never built
@@ -587,6 +611,22 @@ class TestNoTargetList:
                           "message": "degree 8 outside supported range 1..7"}
 
 
+class TestRefusalMessages:
+    """Refusals of malformed or incomplete command lines, each in its exact text."""
+
+    @pytest.mark.parametrize("argv, error, message", [
+        (["idempotents", "--monoid", "@Z2", "-n", ","], "ValueError", "no degree given"),
+        (["gens", "-n", "3"], "PreconditionError", "either --edges or --elements is required"),
+        (["gens", "-n", "3", "--edges", "1:5"], "ValueError", "edge (1,5) out of range 1..3"),
+        (["verify", "--family", "R2", "-n", "2"], "PreconditionError",
+         "family R2 needs a monoid"),
+    ], ids=["no-degree", "no-generators", "edge-range", "no-monoid"])
+    def test_envelope(self, capsys, argv, error, message):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report == {"error": error, "message": message}
+
+
 class TestReports:
     def test_deterministic_modulo_wall_time(self, capsys):
         _, a = run_json(capsys, "verify", "--family", "R", "-n", "2")
@@ -870,6 +910,30 @@ class TestNegativeBudgets:
         assert code == 1
         assert report["result"]["verdict"]["status"] == "inconclusive"
         assert report["counters"]["nodes_allocated"] == 1
+
+
+class TestBudgetValues:
+    """A budget is read as -n is: a value that is not an integer is quoted in
+    part, and one past 100 digits is named by its digit count, in an envelope
+    of a few hundred bytes at most."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "R", "-n", "3", "--limit-nodes"],
+        ["verify", "--family", "R", "-n", "3", "--limit-elements"],
+        ["gens", "-n", "3", "--elements", "[[1,1,2]]", "--limit-elements"],
+        ["rank", "--monoid", "@Z2", "-n", "2", "--mode", "brute", "--limit-subsets"],
+    ], ids=["nodes", "elements", "gens", "subsets"])
+    @pytest.mark.parametrize("value, message", [
+        ("1" * 5000, "must be at most a 100-digit number, got a 5000-digit number"),
+        ("-" + "1" * 5000, "must be at least 0, got a 5000-digit negative number"),
+        ("x", "must be an integer, got 'x'"),
+        ("x" * 500, "must be an integer, got 500 characters starting " + repr("x" * 100)),
+    ], ids=["long", "long-negative", "x", "long-text"])
+    def test_refused(self, capsys, argv, value, message):
+        code, out = run(capsys, *argv, value)
+        assert code == 2
+        assert json.loads(out) == {"error": "ValueError", "message": f"{argv[-1]} {message}"}
+        assert len(out.encode()) < 300
 
 
 def test_out_of_memory_is_one_envelope(capsys, monkeypatch):

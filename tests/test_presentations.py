@@ -437,6 +437,21 @@ class TestSharedTrie:
             p.relations = ()
 
 
+class TestPresentationRefusals:
+    @pytest.mark.parametrize("kind, relations, message", [
+        ("group", (), "unknown kind 'group'"),
+        ("semigroup", (Relation((0,), (), "unit"),), "empty word in semigroup relation unit"),
+        # a letter index outside the alphabet would make Todd-Coxeter read
+        # another node's row of its table
+        ("monoid", (Relation((0, 1), (0,), "r"),), "relation r references missing letter 1"),
+        ("monoid", (Relation((0,), (-1,), "r"),), "relation r references missing letter -1"),
+    ], ids=["kind", "empty", "past", "negative"])
+    def test_refused(self, kind, relations, message):
+        with pytest.raises(ValueError) as exc:
+            Presentation(kind, (Letter("x"),), relations)
+        assert str(exc.value) == message
+
+
 class TestTablePresentation:
     def test_b01(self, B01):
         p, gens = table_presentation(B01)
