@@ -1,8 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
-from wreathbench import emit_R, emit_R1p, emit_R2, table_presentation, todd_coxeter
+from wreathbench import (
+    emit_E_wreath_monoid, emit_R, emit_R1p, emit_R2, emit_Rn, fixture, table_presentation,
+    todd_coxeter,
+)
 from wreathbench.presentations import Presentation, Relation, Letter
 from wreathbench.todd_coxeter import _pairs
 
@@ -13,6 +17,24 @@ REFERENCE_CASES = [(f"{fam}-{name}-{n}", p) for fam, name, n, p, _ in _matrix()]
     ("R-3", emit_R(3)),
     ("R-4", emit_R(4)),
 ]
+
+
+# (class_count, nodes_allocated, coincidences_processed): the enumeration
+# schedule, which renumbering the live rows must leave exactly as it was
+SCHEDULES = [
+    ("R-3", lambda: emit_R(3), (21, 34, 12)),
+    ("R-4", lambda: emit_R(4), (232, 863, 630)),
+    ("R-5", lambda: emit_R(5), (3005, 25937, 22931)),
+    ("R1p-Z3-3", lambda: emit_R1p(fixture("@Z3"), 3), (567, 4270, 3702)),
+    ("Rn-Z2-3", lambda: emit_Rn(fixture("@Z2"), 3), (168, 265, 96)),
+    ("R2-Z2-3", lambda: emit_R2(fixture("@Z2"), 3), (168, 897, 728)),
+    ("Emonoid-Z2-3", lambda: emit_E_wreath_monoid(fixture("@Z2"), 3), (169, 838, 669)),
+]
+
+
+@pytest.fixture(scope="module")
+def R5():
+    return emit_R(5)
 
 
 def shuffled(p, seed):
@@ -211,6 +233,17 @@ class TestBounds:
         res = todd_coxeter(emit_R(3), node_limit=full.nodes_allocated - 1)
         assert (res.status, res.nodes_allocated) == ("bound_exceeded", full.nodes_allocated)
 
+    @pytest.mark.parametrize("limit, want", [
+        (20000, ("bound_exceeded", 20001, 16245)),
+        (25936, ("bound_exceeded", 25937, 22928)),
+        (25937, ("certified", 25937, 22931)),
+    ])
+    def test_node_limit_kept_after_compactions(self, R5, limit, want):
+        # R at n=5 compacts its table 4 times before node 20,000 and 6 times
+        # before node 25,936
+        res = todd_coxeter(R5, node_limit=limit)
+        assert (res.status, res.nodes_allocated, res.coincidences_processed) == want
+
     def test_dropped_relation_diverges_or_grows(self):
         # removing one absorption relation can only coarsen upward
         p = emit_R(3)
@@ -220,6 +253,26 @@ class TestBounds:
         )
         res = todd_coxeter(q, node_limit=3000)
         assert res.status == "bound_exceeded" or res.class_count >= 21
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("make, want", [case[1:] for case in SCHEDULES],
+                             ids=[case[0] for case in SCHEDULES])
+    def test_counters(self, make, want):
+        res = todd_coxeter(make())
+        assert (res.class_count, res.nodes_allocated, res.coincidences_processed) == want
+
+    def test_dead_rows_compacted(self, R5):
+        # R at n=5 allocates 25,937 rows but never has more than 4,028 live;
+        # a table that keeps its dead rows peaks near 6 MB here
+        R5.trie  # the presentation's own memory, built before the measurement
+        tracemalloc.start()
+        try:
+            todd_coxeter(R5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestAgainstReference:
