@@ -84,15 +84,16 @@ def verify(p: Presentation, emap: EvaluationMap, size: int, contains,
 
 
 def _walk(p: Presentation, emap: EvaluationMap, graph: list) -> int:
-    """The number of distinct values on the word graph's nodes, a semigroup's
+    """The number of distinct values on the nodes of the word graph, one
+    column per letter with ``graph[c][node]`` the edge node.c, a semigroup's
     root not counted; raises InternalError at an edge that disagrees."""
-    na, images = len(p.letters), emap.images
     value = {0: emap.identity if p.kind == "monoid" else None}
     queue = [0]
     for node in queue:  # the queue grows as it is walked: breadth-first
         here = value[node]
-        for c, end in enumerate(graph[node * na:node * na + na]):
-            there = images[c] if here is None else emap.multiply(here, images[c])
+        for c, (image, col) in enumerate(zip(emap.images, graph)):
+            end = col[node]
+            there = image if here is None else emap.multiply(here, image)
             if end not in value:
                 value[end] = there
                 queue.append(end)

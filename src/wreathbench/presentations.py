@@ -25,6 +25,7 @@ from .transformations import compose, epsilon, identity, index_pairs
 from .wreath import WreathContext, eps_a, eps_ab, eps_elem, power_with_shuffle
 
 ALPHABET_LIMIT = 4096
+RELATION_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -472,9 +473,13 @@ def emit_semidirect(base: Presentation, M: EnumeratedSemigroup, action) -> Prese
     ``action(x, a)`` is the action of base letter x on M: every letter gets
     one decorated copy per monoid element; base relations are decorated on
     their first letter, and a product of two decorated letters folds the
-    action into the first one."""
+    action into the first one.  More than RELATION_LIMIT relations are
+    refused before the action is checked or any letter is made."""
     if base.kind != "semigroup":
         raise ValueError("semidirect construction starts from a semigroup presentation")
+    count = len(base.relations) * M.order + (len(base.letters) * M.order) ** 2  # RM1 + RM2
+    if count > RELATION_LIMIT:
+        raise CapacityError(f"relations over the limit {RELATION_LIMIT}", count=count)
     validate_letter_action(M, base, action)
     one = M.identity
     letters = []

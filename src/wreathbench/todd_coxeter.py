@@ -43,8 +43,8 @@ allocated, the same coincidences processed and the same node-limit stop
 reached; only the numbers differ, by the order-preserving map.  Each
 compaction drops more rows than it keeps, and a row is dropped once, so the
 compactions rewrite fewer rows in all than the run allocates.  A last
-compaction after the sweep gives the word graph ``graph``: the live rows,
-root first, as one flat list of ``na`` edges per row.
+compaction after the sweep leaves the columns over the live rows only, the
+root's first: these columns are the word graph ``graph``.
 
 A semigroup presentation is enumerated as a monoid presentation whose root
 node (the empty word) can never coincide with a non-empty class, and the
@@ -72,7 +72,7 @@ class TCResult:
     class_count: int | None
     nodes_allocated: int
     coincidences_processed: int
-    graph: list | None = None  # on success: na edges per live row, the root's first
+    graph: list | None = None  # on success: graph[c][x] is the edge x.c, row 0 the root
 
 
 def _pairs(ends):
@@ -191,6 +191,5 @@ def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
         return TCResult("bound_exceeded", None, allocated, coinc)
 
     compact()
-    graph = [v for row in zip(*cols) for v in row]
     count = len(parent) if p.kind == "monoid" else len(parent) - 1
-    return TCResult("certified", count, allocated, coinc, graph)
+    return TCResult("certified", count, allocated, coinc, cols)

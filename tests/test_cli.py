@@ -128,6 +128,28 @@ class TestVerifyCommand:
             f"the target's size, {24**24 - factorial(24)}, is over the element limit 1000000"
         )
 
+    def test_rn_relation_budget_refused_before_emitting(self):
+        # Rn over T2 at n=4 passes the target (59,392 elements) and alphabet
+        # (3,072 letters) checks, but its semidirect construction would write
+        # 9,480,192 relations; the run is held to 200 MB of address space, so
+        # building them fails the test as a MemoryError in seconds
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (200 * 2**20, 200 * 2**20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "wreathbench.cli",
+             "verify", "--family", "Rn", "--monoid", "@T2", "-n", "4"],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout) == {
+            "error": "CapacityError",
+            "message": "relations over the limit 1000000 (reached 9480192)",
+        }
+
     @pytest.mark.parametrize("emitter, argv, message", [
         ("emit_R", ["--family", "R", "-n", "9"], "degree 9 outside supported range 1..7"),
         ("emit_E_wreath_monoid", ["--family", "Emonoid", "--monoid", "@Z2", "-n", "12"],
@@ -193,15 +215,15 @@ class TestVerifyCommand:
     def test_word_graph_edge_against_the_map_is_internal_error(self, capsys, monkeypatch):
         # Todd-Coxeter only identifies words that a sound map also identifies,
         # so an edge that disagrees with the map is a program fault: force one
-        # by pointing the last edge of R's word graph at the root, which has no
-        # value in a semigroup
+        # by pointing the last row of the last column of R's word graph at the
+        # root, which has no value in a semigroup
         from wreathbench import certify
 
         original = certify.todd_coxeter
 
         def corrupted(p, node_limit):
             res = original(p, node_limit=node_limit)
-            res.graph[-1] = 0
+            res.graph[-1][-1] = 0
             return res
 
         monkeypatch.setattr(certify, "todd_coxeter", corrupted)

@@ -119,6 +119,33 @@ class TestEmitRn:
             emit_Rn(Z2, 7)
         assert exc.value.count == 5376
 
+    def test_relation_budget_refused_before_the_action_is_checked(self, monkeypatch):
+        from wreathbench import presentations
+        from wreathbench.errors import CapacityError
+
+        def refuse(*args):
+            raise AssertionError("the action checked before the relation budget")
+
+        # R at n=4 has 12 letters and 168 relations; T2^4 has 256 elements:
+        # 168 * 256 + (12 * 256)^2 relations
+        monkeypatch.setattr(presentations, "validate_letter_action", refuse)
+        with pytest.raises(CapacityError) as exc:
+            emit_Rn(fixture("@T2"), 4)
+        assert exc.value.count == 9_480_192
+        assert str(exc.value) == "relations over the limit 1000000 (reached 9480192)"
+
+    def test_relation_budget_kept_to_the_unit(self, Z2, monkeypatch):
+        from wreathbench import presentations
+        from wreathbench.errors import CapacityError
+
+        # R at n=3 has 6 letters and 36 relations; Z2^3 has 8 elements
+        monkeypatch.setattr(presentations, "RELATION_LIMIT", 2592)
+        assert len(emit_Rn(Z2, 3).relations) == 36 * 8 + (6 * 8) ** 2 == 2592
+        monkeypatch.setattr(presentations, "RELATION_LIMIT", 2591)
+        with pytest.raises(CapacityError) as exc:
+            emit_Rn(Z2, 3)
+        assert exc.value.count == 2592
+
     def test_mutation_detected(self, Z2):
         p = emit_Rn(Z2, 2)
         corrupt_and_detect(p, standard_map(p, Z2))

@@ -48,12 +48,12 @@ def with_relations(p, relations):
     return Presentation(p.kind, p.letters, tuple(relations), dict(p.provenance))
 
 
-def _closed(parent, tab, na, steps, ends):
-    """Reference finishing check: whether every live row of the table is
-    complete, and both sides of every relation reach the same node from
-    every live node.  The live nodes are renumbered, each letter's edges
-    become one column of representatives, and the trie is walked for 256
-    live nodes at a time, one list per trie node."""
+def _closed(parent, cols, steps, ends):
+    """Reference finishing check: whether every live row of the table, one
+    column per letter, is complete, and both sides of every relation reach
+    the same node from every live node.  The live nodes are renumbered, each
+    column is read at them as representatives, and the trie is walked for
+    256 live nodes at a time, one list per trie node."""
     rep = []
     live = []
     for x, p in enumerate(parent):  # parent[x] <= x: a merge keeps the smaller node
@@ -63,9 +63,8 @@ def _closed(parent, tab, na, steps, ends):
         else:
             rep.append(rep[p])
     columns = []
-    for c in range(na):
-        column = tab[c::na]
-        column = [column[x] for x in live]
+    for col in cols:
+        column = [col[x] for x in live]
         if -1 in column:
             return False
         columns.append([rep[v] for v in column])
@@ -293,9 +292,10 @@ class TestAgainstReference:
             res = todd_coxeter(q)
             assert (res.status, res.class_count) == want
             rows = res.class_count + (q.kind != "monoid")
-            assert len(res.graph) == rows * na
+            assert len(res.graph) == na
+            assert all(len(col) == rows for col in res.graph)
             steps, ends = q.trie
-            assert _closed(list(range(rows)), res.graph, na, steps, _pairs(ends)[0])
+            assert _closed(list(range(rows)), res.graph, steps, _pairs(ends)[0])
 
 
 class TestClosed:
@@ -305,7 +305,7 @@ class TestClosed:
     def closed(tab, parent=None):
         p = Presentation("monoid", (Letter("a"),), (Relation((0, 0), (), "inv"),), {})
         steps, ends = p.trie
-        return _closed(parent or list(range(len(tab))), tab, 1, steps, ends)
+        return _closed(parent or list(range(len(tab))), [tab], steps, ends)
 
     def test_complete_table_satisfying_the_relation(self):
         assert self.closed([1, 0])
