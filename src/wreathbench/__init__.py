@@ -4,7 +4,6 @@ presentations."""
 
 from .certify import Verdict, e_wreath_target, sing_target, verify, wreath_sing_target
 from .enumeration import (
-    RankReport,
     brute_rank,
     close,
     generates,

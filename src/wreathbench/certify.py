@@ -38,10 +38,6 @@ class Verdict:
     failures: list = field(default_factory=list)
     tc: TCResult | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "certified"
-
     def to_dict(self) -> dict:
         out = {
             "status": self.status,

@@ -237,7 +237,7 @@ def cmd_verify(args):
                 if key in verdict}
     parameters = {"family": args.family, "monoid": args.monoid, "n": n,
                   "limit_nodes": node_limit}
-    return (OK if v.ok else NEGATIVE), parameters, result, counters
+    return (OK if v.status == "certified" else NEGATIVE), parameters, result, counters
 
 
 def cmd_rank(args):
@@ -251,9 +251,8 @@ def cmd_rank(args):
     verdict = True
     status = "ok"
     if args.mode in ("formula", "both"):
-        report = rank_formulas(M, n)
-        result["formula"] = report.to_dict()
-        if report.exact_rank is None:
+        result["formula"] = rank_formulas(M, n)
+        if result["formula"]["exact_rank"] is None:
             status = "bounds"
     if args.mode in ("brute", "both"):
         ctx = WreathContext(M, n, "singular")

@@ -8,7 +8,6 @@ deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb
 
 from .errors import CapacityError, ForeignElementError, PreconditionError
@@ -181,36 +180,18 @@ def brute_rank(
     return None
 
 
-@dataclass
-class RankReport:
-    lower: int
-    upper: int
-    exact_rank: int | None = None
-    exact_idrank: int | None = None
-    witness: tuple = field(default_factory=tuple)
-
-    def to_dict(self):
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact_rank": self.exact_rank,
-            "exact_idrank": self.exact_idrank,
-            "witness": list(self.witness),
-        }
-
-
-def rank_formulas(M: EnumeratedSemigroup, n: int) -> RankReport:
+def rank_formulas(M: EnumeratedSemigroup, n: int) -> dict:
     """Bounds for the minimal generating set of the singular wreath product,
-    plus exact rank/idrank whenever M/L is a chain (groups included)."""
+    plus exact rank/idrank whenever M/L is a chain (groups included), and an
+    empty witness; the exact values are None off the chain case."""
     if n < 2:
         raise ValueError("n must be at least 2")
     m = M.order
     g = len(units(M))
     pairs = comb(n, 2)
-    lower = (2 * m - g) * pairs
-    upper = m * m + 1 if n == 2 else m * m * pairs
-    report = RankReport(lower=lower, upper=upper)
+    report = {"lower": (2 * m - g) * pairs, "upper": m * m + 1 if n == 2 else m * m * pairs,
+              "exact_rank": None, "exact_idrank": None, "witness": []}
     if is_L_chain(M):
-        report.exact_rank = 2 if (n == 2 and m == 1) else (2 * m - g) * pairs
-        report.exact_idrank = 2 * m if (n == 2 and g == 1) else (2 * m - g) * pairs
+        report["exact_rank"] = 2 if (n == 2 and m == 1) else (2 * m - g) * pairs
+        report["exact_idrank"] = 2 * m if (n == 2 and g == 1) else (2 * m - g) * pairs
     return report

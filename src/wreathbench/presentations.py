@@ -16,12 +16,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import perm
 from typing import NamedTuple
 
 from .errors import ActionError, CapacityError, PreconditionError
 from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain
 from .monoids import EnumeratedSemigroup, submonoid, units
-from .transformations import compose, epsilon, identity, index_pairs
+from .transformations import compose, epsilon, identity
 from .wreath import WreathContext, eps_a, eps_ab, eps_elem, power_with_shuffle
 
 ALPHABET_LIMIT = 4096
@@ -130,24 +131,39 @@ def _ordered_tuples(n, k):
     return [t for t in itertools.permutations(range(1, n + 1), k)]
 
 
+def _refuse_alphabet(n, width):
+    """Refuse a degree n below 2, then an alphabet of more than
+    ALPHABET_LIMIT letters: the n(n-1) letters e(i,j) in ``width``
+    decorations each."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    size = n * (n - 1) * width
+    if size > ALPHABET_LIMIT:
+        raise CapacityError("alphabet too large", count=size)
+
+
+def _refuse_relations(count):
+    """Refuse a presentation of more than RELATION_LIMIT relations.  Every
+    emitter counts its relations in closed form and calls this after its
+    alphabet and hypothesis checks, before it builds a relation."""
+    if count > RELATION_LIMIT:
+        raise CapacityError(f"relations over the limit {RELATION_LIMIT}", count=count)
+
+
 def _alphabet(n, M=None, entries=0):
     """The letters e(i,j) over the ordered pairs, each carrying ``entries``
     monoid elements (none, a, or a and b; odometer order), with the index of
-    each key (i, j, *entries).  Every emitter builds its alphabet here before
-    it checks anything else, so a degree n below 2 is refused here first, and
-    then an alphabet of more than ALPHABET_LIMIT letters, before any letter."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    size = n * (n - 1) * (M.order**entries if entries else 1)
-    if size > ALPHABET_LIMIT:
-        raise CapacityError("alphabet too large", count=size)
+    each key (i, j, *entries).  Every emitter builds its alphabet here, or
+    refuses it by ``_refuse_alphabet``, before it checks anything else, so
+    these refusals come first, before any letter."""
+    _refuse_alphabet(n, M.order**entries if entries else 1)
     decorations = [
         (ent, ";" + ",".join(M.labels[a] for a in ent) if ent else "", tuple(zip("ab", ent)))
         for ent in itertools.product(range(M.order) if entries else (), repeat=entries)
     ]
     letters = []
     index = {}
-    for i, j in index_pairs(n):
+    for i, j in _ordered_tuples(n, 2):
         for ent, labels, params in decorations:
             index[(i, j) + ent] = len(letters)
             letters.append(Letter(f"e({i},{j}{labels})", (("i", i), ("j", j)) + params))
@@ -208,8 +224,10 @@ def emit_R(n: int) -> Presentation:
     idempotency/absorption, disjoint commutation, and the three- and
     four-index braid-like identities."""
     letters, L = _alphabet(n)
+    # R1 and R4 are chains, R2 and R6 run over four indices, R3 and R5 over three
+    _refuse_relations(2 * perm(n, 2) + 4 * perm(n, 3) + 2 * perm(n, 4))
     rels = []
-    for i, j in index_pairs(n):
+    for i, j in _ordered_tuples(n, 2):
         e, f = L[(i, j)], L[(j, i)]
         rels += _chain("R1", (e, e), (e,), (f, e))
     rels += _commuting(n, L, [()], "R2")
@@ -229,7 +247,7 @@ def emit_Rn(M: EnumeratedSemigroup, n: int) -> Presentation:
     on its first letter (``Rk_n``), plus the tuple-collapse family that
     rewrites a product of two decorated letters into a single decorated
     letter (``R7_n``)."""
-    size = len(index_pairs(n)) * M.order**n
+    size = len(_ordered_tuples(n, 2)) * M.order**n
     if size > ALPHABET_LIMIT:
         raise CapacityError("tuple alphabet too large", count=size)
     base = emit_R(n)
@@ -255,13 +273,15 @@ def emit_R2(M: EnumeratedSemigroup, n: int) -> Presentation:
     """Presentation over the generators carrying two monoid entries.  Sound
     for every monoid; certifies the wreath product at desk scale."""
     letters, L = _alphabet(n, M, 2)
+    m, p2, p3, p4 = M.order, perm(n, 2), perm(n, 3), perm(n, 4)
+    _refuse_relations((2 * p2 + 4 * p3 + p4) * m**4 + 2 * p3 * m**3 + p3 * m * m + p3 + p4)
     t = M.table
     one = M.identity
     ms = range(M.order)
     entries = list(itertools.product(ms, repeat=2))
     rels = []
     add = rels.append
-    for i, j in index_pairs(n):
+    for i, j in _ordered_tuples(n, 2):
         for a, b, c, d in itertools.product(ms, repeat=4):
             rels += _chain(
                 "R1_2",
@@ -305,7 +325,7 @@ def emit_R2(M: EnumeratedSemigroup, n: int) -> Presentation:
                 (L[(i, k, c, t[b][d])], L[(i, j, one, t[a][d])]),
                 (L[(j, k, a, b)], L[(i, j, c, d)]),
             )
-    rels += _braids(n, {(i, j): L[(i, j, one, one)] for i, j in index_pairs(n)}, "_2")
+    rels += _braids(n, {(i, j): L[(i, j, one, one)] for i, j in _ordered_tuples(n, 2)}, "_2")
     return Presentation(
         "semigroup", tuple(letters), tuple(rels), {"family": "R2", "monoid": M.name, "n": n}
     )
@@ -328,14 +348,20 @@ def emit_R1(M: EnumeratedSemigroup, n: int, force: bool = False) -> Presentation
         )
     t = M.table
     one = M.identity
-    ms = range(M.order)
+    m = M.order
+    ms = range(m)
+    # R1c_1 relates a and b for each c with ac = bc; R1d_1 takes each c with (ab)c = c
+    cancel = sum(k * k for c in ms for k in Counter(t[a][c] for a in ms).values())
+    fixed = [sum(t[x][c] == c for c in ms) for x in ms]
+    absorb = sum(fixed[ab] for row in t for ab in row)
+    _refuse_relations(perm(n, 2) * (2 * m * m + 1 + cancel + absorb) + _r1_common_relations(m, n))
     rels = []
     add = rels.append
-    for i, j in index_pairs(n):
+    for i, j in _ordered_tuples(n, 2):
         for a, b in itertools.product(ms, repeat=2):
             add(Relation((L[(i, j, a)], L[(i, j, b)]), (L[(i, j, a)],), "R1a_1"))
     rels += _r1b(M, n, L)
-    for i, j in index_pairs(n):
+    for i, j in _ordered_tuples(n, 2):
         for a, b, c in itertools.product(ms, repeat=3):
             if t[a][c] == t[b][c]:
                 add(
@@ -343,7 +369,7 @@ def emit_R1(M: EnumeratedSemigroup, n: int, force: bool = False) -> Presentation
                         (L[(j, i, a)], L[(i, j, c)]), (L[(j, i, b)], L[(i, j, c)]), "R1c_1"
                     )
                 )
-    for i, j in index_pairs(n):
+    for i, j in _ordered_tuples(n, 2):
         for a, b, c in itertools.product(ms, repeat=3):
             if t[t[a][b]][c] == c:
                 add(
@@ -353,7 +379,7 @@ def emit_R1(M: EnumeratedSemigroup, n: int, force: bool = False) -> Presentation
                         "R1d_1",
                     )
                 )
-    for i, j in index_pairs(n):
+    for i, j in _ordered_tuples(n, 2):
         add(Relation((L[(j, i, one)], L[(i, j, one)]), (L[(i, j, one)],), "R1e_1"))
     rels += _r1_common(M, n, L)
     return Presentation(
@@ -371,9 +397,19 @@ def _r1b(M: EnumeratedSemigroup, n: int, L) -> list[Relation]:
             (L[(j, i, one)], L[(i, j, M.table[a][b])]),
             "R1b_1",
         )
-        for i, j in index_pairs(n)
+        for i, j in _ordered_tuples(n, 2)
         for a, b in itertools.product(range(M.order), repeat=2)
     ]
+
+
+def _r1_common_relations(m, n):
+    """The number of relations _r1_common makes over a monoid of order m."""
+    return (perm(n, 4) + 4 * perm(n, 3)) * m * m + perm(n, 3) * m + perm(n, 3) + perm(n, 4)
+
+
+def _r1p_relations(m, n):
+    """The number of relations emit_R1p makes over a group of order m."""
+    return perm(n, 2) * (2 * m * m + m) + _r1_common_relations(m, n)
 
 
 def _r1_common(M: EnumeratedSemigroup, n: int, L) -> list[Relation]:
@@ -412,7 +448,7 @@ def _r1_common(M: EnumeratedSemigroup, n: int, L) -> list[Relation]:
                 (L[(i, k, ab)], L[(i, j, b)]),
                 (L[(j, k, a)], L[(i, j, b)]),
             )
-    rels += _braids(n, {(i, j): L[(i, j, one)] for i, j in index_pairs(n)}, "_1")
+    rels += _braids(n, {(i, j): L[(i, j, one)] for i, j in _ordered_tuples(n, 2)}, "_1")
     return rels
 
 
@@ -421,14 +457,16 @@ def emit_R1p(M: EnumeratedSemigroup, n: int) -> Presentation:
     the inverse form of the idempotency relation plus the product-merging
     relation."""
     letters, L = _alphabet(n, M, 1)
-    if len(units(M)) != M.order:
-        raise PreconditionError(f"base monoid {M.name or M.labels} is not a group")
     ms = range(M.order)
     e = M.identity
     inverse = {a: b for a, row in enumerate(M.table) for b, ab in enumerate(row) if ab == e}
+    # an element of a finite monoid with a right inverse is a unit
+    if len(inverse) != M.order:
+        raise PreconditionError(f"base monoid {M.name or M.labels} is not a group")
+    _refuse_relations(_r1p_relations(M.order, n))
     rels = []
     add = rels.append
-    for i, j in index_pairs(n):
+    for i, j in _ordered_tuples(n, 2):
         for a, b in itertools.product(ms, repeat=2):
             add(Relation((L[(i, j, a)], L[(i, j, b)]), (L[(i, j, a)],), "R1a'_1"))
         for a in ms:
@@ -477,9 +515,8 @@ def emit_semidirect(base: Presentation, M: EnumeratedSemigroup, action) -> Prese
     refused before the action is checked or any letter is made."""
     if base.kind != "semigroup":
         raise ValueError("semidirect construction starts from a semigroup presentation")
-    count = len(base.relations) * M.order + (len(base.letters) * M.order) ** 2  # RM1 + RM2
-    if count > RELATION_LIMIT:
-        raise CapacityError(f"relations over the limit {RELATION_LIMIT}", count=count)
+    # RM1 decorates each base relation, RM2 each pair of letters
+    _refuse_relations(len(base.relations) * M.order + (len(base.letters) * M.order) ** 2)
     validate_letter_action(M, base, action)
     one = M.identity
     letters = []
@@ -557,12 +594,16 @@ def emit_E_wreath_monoid(M: EnumeratedSemigroup, n: int) -> Presentation:
     its letter, and the empty word for the identity.
     """
     G = submonoid(M, units(M))
-    unit_part = emit_R1p(G, n)
+    _refuse_alphabet(n, G.order)  # the unit letters' refusals come first
     ok, wit = has_unit_complement_E(M)
     if not ok:
         raise PreconditionError(
             f"<E(M)> != {{1}} u (M \\ G); witness element {M.labels[wit]!r}", witness=wit
         )
+    g, b, p2 = G.order, M.order - G.order, perm(n, 2)
+    # Qbar and RC over the b letters of the base, the nabla families, the unit part
+    _refuse_relations((n + p2) * b * b + b * p2 * g * (n + 1 + g) + _r1p_relations(g, n))
+    unit_part = emit_R1p(G, n)
     E_mon = submonoid(M, {M.identity} | (set(range(M.order)) - set(G.elements)), name="E")
     base, gens = table_presentation(E_mon)
     base_images = [E_mon.elements[m] for m in gens]  # the M-index of each base letter
@@ -596,7 +637,7 @@ def emit_E_wreath_monoid(M: EnumeratedSemigroup, n: int) -> Presentation:
         Relation((at(x, i), at(y, j)), (at(y, j), at(x, i)), "RC")
         for x in range(nb)
         for y in range(nb)
-        for i, j in index_pairs(n)
+        for i, j in _ordered_tuples(n, 2)
     ]
     add = rels.append
     for lhs, rhs, tag in unit_part.relations:

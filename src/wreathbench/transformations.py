@@ -63,11 +63,6 @@ def epsilon(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-def index_pairs(n: int) -> list[tuple[int, int]]:
-    """All ordered pairs (i, j) with i != j, lexicographic."""
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-
-
 def part_size(n: int, part: str = "full") -> int:
     """Size of the "full" (n^n) or "singular" (n^n - n!) part of T_n."""
     if part not in ("full", "singular"):

@@ -159,9 +159,9 @@ def test_criterion_4_rank():
         rk = brute_rank(target, list(target.elements))
         idrk = brute_rank(target, list(target.elements), idempotents_only=True)
         report = rank_formulas(M, 2)
-        if not (rk and rk[0] == want_rank == report.exact_rank):
+        if not (rk and rk[0] == want_rank == report["exact_rank"]):
             failures.append(f"{name}: rank {rk} vs {want_rank}")
-        if not (idrk and idrk[0] == want_idrank == report.exact_idrank):
+        if not (idrk and idrk[0] == want_idrank == report["exact_idrank"]):
             failures.append(f"{name}: idrank {idrk} vs {want_idrank}")
     # the singular part itself at degree 3
     sing3 = close(rank_one_less_idempotents(3), compose)
@@ -176,9 +176,9 @@ def test_criterion_4_rank():
     target = close(ctx.elements(), ctx.multiply)
     report = rank_formulas(RZ1, 2)
     rk = brute_rank(target, list(target.elements))
-    if not (rk and rk[0] == 7 and report.lower <= 7 <= report.upper):
-        failures.append(f"@RZ1: rank {rk} vs 7 in [{report.lower}, {report.upper}]")
-    if report.exact_rank is not None:
+    if not (rk and rk[0] == 7 and report["lower"] <= 7 <= report["upper"]):
+        failures.append(f"@RZ1: rank {rk} vs 7 in [{report['lower']}, {report['upper']}]")
+    if report["exact_rank"] is not None:
         failures.append("@RZ1: unexpected exact value off the chain hypothesis")
     _finish(4, "rank and idempotent rank", failures)
 

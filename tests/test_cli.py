@@ -150,6 +150,37 @@ class TestVerifyCommand:
             "message": "relations over the limit 1000000 (reached 9480192)",
         }
 
+    @pytest.mark.parametrize("family, table, identity, count", [
+        # the min-semilattice on 0..99 with 99 as the identity, an L-chain
+        ("R1", [[min(i, j) for j in range(100)] for i in range(100)], 99, 1_403_302),
+        # the cyclic group of order 45: 4,050 letters, 4 * 45^4 relations
+        ("R2", [[(i + j) % 45 for j in range(45)] for i in range(45)], 0, 16_402_500),
+    ], ids=["R1-chain-100", "R2-Z45"])
+    def test_relation_budget_refused_before_emitting(self, tmp_path, family, table, identity,
+                                                     count):
+        # both pass the target and alphabet checks at n=2; under 200 MB of
+        # address space, building their relations fails as a MemoryError
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (200 * 2**20, 200 * 2**20))
+
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps(
+            {"elements": [str(i) for i in range(len(table))], "identity": identity, "table": table}
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wreathbench.cli",
+             "verify", "--family", family, "--monoid", str(path), "-n", "2"],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout) == {
+            "error": "CapacityError",
+            "message": f"relations over the limit 1000000 (reached {count})",
+        }
+
     @pytest.mark.parametrize("emitter, argv, message", [
         ("emit_R", ["--family", "R", "-n", "9"], "degree 9 outside supported range 1..7"),
         ("emit_E_wreath_monoid", ["--family", "Emonoid", "--monoid", "@Z2", "-n", "12"],

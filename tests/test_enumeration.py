@@ -288,29 +288,29 @@ class TestCoverSkip:
 class TestRankFormulas:
     def test_z2(self, Z2):
         r = rank_formulas(Z2, 2)
-        assert (r.exact_rank, r.exact_idrank) == (2, 2)
+        assert (r["exact_rank"], r["exact_idrank"]) == (2, 2)
 
     def test_b01(self, B01):
         r = rank_formulas(B01, 2)
-        assert (r.exact_rank, r.exact_idrank) == (3, 4)
+        assert (r["exact_rank"], r["exact_idrank"]) == (3, 4)
 
     def test_non_chain_bounds_only(self, RZ1):
         r = rank_formulas(RZ1, 2)
-        assert (r.lower, r.upper) == (5, 10)
-        assert r.exact_rank is None and r.exact_idrank is None
+        assert (r["lower"], r["upper"]) == (5, 10)
+        assert r["exact_rank"] is None and r["exact_idrank"] is None
 
     def test_trivial_monoid_cases(self, T1):
-        assert rank_formulas(T1, 2).exact_rank == 2
-        assert rank_formulas(T1, 2).exact_idrank == 2
-        assert rank_formulas(T1, 3).exact_rank == 3
+        assert rank_formulas(T1, 2)["exact_rank"] == 2
+        assert rank_formulas(T1, 2)["exact_idrank"] == 2
+        assert rank_formulas(T1, 3)["exact_rank"] == 3
 
     def test_upper_bound_shape(self, Z3):
-        assert rank_formulas(Z3, 2).upper == 10
-        assert rank_formulas(Z3, 3).upper == 27
+        assert rank_formulas(Z3, 2)["upper"] == 10
+        assert rank_formulas(Z3, 3)["upper"] == 27
 
     def test_lower_bounds_any_witness(self, Z2, B01):
         for M in (Z2, B01):
             ctx = WreathContext(M, 2, "singular")
             target = close(ctx.elements(), ctx.multiply)
             k, _ = brute_rank(target, list(target.elements))
-            assert rank_formulas(M, 2).lower <= k
+            assert rank_formulas(M, 2)["lower"] <= k

@@ -666,6 +666,72 @@ def test_alphabet_at_the_limit_is_built(name, entries, n):
     assert len(letters) <= ALPHABET_LIMIT
 
 
+# each emitter counts its relations in closed form and refuses more than
+# RELATION_LIMIT before it builds one; the fixtures each emitter accepts
+_BUDGETED = {  # family -> (emitter, fixtures)
+    "R": (lambda M, n: emit_R(n), [None]),
+    "Rn": (emit_Rn, ["@T1", "@Z2", "@Z3", "@B01", "@RZ1", "@T2", "@N3"]),
+    "R2": (emit_R2, ["@T1", "@Z2", "@Z3", "@B01", "@RZ1", "@T2", "@N3"]),
+    "R1": (emit_R1, ["@T1", "@Z2", "@Z3", "@B01", "@N3"]),
+    "R1p": (emit_R1p, ["@T1", "@Z2", "@Z3"]),
+    "Emonoid": (emit_E_wreath_monoid, ["@T1", "@Z2", "@Z3", "@B01", "@RZ1", "@T2"]),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "family, name", [(family, name) for family, (_, names) in _BUDGETED.items() for name in names]
+)
+def test_relation_budget_of_each_emitter_kept_to_the_unit(family, name, n, monkeypatch):
+    from wreathbench import presentations
+    from wreathbench.errors import CapacityError
+
+    emit = _BUDGETED[family][0]
+    M = fixture(name) if name else None
+    count = len(emit(M, n).relations)
+    monkeypatch.setattr(presentations, "RELATION_LIMIT", count)
+    assert len(emit(M, n).relations) == count
+
+    def refuse(*args):
+        raise AssertionError("a relation built before the relation budget")
+
+    if family == "Rn":  # Rn's relations are its base R's, decorated
+        base = emit_R(n)
+        monkeypatch.setattr(presentations, "emit_R", lambda n: base)
+    monkeypatch.setattr(presentations, "Relation", refuse)
+    monkeypatch.setattr(presentations, "RELATION_LIMIT", count - 1)
+    with pytest.raises(CapacityError) as exc:
+        emit(M, n)
+    assert exc.value.count == count
+    assert str(exc.value) == f"relations over the limit {count - 1} (reached {count})"
+
+
+# the hypothesis refusals come ahead of the relation budget
+@pytest.mark.parametrize("emit", [
+    lambda: emit_R1(fixture("@RZ1"), 2),
+    lambda: emit_R1p(fixture("@B01"), 2),
+    lambda: emit_E_wreath_monoid(fixture("@N3"), 2),
+], ids=["R1-off-chain", "R1p-off-group", "Emonoid-off-hypothesis"])
+def test_hypothesis_refused_before_the_relation_budget(emit, monkeypatch):
+    from wreathbench import presentations
+
+    monkeypatch.setattr(presentations, "RELATION_LIMIT", 0)
+    with pytest.raises(PreconditionError):
+        emit()
+
+
+@pytest.mark.parametrize("family", list(_WIDE_ALPHABETS))
+def test_alphabet_refused_before_the_relation_budget(family, monkeypatch):
+    from wreathbench import presentations
+    from wreathbench.errors import CapacityError
+
+    monkeypatch.setattr(presentations, "RELATION_LIMIT", 0)
+    emit, n, size = _WIDE_ALPHABETS[family]
+    with pytest.raises(CapacityError) as exc:
+        emit(n)
+    assert str(exc.value) == f"alphabet too large (reached {size})"
+
+
 # ---------------------------------------------------------------------------
 # ordered emissions
 
