@@ -15,11 +15,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, reduce
 from math import comb
+from operator import and_
 
 from .errors import CapacityError, DegreeMismatch, format_count
 from .monoids import EnumeratedSemigroup, power_monoid
-from .transformations import enumerate_Tn, epsilon, identity, is_permutation, part_size
+from .transformations import enumerate_Tn, epsilon, identity, part_size
 
 # Brute force caps the part at this many elements, which bounds its worst
 # case: a monoid whose tuples all pass decides each of them coordinate by
@@ -167,57 +169,65 @@ def _count_formula(ctx: WreathContext) -> int:
 
 
 def _count_brute(ctx: WreathContext) -> int:
-    return sum(len(tuples) for _, tuples in _idempotent_pairs(ctx))
+    return sum(len(xs) for _, _, values in _idempotent_search(ctx) for xs in values)
 
 
 def idempotent_elements(ctx: WreathContext) -> list[tuple[int, ...]]:
-    """The idempotents in element order, built from the pairs that
-    ``_idempotent_pairs`` decides."""
-    return [tup + t for t, tuples in _idempotent_pairs(ctx) for tup in tuples]
+    """The idempotents in element order, expanded from ``_idempotent_search``."""
+    return [prefix + (x,) + t for t, prefixes, values in _idempotent_search(ctx)
+            for prefix, xs in zip(prefixes, values) for x in xs]
 
 
-def _idempotent_pairs(ctx: WreathContext):
-    """Yield (t, tuples) for every idempotent transformation t of the part,
-    in element order, where ``tuples`` lists in ascending order every tuple a
-    with (a, t) idempotent, that is a_i a_{it} = a_i in every coordinate i.
-    No other map is visited and no element is built: the tuples grow one
-    coordinate at a time like the maps, each surviving prefix extended by
-    every element of M, and a new prefix is kept only if it passes each pair
-    (i, it) that its last coordinate completes.  Refused with a CapacityError
-    when the part has more than BRUTE_ELEMENT_BOUND elements."""
+def _idempotent_search(ctx: WreathContext):
+    """Yield (t, prefixes, values) for every idempotent map t of the part, in
+    element order: (a, t) is idempotent, a_i a_{it} = a_i in every coordinate
+    i, for the tuples a = prefix + (x,), each prefix ascending and each x of
+    its ascending list in ``values``.  No element is built, and a part of
+    more than BRUTE_ELEMENT_BOUND elements is refused before any map grows.
+
+    The map and its tuples grow together depth-first, point by point: k goes
+    to itself, or, while no smaller point goes to k, to a smaller fixed point
+    or to a larger point, which is then fixed in its turn.  k's image
+    completes every pair (i, it) with max(i, it) = k, so the tuple prefixes
+    that survive coordinates 1..k depend on t's first k points alone and are
+    shared by every map that extends them.  Coordinate k's values intersect
+    bit masks made once per monoid: the idempotents if k is fixed, {a : ab = a}
+    if k goes to a smaller point of value b, and {b : xb = x} for each smaller
+    point, of value x, that goes to k."""
     check_brute_size(ctx.size())  # sized before any map is grown
     table = ctx.base.table
     ms = range(ctx.base.order)
     n = ctx.degree
-    for t in _idempotent_maps(n, ctx.part):
-        completes = [[] for _ in range(n)]  # k -> the pairs (i, it) with max(i, it) = k
-        for i, v in enumerate(t):
-            completes[max(i, v - 1)].append((i, v - 1))
-        prefixes = [()]
-        for pairs in completes:
-            grown = []
-            for prefix in prefixes:
-                for a in ms:
-                    tup = prefix + (a,)
-                    for i, j in pairs:
-                        if table[tup[i]][tup[j]] != tup[i]:
-                            break
-                    else:
-                        grown.append(tup)
-            prefixes = grown
-        yield t, prefixes
 
+    @cache
+    def members(mask):  # its set bits, ascending: one list per mask, shared
+        return [a for a in ms if mask >> a & 1]
 
-def _idempotent_maps(n: int, part: str) -> list[tuple[int, ...]]:
-    """The idempotent maps of the part of T_n in lexicographic order, grown
-    point by point, so the n^n maps are never walked: k goes to itself, or,
-    while no smaller point goes to k, to a smaller fixed point or to a larger
-    point, which is then fixed in its turn."""
-    maps = [()]
-    for k in range(1, n + 1):
-        maps = [t + (v,) for t in maps for v in ((k,) if k in t else range(1, n + 1))
-                if v >= k or t[v - 1] == v]
-    return [t for t in maps if not is_permutation(t)] if part == "singular" else maps
+    idempotent = sum(1 << a for a in ms if table[a][a] == a)
+    onto = [members(sum(1 << a for a in ms if table[a][b] == a)) for b in ms]  # {a : ab = a}
+    fixing = [sum(1 << b for b in ms if row[b] == x) for x, row in enumerate(table)]  # {b : xb = x}
+    fixed = [members(idempotent & mask) for mask in fixing]
+    skip = identity(n) if ctx.part == "singular" else None  # the one idempotent permutation
+
+    def grow(t, prefixes):
+        k = len(t)  # the point being mapped is k + 1
+        into = [i for i, v in enumerate(t) if v == k + 1]
+        for v in (k + 1,) if into else [v for v in range(1, n + 1) if v > k or t[v - 1] == v]:
+            if v <= k:
+                values = [onto[p[v - 1]] for p in prefixes]
+            elif len(into) == 1:
+                values = [fixed[p[into[0]]] for p in prefixes]
+            elif into:
+                values = [members(reduce(and_, [fixing[p[i]] for i in into], idempotent))
+                          for p in prefixes]
+            else:
+                values = [members(idempotent) if v == k + 1 else ms] * len(prefixes)
+            if k + 1 < n:
+                yield from grow(t + (v,), [p + (x,) for p, xs in zip(prefixes, values) for x in xs])
+            elif t + (v,) != skip:
+                yield t + (v,), prefixes, values
+
+    return grow((), [()])
 
 
 def power_with_shuffle(M: EnumeratedSemigroup, n: int, transformations):

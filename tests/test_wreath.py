@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -20,7 +21,7 @@ from wreathbench import (
 from wreathbench import wreath
 from wreathbench.errors import CapacityError, PreconditionError
 from wreathbench.monoids import FIXTURES
-from wreathbench.transformations import enumerate_Tn, identity
+from wreathbench.transformations import enumerate_Tn, identity, is_permutation
 from wreathbench.wreath import MAX_FORMULA_DEGREE, idempotent_elements
 
 from conftest import gen_family, is_idempotent, monoid_census, pair_multiply, sigma_membership
@@ -49,6 +50,23 @@ def _idempotents_by_filter(ctx):
     """Reference for the brute count and the listing: every element built,
     then filtered by the per-element definition."""
     return [x for x in ctx.elements() if ctx.multiply(x, x) == x]
+
+
+def _idempotent_maps(n, part):
+    """Reference for the maps brute force visits: the idempotent maps of the
+    part of T_n in lexicographic order, grown point by point, so the n^n maps
+    are never walked: k goes to itself, or, while no smaller point goes to k,
+    to a smaller fixed point or to a larger point, which is then fixed in its
+    turn."""
+    maps = [()]
+    for k in range(1, n + 1):
+        maps = [t + (v,) for t in maps for v in ((k,) if k in t else range(1, n + 1))
+                if v >= k or t[v - 1] == v]
+    return [t for t in maps if not is_permutation(t)] if part == "singular" else maps
+
+
+def _searched_maps(M, n, part):
+    return [t for t, _, _ in wreath._idempotent_search(WreathContext(M, n, part))]
 
 
 @lru_cache(maxsize=None)
@@ -218,9 +236,10 @@ class TestIdempotents:
     def test_pairs_one_per_idempotent_transformation(self, T2, part):
         # the all-identity tuple passes over every idempotent t, so each
         # appears, in element order, with its tuples ascending
-        pairs = list(wreath._idempotent_pairs(WreathContext(T2, 3, part)))
-        assert [t for t, _ in pairs] == [t for t in enumerate_Tn(3, part) if is_idempotent(t)]
-        for _, tuples in pairs:
+        found = list(wreath._idempotent_search(WreathContext(T2, 3, part)))
+        assert [t for t, _, _ in found] == [t for t in enumerate_Tn(3, part) if is_idempotent(t)]
+        for _, prefixes, values in found:
+            tuples = [p + (x,) for p, xs in zip(prefixes, values) for x in xs]
             assert (T2.identity,) * 3 in tuples
             assert tuples == sorted(set(tuples))
 
@@ -228,15 +247,23 @@ class TestIdempotents:
     def test_maps_equal_the_filtered_part(self, part):
         for n in range(1, 7):
             want = [t for t in enumerate_Tn(n, part) if is_idempotent(t)]
-            assert wreath._idempotent_maps(n, part) == want
+            assert _idempotent_maps(n, part) == want
+
+    @pytest.mark.parametrize("part", ["full", "singular"])
+    def test_search_visits_the_reference_maps(self, T1, T2, part):
+        # the maps do not depend on the monoid: T1 reaches the bound's degree
+        for n in range(1 if part == "full" else 2, 8):
+            assert _searched_maps(T1, n, part) == _idempotent_maps(n, part)
+        for n in range(2, 5):
+            assert _searched_maps(T2, n, part) == _idempotent_maps(n, part)
 
     def test_maps_at_degree7(self):
         # an idempotent fixes its image, a set of k points, and sends each of
         # the other 7 - k points into it; the identity is the one permutation
         count = sum(comb(7, k) * k ** (7 - k) for k in range(1, 8))
         assert count == 6322
-        assert len(wreath._idempotent_maps(7, "full")) == count
-        assert len(wreath._idempotent_maps(7, "singular")) == count - 1
+        assert len(_idempotent_maps(7, "full")) == count
+        assert len(_idempotent_maps(7, "singular")) == count - 1
 
     def test_brute_count_at_degree7_holds_no_T7(self, T1):
         # the maps are grown, so the 823,543 maps of T_7 are never held: the
@@ -278,12 +305,26 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("part", ["full", "singular"])
     def test_listing_equals_filter(self, part):
-        for M in _census_monoids(3) + _fixtures():
-            for n in (2, 3, 4):
-                ctx = WreathContext(M, n, part)
-                listed = idempotent_elements(ctx)
-                assert listed == _idempotents_by_filter(ctx)
-                assert count_idempotents(ctx, "brute") == len(listed)
+        order4 = tuple(M for M in _census_monoids(4) if M.order == 4)
+        cases = [(M, n) for M in _census_monoids(3) + _fixtures() for n in (2, 3, 4)]
+        cases += [(M, n) for M in order4 for n in (1, 2, 3) if n > 1 or part == "full"]
+        for M, n in cases:
+            ctx = WreathContext(M, n, part)
+            listed = idempotent_elements(ctx)
+            assert listed == _idempotents_by_filter(ctx)
+            assert count_idempotents(ctx, "brute") == len(listed)
+
+    @pytest.mark.parametrize("name, n, part, count, digest", [
+        ("@T2", 3, "full", 189, "23722ad38ca59c51e7020c6f4f8c511ea1b249f8caeaf324a27cf4e579c8cf23"),
+        ("@RZ1", 4, "singular", 1352,
+         "43aeb59796096592b3e84a341ef16de9592b096145bcd16f786a2e2618178393"),
+        ("@N3", 3, "full", 86, "2b1be540bfb06f16181ffc70aea65af769e2971b07a1a078c7cf969d7ff9f25e"),
+    ])
+    def test_listing_digest(self, name, n, part, count, digest):
+        # the --list order, fixed by a number as well as by the filter
+        listed = idempotent_elements(WreathContext(fixture(name), n, part))
+        assert len(listed) == count
+        assert hashlib.sha256(repr(listed).encode()).hexdigest() == digest
 
     def test_listing_builds_only_idempotents(self, T2, monkeypatch):
         def refuse(self):
