@@ -46,6 +46,29 @@ compactions rewrite fewer rows in all than the run allocates.  A last
 compaction after the sweep leaves the columns over the live rows only, the
 root's first: these columns are the word graph ``graph``.
 
+The walk does the same steps at every node, so a long run walks them
+through generated code.  Once the live rows ahead of the walking node repay
+it, the walk is compiled and used for the rest of the sweep.  The rule reads
+only numbers the run has: at most ``i + 1`` live rows lie behind node ``i``,
+and compiling costs about ``_COMPILE_NS`` per trie step or pair, against
+about ``_STEP_SAVING_NS`` saved per step and visit.  It is looked at every
+``_CHECK_EVERY`` rows and after every compaction, so a visit pays one integer
+comparison for it.  A presentation of more than ``_COMPILE_BUDGET`` steps and
+pairs is never compiled.  The walk is compiled in pieces of ``_PIECE_STEPS``
+steps, one function each, because the parser's memory grows with the source:
+one function for the whole walk of ``R`` at n=5 peaks near 12 MB under
+``compile``.  A piece takes the walking node, keeps the values of its own
+steps in locals (``r<k>`` for trie node k), and checks each relation pair
+whose later end it makes.  A value an earlier piece made is read again by
+following its word from the walking node: the earlier piece resolved those
+edges, and no merge happens during a walk, so they need no check.  The rare
+branch (write-back, deduced closing edge, new node) is a call.  The source
+holds only those names, fixed helper names and integers, never input text,
+and is built with ``compile``, not written to a file.  Both walks make the
+same nodes and queue the same pairs; the compiled one queues them by their
+later end, and the merges they lead to do not depend on that order.  So the
+counters and the word graph are the same either way.
+
 A semigroup presentation is enumerated as a monoid presentation whose root
 node (the empty word) can never coincide with a non-empty class, and the
 root is excluded from the final count.
@@ -57,9 +80,18 @@ of nodes allocated and of coincidences processed are not.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 NODE_LIMIT = 10**6
+
+# The compiled walk (see above): nanoseconds saved per trie step and visit,
+# and spent compiling per trie step or pair, on a 2-core x86 VM, Python 3.11
+_STEP_SAVING_NS = 30
+_COMPILE_NS = 20_000
+_PIECE_STEPS = 64
+_COMPILE_BUDGET = 10_000
+_CHECK_EVERY = 64  # rows between two looks at the rule
 
 
 class _BoundExceeded(Exception):
@@ -84,6 +116,35 @@ def _pairs(ends):
     for a, b in pairs:
         partner.setdefault(max(a, b), min(a, b))
     return pairs, partner
+
+
+def _walk_sources(steps, pairs, partner, size):
+    """The source of the compiled trie walk, one function ``piece(r0)`` per
+    ``size`` steps: ``r<k>`` is the node that trie node k leads to from the
+    walking node ``r0``, and ``c<c>`` is column c."""
+    later = {}  # trie node -> the pairs it is the later end of
+    for a, b in pairs:
+        later.setdefault(max(a, b), []).append((a, b))
+    for lo in range(0, len(steps), size):
+        hi = min(lo + size, len(steps))
+        old = set()  # trie nodes an earlier piece made, read again here
+        for k in range(lo + 1, hi + 1):
+            uses = [steps[k - 1][0], partner.get(k, 0)] + [e for ab in later.get(k, ()) for e in ab]
+            for m in uses:
+                while 0 < m <= lo and m not in old:
+                    old.add(m)
+                    m = steps[m - 1][0]
+        lines = ["def piece(r0):"]
+        for m in sorted(old):  # edges the earlier piece resolved: no check
+            t, c = steps[m - 1]
+            lines.append(f" r{m} = c{c}[r{t}]")
+        for k in range(lo + 1, hi + 1):
+            t, c = steps[k - 1]
+            fix = f"deduce(c{c}, r{t}, r{k}, r{partner[k]})" if k in partner else f"fill(c{c}, r{t}, r{k})"
+            lines.append(f" r{k} = c{c}[r{t}]")
+            lines.append(f" if parent[r{k}] != r{k}: r{k} = {fix}")
+            lines += [f" if r{a} != r{b}: push((r{a}, r{b}))" for a, b in later.get(k, ())]
+        yield "\n".join(lines) + "\n"
 
 
 def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
@@ -153,6 +214,36 @@ def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
                     elif find(vx) != find(vy):
                         pending.append((vx, vy))
 
+    def fill(col, x, nxt):
+        """The loop's rare branch for a trie node without a partner."""
+        nxt = find(nxt) if nxt != -1 else new_node()
+        col[x] = nxt
+        return nxt
+
+    def deduce(col, x, nxt, other):
+        """The rare branch for a trie node whose partner reached ``other``."""
+        nxt = find(nxt) if nxt != -1 else other
+        col[x] = nxt
+        return nxt
+
+    def compiled_walk():
+        names = {"parent": parent, "fill": fill, "deduce": deduce, "push": pending.append}
+        names.update((f"c{c}", col) for c, col in enumerate(cols))
+        pieces = []
+        for source in _walk_sources(steps, ends, partner, _PIECE_STEPS):
+            exec(compile(source, "<todd_coxeter walk>", "exec"), names)
+            pieces.append(names["piece"])
+        return pieces
+
+    # compiling repays once this many live rows lie ahead of the walking node
+    work = len(steps) + len(ends)
+    if steps and work <= _COMPILE_BUDGET:
+        repaid = work * _COMPILE_NS // (len(steps) * _STEP_SAVING_NS)
+    else:
+        repaid = sys.maxsize
+    look_at = 0  # the row at which the rule is looked at next
+    pieces = None
+
     try:
         new_node()  # the root: the empty word
         i = 0
@@ -162,24 +253,34 @@ def todd_coxeter(p, node_limit: int = NODE_LIMIT) -> TCResult:
                 continue
             if len(parent) > 2 * (allocated - coinc):  # dead rows outnumber live ones
                 i = compact()[i]
-            # reached[k] is the node that trie node k leads to from i
-            reached = [i]
-            for t, col in zip(step_parents, step_cols):
-                x = reached[t]
-                nxt = col[x]
-                # parent[-1] is never -1, so this also catches a missing edge
-                if parent[nxt] != nxt:
-                    if nxt != -1:
-                        nxt = find(nxt)
-                    else:
-                        # the end of a relation side: the other side's node
-                        k = partner.get(len(reached))
-                        nxt = new_node() if k is None else reached[k]
-                    col[x] = nxt
-                reached.append(nxt)
-            for a, b in ends:
-                if reached[a] != reached[b]:
-                    pending.append((reached[a], reached[b]))
+                look_at = i
+            if i >= look_at:
+                # at most i + 1 of the live rows are behind the walking node
+                if pieces is None and allocated - coinc - i - 1 >= repaid:
+                    pieces = compiled_walk()
+                look_at = i + _CHECK_EVERY if pieces is None else sys.maxsize
+            if pieces:
+                for piece in pieces:
+                    piece(i)
+            else:
+                # reached[k] is the node that trie node k leads to from i
+                reached = [i]
+                for t, col in zip(step_parents, step_cols):
+                    x = reached[t]
+                    nxt = col[x]
+                    # parent[-1] is never -1, so this also catches a missing edge
+                    if parent[nxt] != nxt:
+                        if nxt != -1:
+                            nxt = find(nxt)
+                        else:
+                            # the end of a relation side: the other side's node
+                            k = partner.get(len(reached))
+                            nxt = new_node() if k is None else reached[k]
+                        col[x] = nxt
+                    reached.append(nxt)
+                for a, b in ends:
+                    if reached[a] != reached[b]:
+                        pending.append((reached[a], reached[b]))
             if pending:
                 process_pending()
             if parent[i] == i:

@@ -1,4 +1,9 @@
+import builtins
+import json
 import random
+import re
+import sys
+import tokenize
 import tracemalloc
 
 import pytest
@@ -7,8 +12,12 @@ from wreathbench import (
     emit_E_wreath_monoid, emit_R, emit_R1p, emit_R2, emit_Rn, fixture, table_presentation,
     todd_coxeter,
 )
+from wreathbench.monoids import load_monoid
 from wreathbench.presentations import Presentation, Relation, Letter
-from wreathbench.todd_coxeter import _pairs
+from wreathbench.todd_coxeter import _pairs, _walk_sources
+
+# the module, which the package's ``todd_coxeter`` function shadows
+tc = sys.modules["wreathbench.todd_coxeter"]
 
 from test_acceptance import _matrix
 
@@ -261,17 +270,155 @@ class TestSchedule:
         res = todd_coxeter(make())
         assert (res.class_count, res.nodes_allocated, res.coincidences_processed) == want
 
-    def test_dead_rows_compacted(self, R5):
+    def test_dead_rows_compacted(self, R5, monkeypatch):
         # R at n=5 allocates 25,937 rows but never has more than 4,028 live;
-        # a table that keeps its dead rows peaks near 6 MB here
+        # a table that keeps its dead rows peaks near 6 MB here.  The run
+        # compiles its walk, 64 steps to a piece, which adds about 1 MB;
+        # compiling the walk as one function peaks near 12 MB
         R5.trie  # the presentation's own memory, built before the measurement
+        compiled = spy_on_compile(monkeypatch)
         tracemalloc.start()
         try:
             todd_coxeter(R5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert compiled
         assert peak < 4_000_000
+
+
+def spy_on_compile(monkeypatch):
+    """The sources the module passes to ``compile``, as a list that fills."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(tc, "compile", spy, raising=False)
+    return sources
+
+
+def compile_at_once(monkeypatch, size):
+    """Compile the walk at the first visit, ``size`` steps to a piece."""
+    monkeypatch.setattr(tc, "_COMPILE_NS", 0)
+    monkeypatch.setattr(tc, "_PIECE_STEPS", size)
+
+
+class TestCompiledWalk:
+    """The compiled walk takes the loop's schedule exactly: the same
+    counters, the same word graph and the same node-limit stops, with the
+    walk compiled from the first visit, one step and seven steps to a piece."""
+
+    @staticmethod
+    def both(p, monkeypatch, size, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(tc, "_COMPILE_BUDGET", -1)  # never compile: the loop
+            loop = todd_coxeter(p, **kw)
+        with monkeypatch.context() as m:
+            compile_at_once(m, size)
+            compiled = spy_on_compile(m)
+            walked = todd_coxeter(p, **kw)
+        assert compiled
+        return loop, walked
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize(
+        "make", [case[1] for case in SCHEDULES] + [lambda p=p: p for _, p in REFERENCE_CASES],
+        ids=[case[0] for case in SCHEDULES] + [name for name, _ in REFERENCE_CASES])
+    def test_same_result_as_the_loop(self, make, size, monkeypatch):
+        p = make()
+        reversed_sides = with_relations(p, [Relation(r.rhs, r.lhs, r.tag) for r in p.relations])
+        for q in (p, reversed_sides, shuffled(p, 0)):
+            loop, walked = self.both(q, monkeypatch, size)
+            assert walked == loop
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_same_node_limit_stops(self, n, size, monkeypatch):
+        p = emit_R(n)
+        for limit in (10, 100, 1000, 5000):
+            loop, walked = self.both(p, monkeypatch, size, node_limit=limit)
+            assert walked == loop
+            assert (loop.status == "bound_exceeded") == (limit < {4: 863, 5: 25937}[n])
+
+    def test_used_on_R5_only_among_the_schedules(self, monkeypatch):
+        # the rule compiles once the live rows ahead repay it: of the
+        # scheduled runs, only R at n=5 has them
+        used = []
+        for name, make, _ in SCHEDULES:
+            compiled = spy_on_compile(monkeypatch)
+            todd_coxeter(make())
+            if compiled:
+                used.append(name)
+        assert used == ["R-5"]
+
+    def test_budget(self, R5, monkeypatch):
+        steps, ends = R5.trie
+        monkeypatch.setattr(tc, "_COMPILE_BUDGET", len(steps) + len(_pairs(ends)[0]) - 1)
+        compiled = spy_on_compile(monkeypatch)
+        assert todd_coxeter(R5).nodes_allocated == 25937
+        assert not compiled
+
+    def test_no_input_text_in_the_source(self, tmp_path, monkeypatch):
+        hostile = ['1', '"); import os; os.remove("x") #', "\nexec(input())", "c0[0]", "r1 = 0"]
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps({
+            "name": "__import__('os').system('true')",
+            "elements": hostile[:2],
+            "identity": 0,
+            "table": [[0, 1], [1, 0]],
+        }))
+        p = emit_R2(load_monoid(path), 3)
+        assert any(hostile[1] in lt.name for lt in p.letters)
+        writes = []
+        real_open = builtins.open
+
+        def watch(file, mode="r", *args, **kw):
+            if set(mode) & set("wax+"):
+                writes.append(file)
+            return real_open(file, mode, *args, **kw)
+
+        compile_at_once(monkeypatch, 7)
+        sources = spy_on_compile(monkeypatch)
+        monkeypatch.setattr(builtins, "open", watch)
+        monkeypatch.chdir(tmp_path)
+        res = todd_coxeter(p)
+        monkeypatch.undo()
+        assert res.class_count == 168
+        assert sources and not writes
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["monoid.json"]
+        fixed = {"def", "piece", "if", "parent", "fill", "deduce", "push"}
+        for source in sources:
+            for tok in tokenize.generate_tokens(iter(source.splitlines(True)).__next__):
+                if tok.type == tokenize.NAME:
+                    assert tok.string in fixed or re.fullmatch(r"[rc][0-9]+", tok.string)
+                elif tok.type == tokenize.NUMBER:
+                    assert tok.string.isdigit()
+                elif tok.type == tokenize.OP:
+                    assert tok.string in {"(", ")", "[", "]", ",", ":", "=", "!="}
+                else:
+                    assert tok.type in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+                                        tokenize.ENDMARKER)
+
+    def test_pieces_read_earlier_values_again(self):
+        # a^2 = 1 and a^3 = a: trie nodes 1, 2, 3 over one letter, pairs
+        # (2, 0) and (3, 1); one step to a piece, so the third piece walks
+        # a and a^2 again from the node before its own step
+        p = Presentation("monoid", (Letter("a"),), (
+            Relation((0, 0), (), "inv"), Relation((0, 0, 0), (0,), "cube"),
+        ), {})
+        steps, ends = p.trie
+        pairs, partner = _pairs(ends)
+        third = list(_walk_sources(steps, pairs, partner, 1))[2]
+        assert third == (
+            "def piece(r0):\n"
+            " r1 = c0[r0]\n"
+            " r2 = c0[r1]\n"
+            " r3 = c0[r2]\n"
+            " if parent[r3] != r3: r3 = deduce(c0, r2, r3, r1)\n"
+            " if r3 != r1: push((r3, r1))\n"
+        )
 
 
 class TestAgainstReference:

@@ -267,7 +267,7 @@ class TestIdempotents:
 
     def test_brute_count_at_degree7_holds_no_T7(self, T1):
         # the maps are grown, so the 823,543 maps of T_7 are never held: the
-        # count peaks near 1 MiB, where materialising them peaks past 80 MiB
+        # count peaks near 7 KB, where materialising them peaks past 80 MiB
         ctx = WreathContext(T1, 7, "full")
         tracemalloc.start()
         try:
