@@ -5,15 +5,17 @@ The checks run in order: the relations hold under the evaluation map
 (soundness); each letter image is in the target; Todd-Coxeter enumerates
 the presented monoid; and a breadth-first walk maps its word graph onto the
 target.  The walk maps the root to the identity (a semigroup's root to
-nothing) and node.c to the node's value times the image of c; an edge that
-disagrees with the value already at its end is a program fault, since
-Todd-Coxeter only identifies words that a sound map identifies.  The values
-are the products of the letter images, so they lie in the target, and when
-their number and the class count both equal its size the presentation is
-certified.  Only at Todd-Coxeter's node limit are the letter images closed,
-so that a presentation that is not surjective is reported before it is
-reported inconclusive.  Sing_n and M wr Sing_n come in closed form, and
-every target is sized and refused by ``target_size`` alone, before it is built.
+nothing) and node.c to the node's value times the image of c, a node's
+products made by one left multiplier of its value (``EvaluationMap.left``)
+mapped over the images.  An edge that disagrees with the value at its end is
+a program fault, since Todd-Coxeter only identifies words that a sound map
+identifies.  The values are the products of the letter images, so they lie
+in the target, and when their number and the class count both equal its size
+the presentation is certified.  Only at Todd-Coxeter's node limit are the
+letter images closed, so that a presentation that is not surjective is
+reported before it is reported inconclusive.  Sing_n and M wr Sing_n come in
+closed form, and every target is sized and refused by ``target_size`` alone,
+before it is built.
 """
 
 from __future__ import annotations
@@ -82,22 +84,24 @@ def verify(p: Presentation, emap: EvaluationMap, size: int, contains,
 def _walk(p: Presentation, emap: EvaluationMap, graph: list) -> int:
     """The number of distinct values on the nodes of the word graph, one
     column per letter with ``graph[c][node]`` the edge node.c, a semigroup's
-    root not counted; raises InternalError at an edge that disagrees."""
-    value = {0: emap.identity if p.kind == "monoid" else None}
+    root not counted; raises InternalError at an edge that disagrees.  The
+    products by ``emap.left`` check no degree: the membership test did."""
+    value = [None] * (len(graph[0]) if graph else 1)  # no letters: the root alone
+    seen = [False] * len(value)
+    value[0], seen[0] = (emap.identity if p.kind == "monoid" else None), True
     queue = [0]
     for node in queue:  # the queue grows as it is walked: breadth-first
         here = value[node]
-        for c, (image, col) in enumerate(zip(emap.images, graph)):
+        products = emap.images if here is None else map(emap.left(here), emap.images)
+        for c, (there, col) in enumerate(zip(products, graph)):
             end = col[node]
-            there = image if here is None else emap.multiply(here, image)
-            if end not in value:
+            if not seen[end]:
+                seen[end] = True
                 value[end] = there
                 queue.append(end)
             elif value[end] != there:
                 raise InternalError(f"word graph edge {node}.{c} -> {end} disagrees with the map")
-    if p.kind != "monoid":
-        del value[0]
-    return len(set(value.values()))
+    return len(set(map(value.__getitem__, queue[p.kind != "monoid":])))
 
 
 # ---------------------------------------------------------------------------

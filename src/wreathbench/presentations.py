@@ -15,14 +15,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import perm
 from typing import NamedTuple
 
 from .errors import ActionError, CapacityError, PreconditionError
 from .green import has_unit_complement_E, incomparable_L_witness, is_L_chain
 from .monoids import EnumeratedSemigroup, submonoid, units
-from .transformations import compose, epsilon, identity
+from .transformations import compose, epsilon, identity, left_multiplier
 from .wreath import WreathContext, eps_a, eps_ab, eps_elem, power_with_shuffle
 
 ALPHABET_LIMIT = 4096
@@ -94,9 +94,15 @@ class Presentation:
 
 @dataclass
 class EvaluationMap:
+    """``left(x)`` is y -> multiply(x, y), made once for many y; by default
+    ``multiply`` with x bound, else a faster product that checks no degree."""
     images: tuple
     multiply: object
     identity: object = None
+    left: object = None
+
+    def __post_init__(self):
+        self.left = self.left or partial(partial, self.multiply)
 
 
 def soundness(p: Presentation, emap: EvaluationMap) -> list[dict]:
@@ -693,12 +699,12 @@ def standard_map(p: Presentation, M: EnumeratedSemigroup | None = None) -> Evalu
     n = p.provenance.get("n")
     if family == "R":
         images = tuple(epsilon(n, lt.param("i"), lt.param("j")) for lt in p.letters)
-        return EvaluationMap(images, compose)
+        return EvaluationMap(images, compose, left=left_multiplier)
     if family in ("Rn", "R2", "R1", "R1p", "Emonoid"):
         if M is None:
             raise ValueError("monoid required to build the evaluation map")
-        monoid = p.kind == "monoid"
-        ctx = WreathContext(M, n, "full" if monoid else "singular")
+        ctx = WreathContext(M, n, "full" if p.kind == "monoid" else "singular")
         images = tuple(_letter_wreath_image(lt, ctx) for lt in p.letters)
-        return EvaluationMap(images, ctx.multiply, ctx.identity_element() if monoid else None)
+        one = ctx.identity_element() if ctx.part == "full" else None
+        return EvaluationMap(images, ctx.multiply, one, ctx.left_multiplier)
     raise ValueError(f"no canonical map for family {family!r}")

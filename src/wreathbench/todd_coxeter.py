@@ -8,8 +8,8 @@ missing.  The relations are read from the presentation's prefix trie,
 creation order, in which words sharing a prefix share their steps, and for
 each relation with unequal sides the pair of trie nodes its two sides end
 at.  Before the enumeration starts, each step's letter is replaced by that
-letter's column, duplicate pairs are dropped, and the later-made end of each
-pair is partnered with the earlier end of the first pair it belongs to.
+letter's column, repeated pairs (in either order) are dropped, and the later
+end of each pair is partnered with the earlier end of the first pair it is in.
 
 The one sweep visits every live node once, in index order.  The node walks
 the trie steps in order, following the columns to find the node every trie
@@ -108,14 +108,17 @@ class TCResult:
 
 
 def _pairs(ends):
-    """The distinct pairs among a trie's relation ends, in first-seen order,
-    and ``partner``: for the later-made end of each pair, the earlier end of
-    the first pair it closes."""
-    pairs = list(dict.fromkeys(e for e in ends if e is not None))
+    """The distinct pairs among a trie's relation ends, in first-seen order, a
+    pair (b, a) dropped after (a, b), and ``partner``: for the later-made end
+    of each pair, the earlier end of the first pair it closes."""
+    pairs = {}  # an ordered set of the trie's own tuples
+    for e in ends:
+        if e is not None and e[::-1] not in pairs:
+            pairs[e] = None
     partner = {}
     for a, b in pairs:
         partner.setdefault(max(a, b), min(a, b))
-    return pairs, partner
+    return list(pairs), partner
 
 
 def _walk_sources(steps, pairs, partner, size):

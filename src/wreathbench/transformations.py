@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
+from operator import itemgetter
 
 from .errors import CapacityError, DegreeMismatch
 
@@ -48,6 +49,12 @@ def compose(t1, t2) -> tuple[int, ...]:
     if len(t1) != len(t2):
         raise DegreeMismatch(len(t1), len(t2))
     return tuple([t2[v - 1] for v in t1])
+
+
+def left_multiplier(t):
+    """y -> compose(t, y) for a fixed t in one C call, y's degree unchecked;
+    an itemgetter of one index returns the bare item, so degree 1 is wrapped."""
+    return itemgetter(*[v - 1 for v in t]) if len(t) > 1 else lambda y: (y[t[0] - 1],)
 
 
 def epsilon(n: int, i: int, j: int) -> tuple[int, ...]:

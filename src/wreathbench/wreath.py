@@ -17,11 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
-from operator import and_
+from operator import and_, getitem
 
 from .errors import CapacityError, DegreeMismatch, format_count
 from .monoids import EnumeratedSemigroup, power_monoid
-from .transformations import enumerate_Tn, epsilon, identity, part_size
+from .transformations import enumerate_Tn, epsilon, identity, left_multiplier, part_size
 
 # Brute force caps the part at this many elements, which bounds its worst
 # case: a monoid whose tuples all pass decides each of them coordinate by
@@ -60,6 +60,16 @@ class WreathContext:
 
     def multiply(self, x, y) -> tuple[int, ...]:
         return wr_multiply(self, x, y)
+
+    def left_multiplier(self, x):
+        """y -> x·y, x's degree checked once and y's never: x's rows of the base
+        table over s·(y's indices), then s·(y's map), for x's map s on T_n."""
+        n = self.degree
+        if len(x) != 2 * n:
+            raise DegreeMismatch(len(x) // 2, n)
+        rows, s = [self.base.table[a] for a in x[:n]], x[n:]
+        indices, maps = left_multiplier(s), left_multiplier([v + n for v in s])
+        return lambda y: tuple(map(getitem, rows, indices(y))) + maps(y)
 
     def identity_element(self) -> tuple[int, ...]:
         return (self.base.identity,) * self.degree + identity(self.degree)

@@ -265,6 +265,55 @@ class TestVerifyCommand:
         assert json.loads(captured.out)["error"] == "InternalError"
         assert captured.err == ""
 
+    @pytest.mark.parametrize("args", [
+        ["--family", "R", "-n", "3"],
+        ["--family", "R1p", "--monoid", "@Z2", "-n", "2"],
+        ["--family", "Emonoid", "--monoid", "@Z2", "-n", "2"],
+    ], ids=["R", "R1p", "Emonoid"])
+    def test_non_tree_edge_against_the_map_is_internal_error(self, capsys, monkeypatch, args):
+        # a certified graph gives each node its own value, so a non-tree edge
+        # pointed at another node, reached before it, disagrees at that edge:
+        # over transformations, a wreath semigroup and a monoid whose root
+        # holds the identity
+        from wreathbench import certify
+
+        original = certify.todd_coxeter
+        corrupted_edge = []
+
+        def corrupted(p, node_limit):
+            res = original(p, node_limit=node_limit)
+            corrupted_edge.append(_point_a_non_tree_edge_elsewhere(res.graph))
+            return res
+
+        monkeypatch.setattr(certify, "todd_coxeter", corrupted)
+        code = main(["verify"] + args)
+        captured = capsys.readouterr()
+        assert code == 70
+        node, c, end = corrupted_edge[0]
+        assert json.loads(captured.out) == {
+            "error": "InternalError",
+            "message": f"word graph edge {node}.{c} -> {end} disagrees with the map",
+        }
+        assert captured.err == ""
+
+
+def _point_a_non_tree_edge_elsewhere(graph):
+    """Redirect the last non-tree edge of the breadth-first walk of ``graph``
+    (an edge that does not discover its end) to the first node the walk
+    reaches after the root; return it as (node, letter, new end)."""
+    queue, seen, tree = [0], {0}, set()
+    for node in queue:
+        for c, col in enumerate(graph):
+            if col[node] not in seen:
+                seen.add(col[node])
+                queue.append(col[node])
+                tree.add((node, c))
+    first = queue[1]
+    node, c = next((x, c) for x in reversed(queue) for c in reversed(range(len(graph)))
+                   if (x, c) not in tree and graph[c][x] != first)
+    graph[c][node] = first
+    return node, c, first
+
 
 class TestIdempotentsCommand:
     def test_check_match(self, capsys):

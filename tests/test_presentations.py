@@ -25,9 +25,9 @@ from wreathbench import (
     verify,
     wreath_sing_target,
 )
-from wreathbench.errors import PreconditionError
+from wreathbench.errors import DegreeMismatch, PreconditionError
 from wreathbench.monoids import EnumeratedSemigroup, submonoid, units
-from wreathbench.transformations import compose, enumerate_Tn
+from wreathbench.transformations import compose, enumerate_Tn, epsilon
 from wreathbench.green import e_part_indices
 from wreathbench.presentations import EvaluationMap, Letter, Presentation, Relation
 
@@ -402,6 +402,20 @@ class TestEvaluate:
         L = name_index(p)
         val = evaluate((L["e(1,2)"], L["e(2,1)"]), emap)
         assert val == (2, 2)
+
+
+class TestEvaluationMapLeft:
+    def test_default_left_is_multiply(self, B01):
+        emap = EvaluationMap((0,), B01.multiply, B01.identity)
+        for x in range(B01.order):
+            assert [emap.left(x)(y) for y in range(B01.order)] == [
+                B01.multiply(x, y) for y in range(B01.order)]
+
+    def test_default_left_keeps_the_degree_check(self):
+        emap = EvaluationMap((epsilon(2, 1, 2),), compose)
+        assert emap.left((2, 2))((2, 1)) == (1, 1)
+        with pytest.raises(DegreeMismatch):
+            emap.left((2, 2))((1, 1, 1))
 
 
 class TestEvaluateThroughSoundness:

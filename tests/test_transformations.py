@@ -8,6 +8,7 @@ from wreathbench import (
     compose, enumerate_Tn, epsilon, identity, is_permutation, rank, transformation,
 )
 from wreathbench.errors import CapacityError, DegreeMismatch
+from wreathbench.transformations import left_multiplier
 
 from conftest import is_idempotent
 
@@ -66,6 +67,16 @@ class TestCompose:
     def test_associative_random(self, triple):
         a, b, c = (transformation(x) for x in triple)
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+class TestLeftMultiplier:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_compose_on_all_of_Tn(self, n):
+        # at degree 1 an itemgetter of one index returns a bare int, not a tuple
+        Tn = enumerate_Tn(n)
+        for x in Tn:
+            times_x = left_multiplier(x)
+            assert [times_x(y) for y in Tn] == [compose(x, y) for y in Tn]
 
 
 class TestProps:

@@ -19,7 +19,7 @@ from wreathbench import (
     wr_multiply,
 )
 from wreathbench import wreath
-from wreathbench.errors import CapacityError, PreconditionError
+from wreathbench.errors import CapacityError, DegreeMismatch, PreconditionError
 from wreathbench.monoids import FIXTURES
 from wreathbench.transformations import enumerate_Tn, identity, is_permutation
 from wreathbench.wreath import MAX_FORMULA_DEGREE, idempotent_elements
@@ -90,6 +90,21 @@ class TestMultiply:
         z = wr_multiply(ctx, x, y)
         assert z[:2] == (g, 0)
         assert z[2:] == (2, 2)
+
+    def test_left_multiplier_equals_wr_multiply(self):
+        # every pair of M wr T_n, at n=1 (each gather of one index) and n=2
+        cases = [(M, n) for M in _census_monoids(3) for n in (1, 2)]
+        for M, n in cases + [(M, 2) for M in _fixtures()]:
+            ctx = WreathContext(M, n, "full")
+            elements = ctx.elements()
+            for x in elements:
+                times_x = ctx.left_multiplier(x)
+                assert [times_x(y) for y in elements] == [wr_multiply(ctx, x, y) for y in elements]
+
+    def test_left_multiplier_checks_the_left_degree(self, Z2):
+        ctx = WreathContext(Z2, 2, "full")
+        with pytest.raises(DegreeMismatch):
+            ctx.left_multiplier(WreathContext(Z2, 3, "full").identity_element())
 
     def test_identity_element(self, Z2):
         ctx = WreathContext(Z2, 2, "full")
